@@ -13,8 +13,9 @@ from exhaz import run_aim2, two_group_scenario
 
 scenario = two_group_scenario(2, n=1200, M=3, seed=515)
 print(f"scenario {scenario.name}: n={scenario.n}, M={scenario.M}")
+p_x1_sex0, p_x1_sex1 = dict(scenario.binary_probs)["x1"]
 print("the omitted covariate has prevalence "
-      f"{scenario.p_x1_sex1:.0%} in group 1 vs {scenario.p_x1_sex0:.0%} in group 0")
+      f"{p_x1_sex1:.0%} in group 1 vs {p_x1_sex0:.0%} in group 0")
 
 result = run_aim2(scenario)
 print(f"\nanalysed {result.analysed} replicates (excluded {result.excluded})")

@@ -58,7 +58,7 @@ from .simulation import (
     Aim2Result,
     PerformanceTable,
     Scenario,
-    TwoGroupScenario,
+    TruthGroup,
     generate_cohort,
     load_scenario,
     resolve_life_table,
@@ -93,7 +93,7 @@ __all__ = [
     "PGWParams",
     "PerformanceTable",
     "Scenario",
-    "TwoGroupScenario",
+    "TruthGroup",
     "WaldIntervals",
     "aic_compare",
     "conditional_net_survival",

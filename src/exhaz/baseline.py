@@ -135,10 +135,6 @@ class _PGWFamily:
         return np.array([math.log(p.sigma), math.log(p.nu), math.log(p.gamma)])
 
     @staticmethod
-    def to_natural_vector(psi):
-        return np.exp(np.asarray(psi, dtype=float))
-
-    @staticmethod
     def hazard(t, p):
         return pgw_hazard(t, p)
 
@@ -213,10 +209,6 @@ class _LogNormalFamily:
     @staticmethod
     def to_transformed(p: LogNormalParams):
         return np.array([p.mu, math.log(p.sd)])
-
-    @staticmethod
-    def to_natural_vector(psi):
-        return np.array([psi[0], math.exp(psi[1])])
 
     @staticmethod
     def hazard(t, p):

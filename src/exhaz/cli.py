@@ -48,6 +48,8 @@ EXIT_NOCONV = 4
 
 FULL_GRID_SIZES = (500, 1000, 2000, 5000)
 FULL_REPLICATES = 1000
+# desk-scale seconds per subject and replicate, by the number of truth groups
+FULL_SECONDS_PER_SUBJECT = {1: 9e-5, 2: 1.7e-4}
 
 
 @dataclass
@@ -319,11 +321,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _estimated_minutes(s, sizes, replicates) -> float:
-    per_subject = 9e-5 if s.kind == "aim1" else 1.7e-4  # seconds, desk-scale
-    return sum(per_subject * n * replicates for n in sizes) / 60.0
-
-
 def _write_aic_csv(path: Path, result: sim.Aim1Result) -> None:
     lines = ["aic_frailty,aic_classical"]
     for af, ac in zip(result.aic_frailty, result.aic_classical):
@@ -331,47 +328,45 @@ def _write_aic_csv(path: Path, result: sim.Aim1Result) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _run_study(s, table, cfg: RunConfig, out: Path, suffix: str) -> str:
+    """Run the scenario's study and write its tables; returns its summary.
+
+    One truth group runs the recovery study, two the pooled-versus-stratified
+    study.
+    """
+    if len(s.groups) == 1:
+        r = sim.run_aim1(s, table, fit_both=cfg.fit_both, progress=cfg.full)
+        r.table.write_csv(out / f"metrics{suffix}.csv")
+        if cfg.fit_both:
+            _write_aic_csv(out / f"aic{suffix}.csv", r)
+        return r.table.summary()
+    r = sim.run_aim2(s, table, progress=cfg.full)
+    r.write_summary_csv(out / f"aim2_summary{suffix}.csv")
+    r.write_curves_csv(out / f"aim2_curves{suffix}.csv")
+    return r.summary()
+
+
 def cmd_bench(cfg: RunConfig) -> int:
     s, table = _load_scenario_inputs(cfg)
     out = _out_dir(cfg)
-    if s.kind == "aim1":
-        if cfg.full:
-            mins = _estimated_minutes(s, FULL_GRID_SIZES, FULL_REPLICATES)
-            print(
-                f"warning: --full runs {len(FULL_GRID_SIZES)} cohort sizes x "
-                f"M={FULL_REPLICATES}; estimated runtime ~{mins:.0f} min",
-                file=sys.stderr,
-            )
-            summaries = []
-            for n in FULL_GRID_SIZES:
-                variant = dataclasses.replace(s, n=n, M=FULL_REPLICATES)
-                r = sim.run_aim1(variant, table, fit_both=cfg.fit_both,
-                                 progress=True)
-                r.table.write_csv(out / f"metrics_n{n}.csv")
-                summaries.append(f"n = {n}\n{r.table.summary()}")
-            _write_text(out / "summary.txt", "\n\n".join(summaries) + "\n")
-            print(f"wrote {len(FULL_GRID_SIZES)} metric tables to {out}")
-            return EXIT_OK
-        r = sim.run_aim1(s, table, fit_both=cfg.fit_both)
-        r.table.write_csv(out / "metrics.csv")
-        if cfg.fit_both:
-            _write_aic_csv(out / "aic.csv", r)
-        _write_text(out / "summary.txt", r.table.summary() + "\n")
-        print(r.table.summary())
-        return EXIT_OK
+    runs = [s]
     if cfg.full:
-        mins = _estimated_minutes(s, (s.n,), FULL_REPLICATES)
+        sizes = FULL_GRID_SIZES if len(s.groups) == 1 else (s.n,)
+        runs = [dataclasses.replace(s, n=n, M=FULL_REPLICATES) for n in sizes]
+        seconds = sum(FULL_SECONDS_PER_SUBJECT[len(s.groups)] * r.n * r.M for r in runs)
         print(
-            f"warning: --full raises the replicate count to {FULL_REPLICATES}; "
-            f"estimated runtime ~{mins:.0f} min",
+            f"warning: --full runs {len(runs)} cohort size(s) x M={FULL_REPLICATES}; "
+            f"estimated runtime ~{seconds / 60.0:.0f} min",
             file=sys.stderr,
         )
-        s = dataclasses.replace(s, M=FULL_REPLICATES)
-    r = sim.run_aim2(s, table)
-    r.write_summary_csv(out / "aim2_summary.csv")
-    r.write_curves_csv(out / "aim2_curves.csv")
-    _write_text(out / "summary.txt", r.summary() + "\n")
-    print(r.summary())
+    summaries = []
+    for r in runs:
+        suffix = f"_n{r.n}" if len(runs) > 1 else ""
+        summary = _run_study(r, table, cfg, out, suffix)
+        summaries.append(f"n = {r.n}\n{summary}" if suffix else summary)
+    text = "\n\n".join(summaries)
+    _write_text(out / "summary.txt", text + "\n")
+    print(text)
     return EXIT_OK
 
 

@@ -227,6 +227,10 @@ def load_patient_csv(source) -> Dataset:
         raise DataFormatError(f"row {bad + 2}: column 'status' must be 0 or 1")
     age = numeric_column(idx_age, "age")
     year = numeric_column(idx_age + 1, "year")
+    for name, col in (("age", age), ("year", year)):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise DataFormatError(f"row {bad[0] + 2}: column {name!r} must be finite")
 
     numeric_covs, extras = [], {}
     for offset, name in enumerate(cov_names):
@@ -274,7 +278,8 @@ def write_bundled_data(root) -> list:
     scenario files; every file is a pure function of fixed seeds, so reruns
     are byte-identical.
     """
-    from .simulation import save_scenario, sc1_scenario, two_group_scenario, Scenario
+    from .simulation import (Scenario, TruthGroup, save_scenario, sc1_scenario,
+                             two_group_scenario)
 
     root = Path(root)
     data_dir = root / "data"
@@ -302,14 +307,15 @@ def write_bundled_data(root) -> list:
         # configurable stand-ins for further single-truth designs
         "sc2_standin.ini": Scenario(
             name="sc2-standin", n=1000, M=100, baseline="lognormal",
-            theta=(0.3, 0.9), alpha=(0.5, 0.4, 0.3, 0.2), beta=(0.6, 0.5, 0.4, 0.3),
+            groups=(TruthGroup((0.3, 0.9), (0.5, 0.4, 0.3, 0.2),
+                               (0.6, 0.5, 0.4, 0.3)),),
             frailty_family="ig", frailty_b=0.8, seed=20123,
         ),
         "sc3_standin.ini": Scenario(
             name="sc3-standin", n=1000, M=100, baseline="pgw",
-            theta=(1.2, 0.9, 2.5), alpha=(0.4, 0.3, 0.2, 0.1),
-            beta=(0.8, 0.6, 0.4, 0.2), frailty_family="gamma", frailty_b=1.0,
-            seed=20124,
+            groups=(TruthGroup((1.2, 0.9, 2.5), (0.4, 0.3, 0.2, 0.1),
+                               (0.8, 0.6, 0.4, 0.2)),),
+            frailty_family="gamma", frailty_b=1.0, seed=20124,
         ),
     }
     for fname, scenario in scenarios.items():

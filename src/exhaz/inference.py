@@ -41,23 +41,6 @@ _PENALTY = 1e10  # objective value returned to the optimiser at non-finite point
 
 # -- data containers -------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One subject: follow-up time, vital status, covariates, life-table key."""
-
-    time: float
-    status: int
-    x: np.ndarray
-    w: np.ndarray
-    key: lt.LifeTableKey
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time > 0.0):
-            raise ValueError(f"time must be positive and finite, got {self.time!r}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Column-oriented cohort data.
@@ -117,6 +100,10 @@ class Dataset:
                 raise ValueError(f"column {arr_name!r} has wrong length")
         if len(self.strata) != n:
             raise ValueError("strata tuple has wrong length")
+        for arr_name in ("age", "year"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, arr_name)))
+            if bad.size:
+                raise ValueError(f"row {bad[0]}: {arr_name} must be finite")
 
     @property
     def n(self) -> int:
@@ -125,33 +112,6 @@ class Dataset:
     @property
     def n_events(self) -> int:
         return int(self.status.sum())
-
-    def records(self):
-        """Iterate over :class:`PatientRecord` views of the rows."""
-        for i in range(self.n):
-            yield PatientRecord(
-                time=float(self.time[i]),
-                status=int(self.status[i]),
-                x=self.x[i],
-                w=self.w[i],
-                key=lt.LifeTableKey(float(self.age[i]), float(self.year[i]), self.strata[i]),
-            )
-
-    @classmethod
-    def from_records(cls, records, x_names, w_names, stratum_names=()):
-        recs = list(records)
-        return cls(
-            time=np.array([r.time for r in recs]),
-            status=np.array([r.status for r in recs]),
-            x=np.array([np.atleast_1d(r.x) for r in recs], dtype=float),
-            w=np.array([np.atleast_1d(r.w) for r in recs], dtype=float),
-            x_names=tuple(x_names),
-            w_names=tuple(w_names),
-            age=np.array([r.key.age for r in recs]),
-            year=np.array([r.key.year for r in recs]),
-            strata=tuple(r.key.stratum for r in recs),
-            stratum_names=tuple(stratum_names),
-        )
 
     def subset(self, mask) -> "Dataset":
         """Row subset for a boolean mask (used for subgroup analyses)."""
@@ -237,7 +197,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Quasi-Newton settings; gradients are analytic unless ``gradient='numeric'``."""
+    """Quasi-Newton settings (L-BFGS-B with analytic gradients)."""
 
     maxiter: int = 2000
     gtol: float = 1e-6
@@ -245,7 +205,6 @@ class OptimizerOptions:
     multistart: int = 5
     jitter_sd: float = 0.3
     seed: int = 0
-    gradient: str = "analytic"
 
 
 @dataclass(frozen=True)
@@ -377,17 +336,25 @@ def _natural_names(fam, w_names, x_names, frailty: str) -> tuple:
     return tuple(names)
 
 
+def _exp(v: float) -> float:
+    """``math.exp``, with overflow mapped to ``inf`` (an unbounded limit)."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def _natural_scale_jacobian(psi, transformed_names) -> np.ndarray:
     """d(natural)/d(transformed) for the elementwise exp/identity map."""
     return np.array(
-        [math.exp(v) if name.startswith("log_") else 1.0
+        [_exp(v) if name.startswith("log_") else 1.0
          for name, v in zip(transformed_names, psi)]
     )
 
 
 def _to_natural(psi, transformed_names) -> np.ndarray:
     return np.array(
-        [math.exp(v) if name.startswith("log_") else v
+        [_exp(v) if name.startswith("log_") else v
          for name, v in zip(transformed_names, psi)]
     )
 
@@ -542,47 +509,29 @@ def loglik_frailty(data: Dataset, table: lt.LifeTable, g: GHParams,
 
 # -- Hessian, intervals, AIC --------------------------------------------------
 
-def hessian_std_errors(negloglik, psi, grad=None):
+def hessian_std_errors(grad, psi):
     """Covariance and standard errors from a central-difference Hessian at ``psi``.
 
-    Uses steps ``h_j = max(1e-4, 1e-4 |psi_j|)``.  When ``grad`` is supplied
-    the Hessian is built by differencing the gradient (same steps); otherwise
-    from second differences of ``negloglik``.  Returns ``(covariance,
-    std_errors, valid, message)``; a non-finite or non-positive-definite
-    Hessian flags the result invalid instead of raising.
+    The Hessian is built by differencing the gradient ``grad`` of the
+    negative log-likelihood with steps ``h_j = max(1e-4, 1e-4 |psi_j|)``.
+    Returns ``(covariance, std_errors, valid, message)``; a non-finite or
+    non-positive-definite Hessian flags the result invalid instead of
+    raising.
     """
     psi = np.asarray(psi, dtype=float)
     k = psi.shape[0]
     h = np.maximum(1e-4, 1e-4 * np.abs(psi))
     H = np.empty((k, k))
-    if grad is not None:
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = h[j]
-            H[:, j] = (np.asarray(grad(psi + e)) - np.asarray(grad(psi - e))) / (2.0 * h[j])
-    else:
-        f0 = negloglik(psi)
-        for j in range(k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            H[j, j] = (negloglik(psi + ej) - 2.0 * f0 + negloglik(psi - ej)) / h[j] ** 2
-            for m in range(j + 1, k):
-                em = np.zeros(k)
-                em[m] = h[m]
-                H[j, m] = H[m, j] = (
-                    negloglik(psi + ej + em)
-                    - negloglik(psi + ej - em)
-                    - negloglik(psi - ej + em)
-                    + negloglik(psi - ej - em)
-                ) / (4.0 * h[j] * h[m])
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = h[j]
+        H[:, j] = (np.asarray(grad(psi + e)) - np.asarray(grad(psi - e))) / (2.0 * h[j])
     if not np.all(np.isfinite(H)):
         return None, None, False, "non-finite Hessian"
     asym = float(np.max(np.abs(H - H.T)))
     scale = float(np.max(np.abs(H)))
-    # gradient differencing carries direction-dependent truncation error, so
-    # its symmetry tolerance is looser than the value-difference stencil's
-    asym_tol = 1e-6 if grad is None else 1e-4
-    if scale > 0 and asym > asym_tol * scale:
+    # gradient differencing carries direction-dependent truncation error
+    if scale > 0 and asym > 1e-4 * scale:
         return None, None, False, "asymmetric Hessian"
     H = 0.5 * (H + H.T)
     try:
@@ -656,13 +605,10 @@ def aic_compare(fits) -> list:
 # -- fitting -------------------------------------------------------------------
 
 def _minimize(ctx: _FitContext, psi0, opts: OptimizerOptions):
-    common = dict(
-        method="L-BFGS-B",
+    return optimize.minimize(
+        ctx.value_and_grad, psi0, jac=True, method="L-BFGS-B",
         options={"maxiter": opts.maxiter, "ftol": opts.ftol, "gtol": opts.gtol},
     )
-    if opts.gradient == "analytic":
-        return optimize.minimize(ctx.value_and_grad, psi0, jac=True, **common)
-    return optimize.minimize(ctx.value, psi0, **common)
 
 
 def _optimize_with_restarts(ctx, psi0, opts):
@@ -799,11 +745,9 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
         grad_norm = float(np.max(np.abs(jac))) if np.all(np.isfinite(jac)) else float("inf")
         loglik_val = -float(best.fun)
 
-    if opts.gradient == "analytic":
-        grad_fn = lambda q: ctx.value_and_grad(q)[1]
-        cov, se, se_ok, se_msg = hessian_std_errors(ctx.value, psi_hat, grad=grad_fn)
-    else:
-        cov, se, se_ok, se_msg = hessian_std_errors(ctx.value, psi_hat)
+    cov, se, se_ok, se_msg = hessian_std_errors(
+        lambda q: ctx.value_and_grad(q)[1], psi_hat
+    )
     if not se_ok:
         messages.append(f"standard errors invalid: {se_msg}")
 

@@ -13,7 +13,6 @@ distribution on the transformed scale and recomputing the curve per draw.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "population_net_survival",
     "subgroup_net_survival",
     "net_survival_mc_ci",
-    "write_curves_csv",
 ]
 
 
@@ -212,27 +210,3 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, level: float = 
     return NetSurvivalCurve(
         grid, estimate, lower=lower, upper=upper, label=label, model=fit.spec.label()
     )
-
-
-def write_curves_csv(path, curves) -> None:
-    """Write curves as long-format CSV: time,estimate,lower,upper,label,model.
-
-    Band columns are left blank for curves without bands; numbers use
-    round-trip (17 significant digit) formatting.
-    """
-    fmt = lambda v: f"{float(v):.17g}"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "estimate", "lower", "upper", "label", "model"])
-        for c in curves:
-            for j in range(c.time.shape[0]):
-                writer.writerow(
-                    [
-                        fmt(c.time[j]),
-                        fmt(c.estimate[j]),
-                        fmt(c.lower[j]) if c.lower is not None else "",
-                        fmt(c.upper[j]) if c.upper is not None else "",
-                        c.label,
-                        c.model,
-                    ]
-                )

@@ -6,16 +6,19 @@ other-cause time sampled from a life table, and censoring by the minimum of
 an exponential drop-out time and an administrative horizon.  The observed
 status is the all-cause death indicator.
 
-Two study harnesses are provided: a parameter-recovery study on a single
-scenario (bias / coverage / SE-calibration table) and a two-group study that
-quantifies how omitting a heterogeneous covariate biases subgroup net
-survival under pooled fits compared with per-group stratified fits.
+A scenario holds one truth group, or two selected by a binary grouping
+covariate.  Two study harnesses share one replicate loop: a
+parameter-recovery study on a one-group scenario (bias / coverage /
+SE-calibration table) and a two-group study that quantifies how omitting a
+heterogeneous covariate biases subgroup net survival under pooled fits
+compared with per-group stratified fits.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,16 +27,17 @@ from scipy import optimize as sp_optimize
 
 from . import lifetable as lt
 from .baseline import get_family
-from .inference import Dataset, ModelSpec, OptimizerOptions, fit
-from .model import B_ZERO_THRESHOLD, FrailtySpec, GHParams, simulate_event_time
+from .inference import Dataset, ModelSpec, OptimizerOptions, _natural_names, fit
+from .model import (B_ZERO_THRESHOLD, CovariateMapping, FrailtySpec, GHParams,
+                    simulate_event_time)
 from .netsurvival import NetSurvivalCurve, _curve_values, default_grid
 
 Z975 = 1.959963984540054
 
 __all__ = [
     "AgeMixture",
+    "TruthGroup",
     "Scenario",
-    "TwoGroupScenario",
     "PerformanceTable",
     "Aim1Result",
     "Aim2Result",
@@ -121,47 +125,75 @@ def _sample_frailty(family: str, b: float, rng: np.random.Generator, n: int) -> 
 # -- scenario definitions ----------------------------------------------------
 
 @dataclass(frozen=True)
+class TruthGroup:
+    """One generating model: natural baseline parameters ``theta`` and the
+    time-level (``alpha``) and hazard-level (``beta``) effects of every
+    covariate, ordered like :attr:`Scenario.covariate_names`."""
+
+    theta: tuple
+    alpha: tuple
+    beta: tuple
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Single-truth parameter-recovery scenario (standardised age + binaries)."""
+    """A simulation design: covariate laws, one or two truth groups, censoring.
+
+    Covariates are standardised age ``agec`` and then one binary per
+    ``(name, p)`` entry of ``binary_probs``.  With two truth groups the
+    first binary selects each subject's group by its value, and a later
+    binary may give ``p`` as a ``(group 0, group 1)`` pair.  The groups
+    share the baseline family and the frailty law.  ``censoring_target`` is
+    ``("dropout", share)``, the share of subjects lost to drop-out, or
+    ``("censoring", share)``, the overall censored share; the drop-out rate
+    is calibrated to it when ``dropout_rate`` is None.
+    """
 
     name: str = "sc1"
     n: int = 5000
     M: int = 200
     baseline: str = "pgw"
-    theta: tuple = (0.75, 1.75, 8.0)
-    alpha: tuple = (1.0, 1.0, 1.0, 1.0)
-    beta: tuple = (1.0, 1.0, 1.0, 1.0)
+    groups: tuple = (TruthGroup((0.75, 1.75, 8.0), (1.0,) * 4, (1.0,) * 4),)
     frailty_family: str = "gamma"
     frailty_b: float = 0.5
     binary_probs: tuple = (("sex", 0.5), ("x1", 0.5), ("x2", 0.5))
     age_mixture: AgeMixture = field(default_factory=AgeMixture)
-    dropout_rate: float | None = None  # None: calibrate to dropout_target
-    dropout_target: float = 0.05
+    dropout_rate: float | None = None
+    censoring_target: tuple = ("dropout", 0.05)
     admin_censor: float = 5.0
     year: float = 2012.0
     seed: int = 20120
     life_table: str = "builtin:synthetic"
-
-    kind = "aim1"
 
     def __post_init__(self):
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be positive")
         if self.admin_censor <= 0.0:
             raise ValueError("admin_censor must be positive")
-        if not (0.0 <= self.dropout_target < 1.0):
-            raise ValueError("dropout_target must lie in [0, 1)")
+        share, target = self.censoring_target
+        if share not in ("dropout", "censoring") or not (0.0 <= target < 1.0):
+            raise ValueError("censoring_target must be ('dropout' or 'censoring', a "
+                             "share in [0, 1))")
         if self.dropout_rate is not None and self.dropout_rate < 0.0:
             raise ValueError("dropout_rate must be >= 0")
-        for name, p in self.binary_probs:
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"binary probability for {name!r} outside [0, 1]")
+        two = len(self.groups) == 2
+        if not (len(self.groups) == 1 or (two and self.binary_probs)):
+            raise ValueError("a scenario has one truth group, or two selected by "
+                             "its first binary covariate")
+        for j, (name, p) in enumerate(self.binary_probs):
+            pair_ok = not isinstance(p, tuple) or (two and j > 0 and len(p) == 2)
+            if not pair_ok or not all(0.0 <= v <= 1.0 for v in np.atleast_1d(p)):
+                raise ValueError(
+                    f"binary {name!r}: p must lie in [0, 1]; a per-group pair needs "
+                    "two truth groups and must follow the grouping covariate"
+                )
         k = 1 + len(self.binary_probs)
-        if len(self.alpha) != k or len(self.beta) != k:
+        if any(len(g.alpha) != k or len(g.beta) != k for g in self.groups):
             raise ValueError(
                 f"alpha/beta must have {k} entries (agec plus each binary)"
             )
-        get_family(self.baseline)
+        for g in range(len(self.groups)):
+            self.group_params(g)
         if self.frailty_family not in ("none", "gamma", "ig"):
             raise ValueError(f"unknown frailty family {self.frailty_family!r}")
 
@@ -169,68 +201,33 @@ class Scenario:
     def covariate_names(self) -> tuple:
         return ("agec",) + tuple(name for name, _ in self.binary_probs)
 
-    def true_params(self) -> GHParams:
-        return GHParams(_natural_params(self.baseline, self.theta), self.alpha, self.beta)
+    @property
+    def group_labels(self) -> tuple:
+        """Labels of a two-group design's groups, e.g. ``("sex0", "sex1")``."""
+        return tuple(f"{self.covariate_names[1]}{g}" for g in range(len(self.groups)))
+
+    @property
+    def group_weights(self) -> tuple:
+        """Population share of each truth group."""
+        if len(self.groups) == 1:
+            return (1.0,)
+        p = self.binary_probs[0][1]
+        return (1.0 - p, p)
+
+    def group_of(self, x: np.ndarray) -> np.ndarray:
+        """Truth-group index of each row of a covariate matrix whose second
+        column is the grouping covariate."""
+        if len(self.groups) == 1:
+            return np.zeros(x.shape[0], dtype=int)
+        return (x[:, 1] > 0.5).astype(int)
+
+    def group_params(self, g: int = 0) -> GHParams:
+        truth = self.groups[g]
+        theta = _natural_params(self.baseline, truth.theta)
+        return GHParams(theta, truth.alpha, truth.beta)
 
     def true_frailty(self) -> FrailtySpec:
         return FrailtySpec(self.frailty_family, self.frailty_b)
-
-
-@dataclass(frozen=True)
-class TwoGroupScenario:
-    """Two sex-defined subpopulations with different baselines and effects.
-
-    Covariates are (agec, sex, x1); the generating model has no frailty —
-    heterogeneity in the fitted models arises from omitting x1 and from
-    pooling the two baselines.
-    """
-
-    name: str = "two-group"
-    n: int = 5000
-    M: int = 100
-    theta_sex1: tuple = (0.5, 1.5, 5.0)
-    theta_sex0: tuple = (0.5, 1.5, 0.75)
-    alpha_sex1: tuple = (0.7, 0.7, 0.5)
-    beta_sex1: tuple = (1.0, 0.5, 1.0)
-    alpha_sex0: tuple = (0.7, 0.7, 0.25)
-    beta_sex0: tuple = (0.5, 0.5, 0.25)
-    p_sex1: float = 0.6
-    p_x1_sex1: float = 0.8
-    p_x1_sex0: float = 0.4
-    age_mixture: AgeMixture = field(default_factory=AgeMixture)
-    dropout_rate: float | None = None
-    censoring_target: float = 0.65  # share of the cohort censored overall
-    admin_censor: float = 5.0
-    year: float = 2012.0
-    seed: int = 40220
-    life_table: str = "builtin:synthetic"
-
-    kind = "aim2"
-
-    def __post_init__(self):
-        if self.n < 1 or self.M < 1:
-            raise ValueError("n and M must be positive")
-        if self.admin_censor <= 0.0:
-            raise ValueError("admin_censor must be positive")
-        if not (0.0 <= self.censoring_target < 1.0):
-            raise ValueError("censoring_target must lie in [0, 1)")
-        for p in (self.p_sex1, self.p_x1_sex1, self.p_x1_sex0):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("probabilities must lie in [0, 1]")
-        for v in (self.alpha_sex1, self.beta_sex1, self.alpha_sex0, self.beta_sex0):
-            if len(v) != 3:
-                raise ValueError("group effect vectors must have 3 entries (agec, sex, x1)")
-
-    @property
-    def covariate_names(self) -> tuple:
-        return ("agec", "sex", "x1")
-
-    def group_params(self, sex: int) -> GHParams:
-        from .baseline import PGWParams
-
-        if sex == 1:
-            return GHParams(PGWParams(*self.theta_sex1), self.alpha_sex1, self.beta_sex1)
-        return GHParams(PGWParams(*self.theta_sex0), self.alpha_sex0, self.beta_sex0)
 
 
 def sc1_scenario(n: int = 5000, M: int = 200, seed: int = 20120, b: float = 0.5,
@@ -243,14 +240,26 @@ def sc1_scenario(n: int = 5000, M: int = 200, seed: int = 20120, b: float = 0.5,
 
 def two_group_scenario(variant: int = 2, n: int = 5000, M: int = 100,
                        seed: int = 40220,
-                       life_table: str = "builtin:synthetic") -> TwoGroupScenario:
-    """Two-group scenario; variant 1 has mildly different baselines
-    (third shape 5 vs 3), variant 2 markedly different (5 vs 0.75)."""
+                       life_table: str = "builtin:synthetic") -> Scenario:
+    """Two sex-defined subpopulations with different baselines and effects.
+
+    Covariates are (agec, sex, x1), and x1 is more common when sex = 1.  The
+    generating model has no frailty: heterogeneity in the fitted models
+    arises from omitting x1 and from pooling the two baselines.  Variant 1
+    has mildly different baselines (third shape 5 vs 3), variant 2 markedly
+    different (5 vs 0.75).  Calibration targets 65% censored overall.
+    """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     theta0 = (0.5, 1.5, 3.0) if variant == 1 else (0.5, 1.5, 0.75)
-    return TwoGroupScenario(name=f"two-group-{variant}", n=n, M=M, seed=seed,
-                            theta_sex0=theta0, life_table=life_table)
+    return Scenario(
+        name=f"two-group-{variant}", n=n, M=M, seed=seed, life_table=life_table,
+        groups=(TruthGroup(theta0, (0.7, 0.7, 0.25), (0.5, 0.5, 0.25)),
+                TruthGroup((0.5, 1.5, 5.0), (0.7, 0.7, 0.5), (1.0, 0.5, 1.0))),
+        frailty_family="none", frailty_b=0.0,
+        binary_probs=(("sex", 0.6), ("x1", (0.4, 0.8))),
+        censoring_target=("censoring", 0.65),
+    )
 
 
 # -- cohort generation ---------------------------------------------------------
@@ -273,17 +282,17 @@ def _resolve_table(s, table: lt.LifeTable | None) -> lt.LifeTable:
 
 
 def _draw_covariates(s, rng: np.random.Generator, n: int):
-    """Sample the covariate matrix (ordered as ``s.covariate_names``) and raw age."""
+    """Sample the covariate matrix (ordered as ``s.covariate_names``) and raw age.
+
+    Columns are drawn in order, so a per-group probability is looked up by
+    the grouping column drawn before it.
+    """
     age = s.age_mixture.sample(rng, n)
     cols = [s.age_mixture.standardise(age)]
-    if s.kind == "aim1":
-        for _, p in s.binary_probs:
-            cols.append((rng.random(n) < p).astype(float))
-    else:
-        sex = (rng.random(n) < s.p_sex1).astype(float)
-        p_x1 = np.where(sex > 0.5, s.p_x1_sex1, s.p_x1_sex0)
-        cols.append(sex)
-        cols.append((rng.random(n) < p_x1).astype(float))
+    for _, p in s.binary_probs:
+        if isinstance(p, tuple):
+            p = np.asarray(p)[cols[1].astype(int)]
+        cols.append((rng.random(n) < p).astype(float))
     return np.column_stack(cols), age
 
 
@@ -304,17 +313,16 @@ def _strata_tuples(table: lt.LifeTable, names, x: np.ndarray, n: int) -> tuple:
 
 
 def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
-    """Latent excess-model event times under the scenario's truth."""
+    """Latent excess-model event times, each subject under its group's truth."""
     n = x.shape[0]
     u = np.clip(rng.random(n), 2.0**-53, None)
-    if s.kind == "aim1":
-        lam = _sample_frailty(s.frailty_family, s.frailty_b, rng, n)
-        return simulate_event_time(u, x, x, s.true_params(), lam)
+    lam = _sample_frailty(s.frailty_family, s.frailty_b, rng, n)
+    group = s.group_of(x)
     tc = np.empty(n)
-    sex1 = x[:, 1] > 0.5
-    for val, mask in ((1, sex1), (0, ~sex1)):
-        if mask.any():
-            tc[mask] = simulate_event_time(u[mask], x[mask], x[mask], s.group_params(val))
+    for g in range(len(s.groups)):
+        mask = group == g
+        xg = x[mask]
+        tc[mask] = simulate_event_time(u[mask], xg, xg, s.group_params(g), lam[mask])
     return tc
 
 
@@ -344,29 +352,27 @@ def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
 
 def calibrate_dropout(s, table: lt.LifeTable | None = None,
                       pilot_n: int = 20000) -> float:
-    """Exponential censoring rate matching the scenario's stated target.
+    """Exponential censoring rate matching the scenario's censoring target.
 
-    Single-truth scenarios target the share of subjects whose follow-up ends
-    by drop-out, ``E[1 - exp(-r * min(T, admin))]``; two-group scenarios
-    target the overall censored share, ``1 - E[1{T <= admin} exp(-r T)]``
+    The ``"dropout"`` share is ``E[1 - exp(-r * min(T, admin))]``, the
+    share of subjects whose follow-up ends by drop-out; the ``"censoring"``
+    share is ``1 - E[1{T <= admin} exp(-r T)]``, the overall censored share
     (``T`` is the latent all-cause death time).  Both use a deterministic
     pilot cohort and bisection in ``r``.
     """
+    share, target = s.censoring_target
+    if target <= 0.0:
+        return 0.0
     table = _resolve_table(s, table)
     rng = np.random.default_rng(np.random.SeedSequence([int(s.seed), 0xD407]))
-    if s.kind == "aim1":
-        target = s.dropout_target
-        if target <= 0.0:
-            return 0.0
-        _, _, _, t_death = _all_cause_latent(s, rng, pilot_n, table)
+    _, _, _, t_death = _all_cause_latent(s, rng, pilot_n, table)
+    if share == "dropout":
         t_other = np.minimum(t_death, s.admin_censor)
 
         def gap(rate):
             return float(np.mean(-np.expm1(-rate * t_other))) - target
 
     else:
-        target = s.censoring_target
-        _, _, _, t_death = _all_cause_latent(s, rng, pilot_n, table)
         inside = t_death <= s.admin_censor
 
         def gap(rate):
@@ -378,17 +384,19 @@ def calibrate_dropout(s, table: lt.LifeTable | None = None,
     return float(sp_optimize.brentq(gap, 1e-10, 1e4, xtol=1e-12, rtol=1e-12))
 
 
-_DROPOUT_CACHE: dict = {}
+@functools.lru_cache(maxsize=32)
+def _calibrated_rate(s: Scenario, table: lt.LifeTable | None) -> float:
+    # LifeTable hashes by identity; holding it here keeps its id from being
+    # reused by another table while the entry lives.
+    return calibrate_dropout(s, table)
 
 
 def resolve_dropout(s, table: lt.LifeTable | None = None):
-    """Return the scenario with ``dropout_rate`` filled in (memoised)."""
+    """Return the scenario with ``dropout_rate`` filled in (memoised per
+    scenario and table object)."""
     if s.dropout_rate is not None:
         return s
-    key = (s, id(table))
-    if key not in _DROPOUT_CACHE:
-        _DROPOUT_CACHE[key] = calibrate_dropout(s, table)
-    return dataclasses.replace(s, dropout_rate=_DROPOUT_CACHE[key])
+    return dataclasses.replace(s, dropout_rate=_calibrated_rate(s, table))
 
 
 def generate_cohort(s, replicate_seed, table: lt.LifeTable | None = None) -> Dataset:
@@ -428,9 +436,6 @@ def generate_cohort(s, replicate_seed, table: lt.LifeTable | None = None) -> Dat
 
 # -- truth curves --------------------------------------------------------------
 
-_NO_FRAILTY = FrailtySpec("none", 0.0)
-
-
 def _averaged_truth_curve(x, grid, g: GHParams, fr: FrailtySpec,
                           chunk: int = 20000) -> np.ndarray:
     """Covariate-averaged net survival under known parameters, chunked."""
@@ -441,51 +446,77 @@ def _averaged_truth_curve(x, grid, g: GHParams, fr: FrailtySpec,
     return total / x.shape[0]
 
 
-def _laplace_curve(fr: FrailtySpec, cum_hazard: np.ndarray) -> np.ndarray:
-    from .model import laplace
-
-    if fr.family == "none" or fr.b < B_ZERO_THRESHOLD:
-        return np.exp(-cum_hazard)
-    return laplace(fr, cum_hazard)
+def _truth_curves(s: Scenario, grid, draws: int, seed: int):
+    """Each truth group's covariate-averaged curve, and their population
+    mixture weighted by the groups' shares."""
+    x, _ = _draw_covariates(s, np.random.default_rng(seed), draws)
+    group = s.group_of(x)
+    per_group = [
+        _averaged_truth_curve(x[group == g], grid, s.group_params(g), s.true_frailty())
+        for g in range(len(s.groups))
+    ]
+    return per_group, sum(w * c for w, c in zip(s.group_weights, per_group))
 
 
 def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False,
                             draws: int = 100000, seed: int = 2718) -> NetSurvivalCurve:
     """Scenario truth: covariate-averaged marginal net survival, or the
-    reference curve at all-zero covariates when ``reference`` is set."""
+    reference curve at all-zero covariates (group 0) when ``reference`` is set."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if reference:
-        fam = get_family(s.baseline)
-        h0 = fam.cum_hazard(grid, _natural_params(s.baseline, s.theta))
-        values = _laplace_curve(s.true_frailty(), h0)
+        zero = np.zeros((1, len(s.covariate_names)))
+        values = _curve_values(zero, zero, grid, s.group_params(0), s.true_frailty())
         return NetSurvivalCurve(time=grid, estimate=values, label="reference",
                                 model="truth")
-    rng = np.random.default_rng(seed)
-    x, _ = _draw_covariates(s, rng, draws)
-    values = _averaged_truth_curve(x, grid, s.true_params(), s.true_frailty())
+    _, values = _truth_curves(s, grid, draws, seed)
     return NetSurvivalCurve(time=grid, estimate=values, label="population",
                             model="truth")
 
 
-def two_group_true_curves(s: TwoGroupScenario, grid=None, draws: int = 100000,
+def two_group_true_curves(s: Scenario, grid=None, draws: int = 100000,
                           seed: int = 2718) -> dict:
-    """Truth curves (population and per-sex) for a two-group scenario."""
+    """Truth curves (population and per group) for a two-group scenario."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    rng = np.random.default_rng(seed)
-    x, _ = _draw_covariates(s, rng, draws)
-    sex1 = x[:, 1] > 0.5
-    curves = {}
-    for label, mask, sex in (("sex1", sex1, 1), ("sex0", ~sex1, 0)):
-        curves[label] = _averaged_truth_curve(
-            x[mask], grid, s.group_params(sex), _NO_FRAILTY
-        )
-    curves["population"] = (
-        s.p_sex1 * curves["sex1"] + (1.0 - s.p_sex1) * curves["sex0"]
-    )
+    per_group, population = _truth_curves(s, grid, draws, seed)
+    curves = dict(zip(s.group_labels, per_group), population=population)
     return {
         label: NetSurvivalCurve(time=grid, estimate=vals, label=label, model="truth")
         for label, vals in curves.items()
     }
+
+
+# -- the replicate loop both studies share ---------------------------------------
+
+def _replicates(s: Scenario, table: lt.LifeTable, opts: OptimizerOptions,
+                designs, analyse, progress: bool):
+    """Simulate and fit the scenario's ``M`` replicates; returns the kept
+    ``analyse`` results and the excluded count.
+
+    Replicate ``m`` draws its cohort from the ``m``-th child of the scenario
+    seed, fits each ``key: (dataset, spec)`` of ``designs(cohort)`` in order,
+    and passes ``{key: (dataset, fit)}`` to ``analyse``.  A ``ValueError``
+    from a fit, or ``None`` from ``analyse``, excludes the replicate.
+    ``generate_cohort`` and ``fit`` are looked up at call time, so they can
+    be instrumented.
+    """
+    rows, excluded = [], 0
+    for m, child in enumerate(np.random.SeedSequence(s.seed).spawn(s.M)):
+        plan = designs(generate_cohort(s, child, table))
+        try:
+            fits = {key: (d, fit(d, table, spec, options=opts))
+                    for key, (d, spec) in plan.items()}
+        except ValueError:
+            fits = None
+        row = None if fits is None else analyse(fits)
+        if row is None:
+            excluded += 1
+        else:
+            rows.append(row)
+        if progress and (m + 1) % 25 == 0:
+            print(f"  replicate {m + 1}/{s.M} done", flush=True)
+    if not rows:
+        raise RuntimeError("all replicates were excluded; nothing to summarise")
+    return rows, excluded
 
 
 # -- parameter-recovery study --------------------------------------------------
@@ -560,26 +591,12 @@ class Aim1Result:
 
 def _true_vectors(s: Scenario):
     """Truth on the natural and transformed scales, ordered like fit output."""
-    fam = get_family(s.baseline)
-    theta = _natural_params(s.baseline, s.theta)
-    nat = np.concatenate([
-        np.asarray(s.theta, dtype=float),
-        np.asarray(s.alpha, dtype=float),
-        np.asarray(s.beta, dtype=float),
-        [s.frailty_b] if s.frailty_family != "none" else [],
-    ])
-    log_b = (
-        []
-        if s.frailty_family == "none"
-        else [math.log(s.frailty_b) if s.frailty_b > 0.0 else -math.inf]
-    )
-    trans = np.concatenate([
-        fam.to_transformed(theta),
-        np.asarray(s.alpha, dtype=float),
-        np.asarray(s.beta, dtype=float),
-        log_b,
-    ])
-    return nat, trans
+    (truth,) = s.groups
+    b = [s.frailty_b] if s.frailty_family != "none" else []
+    log_b = [math.log(v) if v > 0.0 else -math.inf for v in b]
+    theta = get_family(s.baseline).to_transformed(_natural_params(s.baseline, truth.theta))
+    nat = np.concatenate([truth.theta, truth.alpha, truth.beta, b])
+    return nat, np.concatenate([theta, truth.alpha, truth.beta, log_b])
 
 
 def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
@@ -593,64 +610,48 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
     alongside for information-criterion comparisons, and ``reference_grid``
     additionally records each replicate's fitted all-zero-covariate curve.
     """
-    from .model import CovariateMapping
-
+    if len(s.groups) != 1:
+        raise ValueError("the recovery study needs a scenario with one truth group")
     table = _resolve_table(s, table)
     s = resolve_dropout(s, table)
     names = s.covariate_names
     mapping = CovariateMapping(names, names)
-    spec_main = ModelSpec(s.baseline, s.frailty_family, mapping)
-    spec_alt = ModelSpec(s.baseline, "none", mapping)
+    specs = {"main": ModelSpec(s.baseline, s.frailty_family, mapping)}
+    if fit_both:
+        specs["alt"] = ModelSpec(s.baseline, "none", mapping)
     nat_true, trans_true = _true_vectors(s)
-    opts = options if options is not None else OptimizerOptions()
-
-    children = np.random.SeedSequence(s.seed).spawn(s.M)
-    rows_est, rows_se, rows_hit = [], [], []
-    aic_f, aic_c = [], []
-    ref_rows = []
     grid = None if reference_grid is None else np.asarray(reference_grid, dtype=float)
-    excluded = 0
-    for m, child in enumerate(children):
-        data = generate_cohort(s, child, table)
-        res = fit(data, table, spec_main, options=opts)
-        alt = fit(data, table, spec_alt, options=opts) if fit_both else None
+    zero = np.zeros((1, len(names)))
+
+    def designs(data):
+        return {key: (data, spec) for key, spec in specs.items()}
+
+    def analyse(fits):
+        res = fits["main"][1]
         est = res.natural_estimates()
         se_nat = res.std_errors_natural
-        ok = (
+        if not (
             res.convergence.converged
             and res.se_valid
             and se_nat is not None
             and np.all(np.isfinite(est))
             and np.all(np.isfinite(se_nat))
-        )
-        if not ok:
-            excluded += 1
-            continue
-        rows_est.append(est)
-        rows_se.append(se_nat)
+        ):
+            return None
         with np.errstate(invalid="ignore"):
             hit = np.abs(trans_true - res.psi) <= Z975 * res.std_errors
-        rows_hit.append(np.where(np.isfinite(trans_true), hit.astype(float), np.nan))
-        if fit_both:
-            if alt.convergence.converged:
-                aic_f.append(res.aic)
-                aic_c.append(alt.aic)
-        if grid is not None:
-            fam = get_family(s.baseline)
-            h0 = fam.cum_hazard(grid, res.params.theta)
-            ref_rows.append(_laplace_curve(res.frailty, h0))
-        if progress and (m + 1) % 25 == 0:
-            print(f"  replicate {m + 1}/{s.M} done", flush=True)
+        hit = np.where(np.isfinite(trans_true), hit.astype(float), np.nan)
+        alt = fits["alt"][1] if fit_both else None
+        aics = (res.aic, alt.aic) if alt is not None and alt.convergence.converged else None
+        ref = (None if grid is None
+               else _curve_values(zero, zero, grid, res.params, res.frailty))
+        return est, se_nat, hit, aics, ref
 
-    if not rows_est:
-        raise RuntimeError("all replicates were excluded; nothing to summarise")
-    est = np.vstack(rows_est)
-    ses = np.vstack(rows_se)
-    hits = np.vstack(rows_hit)
-    coverage = np.empty(hits.shape[1])
-    for j in range(hits.shape[1]):
-        col = hits[~np.isnan(hits[:, j]), j]
-        coverage[j] = col.mean() if col.size else math.nan
+    rows, excluded = _replicates(s, table, options or OptimizerOptions(),
+                                 designs, analyse, progress)
+    est, ses, hits = (np.vstack([row[i] for row in rows]) for i in range(3))
+    aics = [row[3] for row in rows if row[3] is not None]
+    ref_rows = [row[4] for row in rows if row[4] is not None]
     emp_sd = (
         est.std(axis=0, ddof=1)
         if est.shape[0] > 1
@@ -658,12 +659,13 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
     )
     perf = PerformanceTable(
         scenario_name=s.name,
-        names=_result_names(s),
+        names=_natural_names(get_family(s.baseline), names, names, s.frailty_family),
         true_values=nat_true,
         mean_mle=est.mean(axis=0),
         bias=est.mean(axis=0) - nat_true,
         median_mle=np.median(est, axis=0),
-        coverage=coverage,
+        # a parameter's hits are all NaN (truth at -inf) or none are
+        coverage=hits.mean(axis=0),
         mean_se=ses.mean(axis=0),
         emp_sd=emp_sd,
         analysed=est.shape[0],
@@ -674,21 +676,11 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
         table=perf,
         estimates=est,
         std_errors=ses,
-        aic_frailty=np.array(aic_f) if fit_both else None,
-        aic_classical=np.array(aic_c) if fit_both else None,
+        aic_frailty=np.array([a for a, _ in aics]) if fit_both else None,
+        aic_classical=np.array([c for _, c in aics]) if fit_both else None,
         reference_grid=grid,
         reference_curves=np.vstack(ref_rows) if ref_rows else None,
     )
-
-
-def _result_names(s: Scenario) -> tuple:
-    fam = get_family(s.baseline)
-    names = list(fam.natural_names)
-    names += [f"alpha:{n}" for n in s.covariate_names]
-    names += [f"beta:{n}" for n in s.covariate_names]
-    if s.frailty_family != "none":
-        names.append("b")
-    return tuple(names)
 
 
 # -- two-group misspecification study -------------------------------------------
@@ -697,7 +689,7 @@ def _result_names(s: Scenario) -> tuple:
 class Aim2Result:
     """Pooled-versus-stratified comparison of fitted subgroup curves."""
 
-    scenario: TwoGroupScenario
+    scenario: Scenario
     grid: np.ndarray
     truth: dict  # label -> np.ndarray
     mean_curves: dict  # (analysis, model, group) -> np.ndarray
@@ -749,20 +741,20 @@ class Aim2Result:
         return "\n".join(lines)
 
 
-def run_aim2(s: TwoGroupScenario, table: lt.LifeTable | None = None, *,
+def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
              grid=None, truth_draws: int = 100000,
              options: OptimizerOptions | None = None,
              progress: bool = False) -> Aim2Result:
     """Quantify subgroup net-survival bias from pooling two populations.
 
-    Each replicate is fitted six ways, always omitting the heterogeneous
-    binary covariate: pooled (classical and frailty) on (agec, sex), and
-    per-sex stratified (classical and frailty) on agec alone.  Curves are
-    compared against the scenario truth by the maximum absolute deviation
-    over the grid, averaged across replicates.
+    Each replicate is fitted six ways, always omitting the binaries after
+    the grouping covariate: pooled (classical and frailty) on agec and the
+    grouping covariate, and per-group stratified (classical and frailty) on
+    agec alone.  Curves are compared against the scenario truth by the
+    maximum absolute deviation over the grid, averaged across replicates.
     """
-    from .model import CovariateMapping
-
+    if len(s.groups) != 2:
+        raise ValueError("the two-group study needs a scenario with two truth groups")
     table = _resolve_table(s, table)
     s = resolve_dropout(s, table)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -770,85 +762,53 @@ def run_aim2(s: TwoGroupScenario, table: lt.LifeTable | None = None, *,
         label: curve.estimate
         for label, curve in two_group_true_curves(s, grid, draws=truth_draws).items()
     }
-    opts = options if options is not None else OptimizerOptions()
+    models = {"classical": "none", "frailty": "gamma"}
 
-    pooled_names = ("agec", "sex")
-    strat_names = ("agec",)
-    spec_pooled = {
-        "classical": ModelSpec("pgw", "none", CovariateMapping(pooled_names, pooled_names)),
-        "frailty": ModelSpec("pgw", "gamma", CovariateMapping(pooled_names, pooled_names)),
-    }
-    spec_strat = {
-        "classical": ModelSpec("pgw", "none", CovariateMapping(strat_names, strat_names)),
-        "frailty": ModelSpec("pgw", "gamma", CovariateMapping(strat_names, strat_names)),
-    }
+    def spec(d, frailty):
+        return ModelSpec("pgw", frailty, CovariateMapping(d.x_names, d.w_names))
 
-    sums = {}
-    sup_sums = {}
-    analysed = 0
-    excluded = 0
-    children = np.random.SeedSequence(s.seed).spawn(s.M)
-    for m, child in enumerate(children):
-        data = generate_cohort(s, child, table)
-        sex_col = data.x[:, list(data.x_names).index("sex")]
-        pooled = data.with_covariates(pooled_names, pooled_names)
-        subsets = {
-            "sex1": data.subset(sex_col > 0.5).with_covariates(strat_names, strat_names),
-            "sex0": data.subset(sex_col <= 0.5).with_covariates(strat_names, strat_names),
-        }
-        try:
-            fits_pooled = {
-                model: fit(pooled, table, spec, options=opts)
-                for model, spec in spec_pooled.items()
-            }
-            fits_strat = {
-                (model, group): fit(subsets[group], table, spec, options=opts)
-                for model, spec in spec_strat.items()
-                for group in ("sex0", "sex1")
-            }
-        except ValueError:
-            excluded += 1
-            continue
-        if not all(
-            f.convergence.converged
-            for f in list(fits_pooled.values()) + list(fits_strat.values())
-        ):
-            excluded += 1
-            continue
+    def designs(data):
+        pooled = data.with_covariates(s.covariate_names[:2], s.covariate_names[:2])
+        group = s.group_of(data.x)
+        strata = [data.subset(group == g).with_covariates(("agec",), ("agec",))
+                  for g in range(2)]
+        out = {("pooled", model, "population"): (pooled, spec(pooled, fr))
+               for model, fr in models.items()}
+        out.update({("stratified", model, label): (strata[g], spec(strata[g], fr))
+                    for model, fr in models.items()
+                    for g, label in enumerate(s.group_labels)})
+        return out
 
-        replicate_curves = {}
-        pooled_sex = pooled.x[:, list(pooled.x_names).index("sex")]
-        for model, res in fits_pooled.items():
-            replicate_curves[("pooled", model, "population")] = _curve_values(
-                pooled.x, pooled.w, grid, res.params, res.frailty
+    def analyse(fits):
+        if not all(res.convergence.converged for _, res in fits.values()):
+            return None
+        curves = {}
+        for (analysis, model, label), (d, res) in fits.items():
+            curves[(analysis, model, label)] = _curve_values(
+                d.x, d.w, grid, res.params, res.frailty
             )
-            for group, mask in (("sex1", pooled_sex > 0.5), ("sex0", pooled_sex <= 0.5)):
-                replicate_curves[("pooled", model, group)] = _curve_values(
-                    pooled.x[mask], pooled.w[mask], grid, res.params, res.frailty
-                )
-        for (model, group), res in fits_strat.items():
-            sub = subsets[group]
-            replicate_curves[("stratified", model, group)] = _curve_values(
-                sub.x, sub.w, grid, res.params, res.frailty
-            )
+            if analysis == "pooled":  # the pooled fit also gives each group's curve
+                group = s.group_of(d.x)
+                for g, glabel in enumerate(s.group_labels):
+                    mask = group == g
+                    curves[(analysis, model, glabel)] = _curve_values(
+                        d.x[mask], d.w[mask], grid, res.params, res.frailty
+                    )
+        return curves
 
-        analysed += 1
-        for key, vals in replicate_curves.items():
-            sums[key] = sums.get(key, 0.0) + vals
-            dev = float(np.max(np.abs(vals - truth[key[2]])))
-            sup_sums[key] = sup_sums.get(key, 0.0) + dev
-        if progress and (m + 1) % 10 == 0:
-            print(f"  replicate {m + 1}/{s.M} done", flush=True)
-
-    if analysed == 0:
-        raise RuntimeError("all replicates were excluded; nothing to summarise")
+    rows, excluded = _replicates(s, table, options or OptimizerOptions(),
+                                 designs, analyse, progress)
+    n = len(rows)
     return Aim2Result(
         scenario=s,
         grid=grid,
         truth=truth,
-        mean_curves={k: v / analysed for k, v in sums.items()},
-        mean_sup_dev={k: v / analysed for k, v in sup_sums.items()},
-        analysed=analysed,
+        mean_curves={key: sum(r[key] for r in rows) / n for key in rows[0]},
+        mean_sup_dev={
+            key: sum(float(np.max(np.abs(r[key] - truth[key[2]]))) for r in rows) / n
+            for key in rows[0]
+        },
+        analysed=n,
         excluded=excluded,
     )
 
@@ -864,10 +824,20 @@ def _parse_floats(text: str) -> tuple:
 
 
 def save_scenario(path, s) -> None:
-    """Write a scenario to an INI file (round-trips with :func:`load_scenario`)."""
+    """Write a scenario to an INI file (round-trips with :func:`load_scenario`).
+
+    One truth group is written as ``kind = aim1`` with ``[truth]`` and
+    ``[covariates]`` sections; two as ``kind = aim2`` with a ``[groups]``
+    section of covariate probabilities and a ``[truth.<group>]`` section per
+    group, a form that implies a PGW baseline without frailty.
+    """
+    two = len(s.groups) == 2
+    if two and (s.baseline, s.frailty_family) != ("pgw", "none"):
+        raise ValueError("a two-group scenario file holds a PGW baseline without frailty")
+    share, target = s.censoring_target
     cp = configparser.ConfigParser()
     cp["scenario"] = {
-        "kind": s.kind,
+        "kind": "aim2" if two else "aim1",
         "name": s.name,
         "n": str(s.n),
         "replicates": str(s.M),
@@ -876,109 +846,92 @@ def save_scenario(path, s) -> None:
         "year": repr(float(s.year)),
         "dropout_rate": "auto" if s.dropout_rate is None else repr(float(s.dropout_rate)),
         "life_table": s.life_table,
+        f"{share}_target": repr(float(target)),
     }
-    if s.kind == "aim1":
-        cp["scenario"]["dropout_target"] = repr(float(s.dropout_target))
-    else:
-        cp["scenario"]["censoring_target"] = repr(float(s.censoring_target))
     cp["age"] = {
         "bounds": ", ".join(f"{repr(lo)}:{repr(hi)}" for lo, hi in s.age_mixture.bounds),
         "probs": _fmt_floats(s.age_mixture.probs),
     }
-    if s.kind == "aim1":
-        cp["truth"] = {
-            "baseline": s.baseline,
-            "theta": _fmt_floats(s.theta),
-            "alpha": _fmt_floats(s.alpha),
-            "beta": _fmt_floats(s.beta),
-            "frailty": s.frailty_family,
-            "b": repr(float(s.frailty_b)),
-        }
+    truths = [{"theta": _fmt_floats(g.theta), "alpha": _fmt_floats(g.alpha),
+               "beta": _fmt_floats(g.beta)} for g in s.groups]
+    if two:
+        gcol, p_group = s.binary_probs[0]
+        cp["groups"] = {f"p_{gcol}1": repr(float(p_group))}
+        for name, p in s.binary_probs[1:]:
+            p0, p1 = p if isinstance(p, tuple) else (p, p)
+            cp["groups"][f"p_{name}_{gcol}1"] = repr(float(p1))
+            cp["groups"][f"p_{name}_{gcol}0"] = repr(float(p0))
+        for g in (1, 0):
+            cp[f"truth.{gcol}{g}"] = truths[g]
+    else:
+        cp["truth"] = {"baseline": s.baseline, **truths[0],
+                       "frailty": s.frailty_family, "b": repr(float(s.frailty_b))}
         cp["covariates"] = {
             "binary": ", ".join(f"{name}:{repr(float(p))}" for name, p in s.binary_probs),
-        }
-    else:
-        cp["groups"] = {
-            "p_sex1": repr(float(s.p_sex1)),
-            "p_x1_sex1": repr(float(s.p_x1_sex1)),
-            "p_x1_sex0": repr(float(s.p_x1_sex0)),
-        }
-        cp["truth.sex1"] = {
-            "theta": _fmt_floats(s.theta_sex1),
-            "alpha": _fmt_floats(s.alpha_sex1),
-            "beta": _fmt_floats(s.beta_sex1),
-        }
-        cp["truth.sex0"] = {
-            "theta": _fmt_floats(s.theta_sex0),
-            "alpha": _fmt_floats(s.alpha_sex0),
-            "beta": _fmt_floats(s.beta_sex0),
         }
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
 
-def load_scenario(path):
-    """Read a scenario INI file; returns a :class:`Scenario` or
-    :class:`TwoGroupScenario` depending on its declared kind."""
+def load_scenario(path) -> Scenario:
+    """Read a scenario INI file in the form :func:`save_scenario` writes.
+
+    Every section and key is required; a missing one raises ``ValueError``
+    naming it.
+    """
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
-    if "scenario" not in cp:
-        raise ValueError(f"{path}: missing [scenario] section")
-    sec = cp["scenario"]
-    kind = sec.get("kind", "").strip()
-    dropout_raw = sec.get("dropout_rate", "auto").strip()
-    common = dict(
-        name=sec.get("name", "unnamed"),
-        n=sec.getint("n"),
-        M=sec.getint("replicates"),
-        seed=sec.getint("seed"),
-        admin_censor=sec.getfloat("admin_censor", 5.0),
-        year=sec.getfloat("year", 2012.0),
-        dropout_rate=None if dropout_raw == "auto" else float(dropout_raw),
-        life_table=sec.get("life_table", "builtin:synthetic"),
-    )
+
+    def get(section: str, key: str) -> str:
+        if section not in cp:
+            raise ValueError(f"{path}: missing [{section}] section")
+        if key not in cp[section]:
+            raise ValueError(f"{path}: [{section}] is missing key {key!r}")
+        return cp[section][key].strip()
+
+    def truth(section: str) -> TruthGroup:
+        return TruthGroup(*(_parse_floats(get(section, key))
+                            for key in ("theta", "alpha", "beta")))
+
+    kind = get("scenario", "kind")
     if kind == "aim1":
-        common["dropout_target"] = sec.getfloat("dropout_target", 0.05)
+        binary = [(item.split(":")[0].strip(), float(item.split(":")[1]))
+                  for item in get("covariates", "binary").split(",") if item.strip()]
+        model = dict(baseline=get("truth", "baseline"), groups=(truth("truth"),),
+                     frailty_family=get("truth", "frailty"),
+                     frailty_b=float(get("truth", "b")))
     elif kind == "aim2":
-        common["censoring_target"] = sec.getfloat("censoring_target", 0.65)
-    if "age" in cp:
-        bounds = tuple(
-            tuple(float(v) for v in pair.split(":"))
-            for pair in cp["age"]["bounds"].split(",")
-        )
-        common["age_mixture"] = AgeMixture(
-            bounds=bounds, probs=_parse_floats(cp["age"]["probs"])
-        )
-    if kind == "aim1":
-        truth = cp["truth"]
-        binary = tuple(
-            (item.split(":")[0].strip(), float(item.split(":")[1]))
-            for item in cp["covariates"]["binary"].split(",")
-            if item.strip()
-        )
-        return Scenario(
-            baseline=truth.get("baseline", "pgw"),
-            theta=_parse_floats(truth["theta"]),
-            alpha=_parse_floats(truth["alpha"]),
-            beta=_parse_floats(truth["beta"]),
-            frailty_family=truth.get("frailty", "gamma"),
-            frailty_b=truth.getfloat("b", 0.0),
-            binary_probs=binary,
-            **common,
-        )
-    if kind == "aim2":
-        groups = cp["groups"]
-        return TwoGroupScenario(
-            theta_sex1=_parse_floats(cp["truth.sex1"]["theta"]),
-            alpha_sex1=_parse_floats(cp["truth.sex1"]["alpha"]),
-            beta_sex1=_parse_floats(cp["truth.sex1"]["beta"]),
-            theta_sex0=_parse_floats(cp["truth.sex0"]["theta"]),
-            alpha_sex0=_parse_floats(cp["truth.sex0"]["alpha"]),
-            beta_sex0=_parse_floats(cp["truth.sex0"]["beta"]),
-            p_sex1=groups.getfloat("p_sex1"),
-            p_x1_sex1=groups.getfloat("p_x1_sex1"),
-            p_x1_sex0=groups.getfloat("p_x1_sex0"),
-            **common,
-        )
-    raise ValueError(f"{path}: unknown scenario kind {kind!r} (expected aim1 or aim2)")
+        # [groups] opens with p_<grouping covariate>1; each later binary then
+        # has p_<name>_<grouping covariate>1 and p_<name>_<grouping covariate>0
+        keys = list(cp["groups"]) if "groups" in cp else []
+        gcol = keys[0][2:-1] if keys else "<group>"
+        binary = [(gcol, float(get("groups", f"p_{gcol}1")))]
+        for key in keys[1:]:
+            if key.endswith(f"_{gcol}1"):
+                pair = (float(get("groups", key[:-1] + "0")), float(get("groups", key)))
+                binary.append((key[2:-len(gcol) - 2], pair))
+        model = dict(baseline="pgw", frailty_family="none", frailty_b=0.0,
+                     groups=(truth(f"truth.{gcol}0"), truth(f"truth.{gcol}1")))
+    else:
+        raise ValueError(f"{path}: unknown scenario kind {kind!r} (expected aim1 or aim2)")
+    share = "censoring" if "censoring_target" in cp["scenario"] else "dropout"
+    dropout = get("scenario", "dropout_rate")
+    return Scenario(
+        name=get("scenario", "name"),
+        n=int(get("scenario", "n")),
+        M=int(get("scenario", "replicates")),
+        seed=int(get("scenario", "seed")),
+        admin_censor=float(get("scenario", "admin_censor")),
+        year=float(get("scenario", "year")),
+        dropout_rate=None if dropout == "auto" else float(dropout),
+        censoring_target=(share, float(get("scenario", f"{share}_target"))),
+        life_table=get("scenario", "life_table"),
+        age_mixture=AgeMixture(
+            bounds=tuple(tuple(float(v) for v in pair.split(":"))
+                         for pair in get("age", "bounds").split(",")),
+            probs=_parse_floats(get("age", "probs")),
+        ),
+        binary_probs=tuple(binary),
+        **model,
+    )

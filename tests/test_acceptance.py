@@ -282,7 +282,7 @@ class TestRecoveryStudies:
     def test_7_reference_curve_recovered_on_average(self, sc1_n500):
         grid = np.asarray(sc1_n500.reference_grid)
         avg = np.asarray(sc1_n500.reference_curves).mean(axis=0)
-        theta = PGWParams(*sc1_n500.scenario.theta)
+        theta = PGWParams(*sc1_n500.scenario.groups[0].theta)
         b = sc1_n500.scenario.frailty_b
         h0 = np.array([pgw_cum_hazard(t, theta) for t in grid])
         truth = (1.0 + b * h0) ** (-1.0 / b)

@@ -231,6 +231,15 @@ class TestSimulate:
         assert code == 3
         assert "replicate index" in capsys.readouterr().err
 
+    def test_incomplete_scenario_file_is_an_input_error(self, scenario_file, tmp_path,
+                                                         capsys):
+        cut = tmp_path / "cut.ini"
+        cut.write_text("".join(line for line in scenario_file.read_text().splitlines(True)
+                               if not line.startswith("n = ")))
+        code = cli.main(["simulate", "--scenario", str(cut), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "[scenario] is missing key 'n'" in capsys.readouterr().err
+
     def test_scenario_owns_the_seed(self, scenario_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([

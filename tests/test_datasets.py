@@ -1,6 +1,7 @@
 """Bundled synthetic inputs and the patient/life-table CSV formats."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,8 @@ class TestPatientCsv:
             ("time,status,age,year\n1,1,60\n", "row 2: expected 4 fields, got 3"),
             ("time,status,age,year\n1,1,60,2012\n2,1,61\n", "row 3"),
             ("time,status,age,year\n-1,1,60,2012\n", "time"),
+            ("time,status,age,year\n1,1,60,2012\n1,0,nan,2012\n", "row 3: column 'age'"),
+            ("time,status,age,year\n1,1,60,inf\n", "row 2: column 'year' must be finite"),
         ],
     )
     def test_malformed_inputs(self, text, match):
@@ -149,6 +152,15 @@ class TestBundledData:
         for pa, pb in zip(first, second):
             assert pa.name == pb.name
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_matches_checked_in_files(self, tmp_path):
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        written = datasets.write_bundled_data(tmp_path)
+        checked_in = sorted(p.relative_to(demos) for sub in ("data", "scenarios")
+                            for p in (demos / sub).iterdir())
+        assert sorted(p.relative_to(tmp_path) for p in written) == checked_in
+        for rel in checked_in:
+            assert (tmp_path / rel).read_bytes() == (demos / rel).read_bytes(), rel
 
     def test_scenarios_match_factories(self, tmp_path):
         written = {p.name: p for p in datasets.write_bundled_data(tmp_path)}

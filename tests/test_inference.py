@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from exhaz import inference as inf
-from exhaz import lifetable as lt
 from exhaz import model as mdl
-from exhaz.baseline import PGWParams
+from exhaz.baseline import LogNormalParams, PGWParams
 
 from conftest import random_dataset, simulate_ph_cohort
 
@@ -263,15 +262,6 @@ class TestFit:
         assert res_scaled.params.beta[1] == pytest.approx(res.params.beta[1], abs=2e-4)
         assert res_scaled.loglik == pytest.approx(res.loglik, abs=1e-6)
 
-    def test_numeric_gradient_option_agrees(self, zero_table):
-        data = simulate_ph_cohort(400, PGWParams(1.5, 1.1, 1.3), np.array([0.4, -0.6]),
-                                  b=0.0, seed=17)
-        a = inf.fit(data, zero_table, inf.ModelSpec("pgw", "none"))
-        n = inf.fit(data, zero_table, inf.ModelSpec("pgw", "none"),
-                    options=inf.OptimizerOptions(gradient="numeric"))
-        assert n.loglik == pytest.approx(a.loglik, abs=1e-4)
-        np.testing.assert_allclose(n.psi, a.psi, atol=5e-3)
-
     def test_user_init_is_honoured(self, zero_table):
         data = simulate_ph_cohort(500, PGWParams(1.5, 1.1, 1.3), np.array([0.4, -0.6]),
                                   b=0.5, seed=18)
@@ -326,30 +316,28 @@ class TestFit:
 
 class TestHessian:
     def test_quadratic_oracle_both_modes(self):
+        # gradient of 0.5 p'Ap is Ap, whose Hessian is A
         A = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
-        f = lambda p: 0.5 * p @ A @ p
-        g = lambda p: A @ p
         psi = np.array([0.3, -1.2, 0.7])
         expected = np.linalg.inv(A)
-        for kwargs in ({}, {"grad": g}):
-            cov, se, ok, msg = inf.hessian_std_errors(f, psi, **kwargs)
-            assert ok, msg
-            np.testing.assert_allclose(cov, expected, rtol=1e-6)
-            np.testing.assert_allclose(se, np.sqrt(np.diag(expected)), rtol=1e-6)
+        cov, se, ok, msg = inf.hessian_std_errors(lambda p: A @ p, psi)
+        assert ok, msg
+        np.testing.assert_allclose(cov, expected, rtol=1e-6)
+        np.testing.assert_allclose(se, np.sqrt(np.diag(expected)), rtol=1e-6)
 
     def test_exponential_fisher_information(self):
         # d events over total time tau: negloglik(psi) = e^psi * tau - d * psi,
         # minimised at psi = log(d/tau) with curvature d, so SE = 1/sqrt(d)
         d, tau = 40.0, 80.0
-        f = lambda p: math.exp(p[0]) * tau - d * p[0]
+        grad = lambda p: np.array([math.exp(p[0]) * tau - d])
         psi = np.array([math.log(d / tau)])
-        cov, se, ok, _ = inf.hessian_std_errors(f, psi)
+        cov, se, ok, _ = inf.hessian_std_errors(grad, psi)
         assert ok
         assert se[0] == pytest.approx(1.0 / math.sqrt(d), rel=1e-7)
 
     def test_non_positive_definite_flags_invalid(self):
-        f = lambda p: -0.5 * float(p @ p)
-        cov, se, ok, msg = inf.hessian_std_errors(f, np.array([0.1, -0.2]))
+        # gradient of -0.5 p'p
+        cov, se, ok, msg = inf.hessian_std_errors(lambda p: -p, np.array([0.1, -0.2]))
         assert not ok
         assert cov is None and se is None
         assert "positive definite" in msg
@@ -363,6 +351,38 @@ def gamma_fit(zero_table):
 
 
 class TestWaldAndAic:
+    def test_overflowing_limit_maps_to_inf(self):
+        # a log-normal + IG fit at the b -> 0 boundary: log b near -17.7 with
+        # a valid SE near 5400, so the upper limit of b overflows exp
+        psi = np.array([0.1, math.log(0.9), math.log(2e-8)])
+        se = np.array([0.1, 0.1, 5378.0])
+        res = inf.FitResult(
+            spec=inf.ModelSpec("lognormal", "ig"),
+            params=mdl.GHParams(LogNormalParams(0.1, 0.9)),
+            frailty=mdl.FrailtySpec("ig", 2e-8),
+            psi=psi,
+            transformed_names=("mu", "log_sd", "log_b"),
+            natural_names=("mu", "sd", "b"),
+            loglik=-100.0,
+            n_params=3,
+            covariance=np.diag(se**2),
+            std_errors=se,
+            std_errors_natural=se * np.array([1.0, 0.9, 2e-8]),
+            se_valid=True,
+            convergence=inf.Convergence(True, 10, 1e-7, ()),
+            n=100,
+            n_events=50,
+            data_fingerprint="0" * 16,
+            x_names=(),
+            w_names=(),
+        )
+        ci = inf.wald_ci(res)
+        assert ci.upper[2] == math.inf
+        assert ci.lower[2] == 0.0
+        assert math.isfinite(ci.upper[1])
+        np.testing.assert_array_equal(ci.estimates, [0.1, 0.9, math.exp(psi[2])])
+        assert any("boundary" in note for note in ci.notes)
+
     def test_interval_geometry(self, gamma_fit):
         ci = inf.wald_ci(gamma_fit, level=0.95)
         j = list(ci.names).index("beta:x0")  # identity-mapped parameter
@@ -428,16 +448,6 @@ class TestWaldAndAic:
 
 
 class TestDatasetUtilities:
-    def test_records_round_trip(self, sex_table):
-        data = random_dataset(25, p=2, p_t=1, seed=24)
-        back = inf.Dataset.from_records(
-            data.records(), data.x_names, data.w_names, data.stratum_names
-        )
-        np.testing.assert_array_equal(back.time, data.time)
-        np.testing.assert_array_equal(back.x, data.x)
-        assert back.strata == data.strata
-        assert back.fingerprint() == data.fingerprint()
-
     def test_subset(self):
         data = random_dataset(40, p=2, p_t=0, seed=25)
         mask = data.x[:, 0] > 0
@@ -466,4 +476,11 @@ class TestDatasetUtilities:
         with pytest.raises(ValueError, match="positive"):
             one_record_dataset(-1.0, 0)
         with pytest.raises(ValueError, match="status"):
-            inf.PatientRecord(1.0, 2, np.zeros(1), np.zeros(0), lt.LifeTableKey(60, 2012))
+            one_record_dataset(1.0, 2)
+        data = random_dataset(5, p=1, p_t=0, seed=28)
+        age = data.age.copy()
+        age[3] = math.nan
+        with pytest.raises(ValueError, match="row 3: age must be finite"):
+            dataclasses.replace(data, age=age)
+        with pytest.raises(ValueError, match="row 0: year must be finite"):
+            one_record_dataset(1.0, 1, table_year=math.inf)

@@ -189,23 +189,3 @@ class TestMonteCarloBands:
         broken = dataclasses.replace(fit_gamma, se_valid=False)
         with pytest.raises(ValueError, match="covariance"):
             ns.net_survival_mc_ci(cohort, broken, seed=1)
-
-
-class TestCsvOutput:
-    def test_long_format_round_trip(self, tmp_path, cohort, fit_classical, fit_gamma):
-        plain = ns.population_net_survival(cohort, fit_classical,
-                                           np.array([0.0, 1.0, 2.0]))
-        banded = ns.net_survival_mc_ci(cohort, fit_gamma, np.array([0.0, 1.0, 2.0]),
-                                       draws=120, seed=3, label="pop")
-        path = tmp_path / "curves.csv"
-        ns.write_curves_csv(path, [plain, banded])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,estimate,lower,upper,label,model"
-        assert len(lines) == 1 + 3 + 3
-        first = lines[1].split(",")
-        assert first[2] == "" and first[3] == ""
-        assert float(first[1]) == plain.estimate[0]
-        banded_row = lines[4].split(",")
-        assert float(banded_row[2]) == banded.lower[0]
-        assert banded_row[4] == "pop"
-        assert banded_row[5] == "pgw+gamma"

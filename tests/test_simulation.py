@@ -1,5 +1,6 @@
 """Cohort simulation: covariate laws, censoring calibration, study harnesses."""
 
+import configparser
 import dataclasses
 import math
 
@@ -63,29 +64,45 @@ class TestAgeMixture:
 
 class TestScenarios:
     def test_effect_length_validation(self):
+        sc1_theta = (0.75, 1.75, 8.0)
         with pytest.raises(ValueError, match="alpha/beta"):
-            sim.Scenario(alpha=(1.0, 1.0))
+            sim.Scenario(groups=(sim.TruthGroup(sc1_theta, (1.0, 1.0), (1.0,) * 4),))
+        two = sim.two_group_scenario(2)
         with pytest.raises(ValueError, match="3 entries"):
-            sim.TwoGroupScenario(beta_sex1=(1.0,))
+            dataclasses.replace(two, groups=(two.groups[0], sim.TruthGroup(
+                (0.5, 1.5, 5.0), (0.7, 0.7, 0.5), (1.0,))))
         with pytest.raises(ValueError):
             sim.Scenario(frailty_family="weird")
         with pytest.raises(ValueError):
             sim.Scenario(dropout_rate=-0.1)
         with pytest.raises(ValueError):
-            sim.TwoGroupScenario(censoring_target=1.0)
+            dataclasses.replace(two, censoring_target=("censoring", 1.0))
+        with pytest.raises(ValueError):
+            sim.Scenario(censoring_target=("events", 0.1))
+
+    def test_group_structure_validation(self):
+        two = sim.two_group_scenario(2)
+        with pytest.raises(ValueError, match="truth group"):
+            dataclasses.replace(two, groups=two.groups * 2)
+        with pytest.raises(ValueError, match="per-group pair"):
+            sim.Scenario(binary_probs=(("sex", 0.5), ("x1", (0.4, 0.8)), ("x2", 0.5)))
+        with pytest.raises(ValueError, match="per-group pair"):
+            dataclasses.replace(two, binary_probs=(("sex", (0.5, 0.5)), ("x1", 0.5)))
+        with pytest.raises(ValueError, match=r"'x1': p must lie in \[0, 1\]"):
+            dataclasses.replace(two, binary_probs=(("sex", 0.6), ("x1", (0.4, 1.2))))
 
     def test_factories(self):
         s = sim.sc1_scenario(n=123, M=7, seed=9, b=0.25)
         assert (s.n, s.M, s.seed, s.frailty_b) == (123, 7, 9, 0.25)
         assert s.covariate_names == ("agec", "sex", "x1", "x2")
-        assert sim.two_group_scenario(1).theta_sex0 == (0.5, 1.5, 3.0)
-        assert sim.two_group_scenario(2).theta_sex0 == (0.5, 1.5, 0.75)
+        assert sim.two_group_scenario(1).groups[0].theta == (0.5, 1.5, 3.0)
+        assert sim.two_group_scenario(2).groups[0].theta == (0.5, 1.5, 0.75)
         with pytest.raises(ValueError):
             sim.two_group_scenario(3)
 
     def test_truth_accessors(self):
         s = sim.sc1_scenario()
-        g = s.true_params()
+        g = s.group_params()
         assert isinstance(g.theta, PGWParams)
         assert tuple(g.alpha) == (1.0, 1.0, 1.0, 1.0)
         fr = s.true_frailty()
@@ -108,9 +125,10 @@ class TestScenarioFiles:
             sim.Scenario(
                 name="standin",
                 baseline="lognormal",
-                theta=(0.3, 0.9),
+                groups=(sim.TruthGroup((0.3, 0.9), (1.0,) * 4, (1.0,) * 4),),
                 frailty_family="ig",
                 frailty_b=0.8,
+                censoring_target=("censoring", 0.5),
             ),
             sim.two_group_scenario(1),
             sim.two_group_scenario(2, n=800, M=5, seed=77),
@@ -130,6 +148,43 @@ class TestScenarioFiles:
         path.write_text("[scenario]\nkind = nope\n", encoding="utf-8")
         with pytest.raises(ValueError, match="kind"):
             sim.load_scenario(path)
+
+    def _saved_without(self, tmp_path, scenario, section, key=None):
+        path = tmp_path / "cut.ini"
+        sim.save_scenario(path, scenario)
+        cp = configparser.ConfigParser()
+        cp.read(path, encoding="utf-8")
+        if key is None:
+            cp.remove_section(section)
+        else:
+            cp.remove_option(section, key)
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        return path
+
+    def test_missing_section_is_named(self, tmp_path):
+        path = self._saved_without(tmp_path, sim.sc1_scenario(), "truth")
+        with pytest.raises(ValueError, match=r"missing \[truth\] section"):
+            sim.load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "scenario, section, key",
+        [
+            (sim.sc1_scenario(), "scenario", "n"),
+            (sim.two_group_scenario(2), "groups", "p_x1_sex0"),
+        ],
+        ids=["n", "group-probability"],
+    )
+    def test_missing_key_is_named(self, tmp_path, scenario, section, key):
+        path = self._saved_without(tmp_path, scenario, section, key)
+        with pytest.raises(ValueError, match=rf"\[{section}\] is missing key '{key}'"):
+            sim.load_scenario(path)
+
+    def test_two_group_file_needs_pgw_without_frailty(self, tmp_path):
+        s = dataclasses.replace(sim.two_group_scenario(2), frailty_family="gamma",
+                                frailty_b=0.5)
+        with pytest.raises(ValueError, match="PGW baseline without frailty"):
+            sim.save_scenario(tmp_path / "s.ini", s)
 
 
 class TestCohorts:
@@ -172,12 +227,12 @@ class TestCohorts:
         assert resolved.dropout_rate > 0.0
         d = sim.generate_cohort(s, 5, synth_table)
         dropout = float(np.mean((d.status == 0) & (d.time < s.admin_censor - 1e-9)))
-        assert abs(dropout - s.dropout_target) < 0.012
+        assert abs(dropout - s.censoring_target[1]) < 0.012
 
     def test_two_group_censoring_share(self, synth_table):
         s = sim.two_group_scenario(2, n=5000)
         d = sim.generate_cohort(s, 13, synth_table)
-        assert abs((1.0 - d.status.mean()) - s.censoring_target) < 0.03
+        assert abs((1.0 - d.status.mean()) - s.censoring_target[1]) < 0.03
 
     def test_two_group_covariate_law(self):
         s = sim.two_group_scenario(2)
@@ -207,7 +262,7 @@ class TestCohorts:
         n = 6000
         s = sim.Scenario(
             name="ks", n=n, M=1, life_table="builtin:zero",
-            dropout_target=0.0, admin_censor=1e9, seed=314,
+            censoring_target=("dropout", 0.0), admin_censor=1e9, seed=314,
         )
         d = sim.generate_cohort(s, 42, zero_wide)
         # The net-time law has a polynomial upper tail, so a handful of draws
@@ -215,9 +270,9 @@ class TestCohorts:
         # drop out of the comparison below without disturbing it.
         assert int(d.status.sum()) >= n - 10
 
-        theta = PGWParams(*s.theta)
-        alpha = np.asarray(s.alpha)
-        beta = np.asarray(s.beta)
+        theta = PGWParams(*s.groups[0].theta)
+        alpha = np.asarray(s.groups[0].alpha)
+        beta = np.asarray(s.groups[0].beta)
         scale = np.exp(d.x @ alpha)
         factor = np.exp(d.x @ beta - d.x @ alpha)
         t = np.sort(d.time[d.status == 1])
@@ -236,7 +291,7 @@ class TestCohorts:
 
 class TestDropoutCalibration:
     def test_zero_target_gives_zero_rate(self, synth_table):
-        s = dataclasses.replace(sim.sc1_scenario(), dropout_target=0.0)
+        s = dataclasses.replace(sim.sc1_scenario(), censoring_target=("dropout", 0.0))
         assert sim.calibrate_dropout(s, synth_table) == 0.0
 
     def test_calibration_is_reproducible(self, synth_table):
@@ -252,6 +307,14 @@ class TestDropoutCalibration:
     def test_two_group_rate_positive(self, synth_table):
         s = sim.two_group_scenario(2)
         assert sim.calibrate_dropout(s, synth_table) > 0.0
+
+    def test_each_table_gets_its_own_rate(self, synth_table, zero_wide):
+        s = sim.sc1_scenario(seed=4242)
+        with_deaths = sim.resolve_dropout(s, synth_table).dropout_rate
+        without = sim.resolve_dropout(s, zero_wide).dropout_rate
+        assert with_deaths != without
+        assert with_deaths == sim.calibrate_dropout(s, synth_table)
+        assert without == sim.calibrate_dropout(s, zero_wide)
 
 
 class TestTruthCurves:
@@ -269,9 +332,9 @@ class TestTruthCurves:
         s = sim.sc1_scenario()
         grid = np.linspace(0.0, 5.0, 26)
         truth = sim.true_net_survival_curve(s, grid).estimate
-        theta = PGWParams(*s.theta)
-        alpha = np.asarray(s.alpha)
-        beta = np.asarray(s.beta)
+        theta = PGWParams(*s.groups[0].theta)
+        alpha = np.asarray(s.groups[0].alpha)
+        beta = np.asarray(s.groups[0].beta)
         rng = np.random.default_rng(915)
         counts = np.zeros(grid.size)
         chunk, reps = 200_000, 5
