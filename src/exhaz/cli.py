@@ -10,10 +10,12 @@ simulate  write one simulated cohort from a scenario file
 bench     run a scenario's replicate study and write its report tables
 compare   rank saved fits of the same dataset by AIC
 
-Machine-readable CSVs carry 17 significant digits; ``summary.txt`` files
-round to 3 decimals.  Every command is a pure function of its input files
-and seeds, so reruns are byte-identical.  Exit codes: 0 success, 2 usage
-error, 3 input/schema error, 4 non-convergence.
+Every CSV has one format (``datasets.write_csv``): LF line endings, floats
+with 17 significant digits, and an empty cell where a value is unavailable
+(standard errors of a fit without valid ones, bands of a curve without
+them); ``summary.txt`` files round to 3 decimals.  Every command is a pure
+function of its input files and seeds, so reruns are byte-identical.  Exit
+codes: 0 success, 2 usage error, 3 input/schema error, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,34 +53,6 @@ FULL_REPLICATES = 1000
 FULL_SECONDS_PER_SUBJECT = {1: 9e-5, 2: 1.7e-4}
 
 
-@dataclass
-class RunConfig:
-    """Resolved command-line request; one instance drives one command."""
-
-    command: str
-    data: str | None = None
-    lifetable: str | None = None
-    baseline: str = "pgw"
-    frailty: str = "none"
-    x: tuple = ()
-    w: tuple = ()
-    seed: int | None = None
-    out: str | None = None
-    grid: str | None = None
-    draws: int = 0
-    level: float = 0.95
-    scenario: str | None = None
-    full: bool = False
-    fit_path: str | None = None
-    by: str | None = None
-    replicate: int = 0
-    label: str = ""
-    maxiter: int | None = None
-    multistart: int | None = None
-    fit_both: bool = False
-    fits: tuple = ()
-
-
 # -- small helpers ---------------------------------------------------------------
 
 def _parse_columns(text: str) -> tuple:
@@ -102,45 +75,36 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _options(cfg: RunConfig) -> OptimizerOptions:
+def _options(args: argparse.Namespace) -> OptimizerOptions:
     kwargs = {}
-    if cfg.maxiter is not None:
-        kwargs["maxiter"] = cfg.maxiter
-    if cfg.multistart is not None:
-        kwargs["multistart"] = cfg.multistart
+    if args.maxiter is not None:
+        kwargs["maxiter"] = args.maxiter
+    if args.multistart is not None:
+        kwargs["multistart"] = args.multistart
     return OptimizerOptions(**kwargs)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 # -- fit -------------------------------------------------------------------------
 
-def _estimates_csv(res: FitResult, level: float) -> str:
-    lines = ["parameter,estimate,std_error,ci_lower,ci_upper"]
-    est = res.natural_estimates()
+def _estimates_csv(path: Path, res: FitResult, level: float) -> None:
     if res.se_valid:
         ci = wald_ci(res, level)
-        for name, e, se, lo, hi in zip(
-            res.natural_names, est, res.std_errors_natural, ci.lower, ci.upper
-        ):
-            lines.append(f"{name},{_fmt(e)},{_fmt(se)},{_fmt(lo)},{_fmt(hi)}")
+        spread = [res.std_errors_natural, ci.lower, ci.upper]
     else:
-        for name, e in zip(res.natural_names, est):
-            lines.append(f"{name},{_fmt(e)},,,")
-    return "\n".join(lines) + "\n"
+        spread = [[None] * len(res.natural_names)] * 3
+    datasets.write_csv(path, ("parameter", "estimate", "std_error", "ci_lower", "ci_upper"),
+                       [res.natural_names, res.natural_estimates(), *spread])
 
 
 def _fit_summary(res: FitResult, level: float) -> str:
@@ -183,17 +147,17 @@ def _fit_summary(res: FitResult, level: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    data = datasets.load_patient_csv(cfg.data).with_covariates(cfg.x, cfg.w)
-    table = lt.load_life_table(cfg.lifetable)
-    spec = ModelSpec(cfg.baseline, cfg.frailty, CovariateMapping(cfg.x, cfg.w))
-    res = fit(data, table, spec, options=_options(cfg), label=cfg.label)
-    out = _out_dir(cfg)
-    _write_text(out / "estimates.csv", _estimates_csv(res, cfg.level))
+def cmd_fit(args: argparse.Namespace) -> int:
+    data = datasets.load_patient_csv(args.data).with_covariates(args.x, args.w)
+    table = lt.load_life_table(args.lifetable)
+    spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
+    res = fit(data, table, spec, options=_options(args), label=args.label)
+    out = _out_dir(args)
+    _estimates_csv(out / "estimates.csv", res, args.level)
     _write_text(
         out / "fit.json", json.dumps(res.to_json_dict(), indent=2) + "\n"
     )
-    _write_text(out / "summary.txt", _fit_summary(res, cfg.level))
+    _write_text(out / "summary.txt", _fit_summary(res, args.level))
     print(
         f"{res.label or res.spec.label()}: loglik={res.loglik:.3f} "
         f"aic={res.aic:.3f} converged={res.convergence.converged}"
@@ -208,67 +172,66 @@ def _slug(text: str) -> str:
 
 
 def _column_values(data, name: str) -> np.ndarray:
-    if name in data.extras:
-        return np.asarray(data.extras[name])
-    if name in data.x_names:
-        return data.x[:, list(data.x_names).index(name)]
-    if name in data.w_names:
-        return data.w[:, list(data.w_names).index(name)]
+    columns = data.columns()
+    if name in columns:
+        return np.asarray(columns[name])
     if name in data.stratum_names:
         j = list(data.stratum_names).index(name)
         return np.array([s[j] for s in data.strata], dtype=object)
     raise datasets.DataFormatError(f"unknown subgroup column {name!r}")
 
 
-def _curve_csv(curve: ns.NetSurvivalCurve) -> str:
-    banded = curve.lower is not None
-    header = "time,estimate,lower,upper" if banded else "time,estimate"
-    lines = [header]
-    for j, t in enumerate(curve.time):
-        row = [_fmt(t), _fmt(curve.estimate[j])]
-        if banded:
-            row += [_fmt(curve.lower[j]), _fmt(curve.upper[j])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _curve_csv(path: Path, curve: ns.NetSurvivalCurve) -> None:
+    header, columns = ["time", "estimate"], [curve.time, curve.estimate]
+    if curve.lower is not None:
+        header += ["lower", "upper"]
+        columns += [curve.lower, curve.upper]
+    datasets.write_csv(path, header, columns)
 
 
-def _combined_csv(curves) -> str:
-    lines = ["label,model,time,estimate,lower,upper"]
+def _combined_csv(path: Path, curves) -> None:
+    columns = [[] for _ in range(6)]
     for curve in curves:
-        banded = curve.lower is not None
-        for j, t in enumerate(curve.time):
-            lo = _fmt(curve.lower[j]) if banded else ""
-            hi = _fmt(curve.upper[j]) if banded else ""
-            lines.append(
-                f"{curve.label},{curve.model},{_fmt(t)},"
-                f"{_fmt(curve.estimate[j])},{lo},{hi}"
-            )
-    return "\n".join(lines) + "\n"
+        m = len(curve.time)
+        band = [None] * m
+        parts = ([curve.label] * m, [curve.model] * m, curve.time.tolist(),
+                 curve.estimate.tolist(),
+                 band if curve.lower is None else curve.lower.tolist(),
+                 band if curve.upper is None else curve.upper.tolist())
+        for column, part in zip(columns, parts):
+            column.extend(part)
+    datasets.write_csv(path, ("label", "model", "time", "estimate", "lower", "upper"),
+                       columns)
 
 
-def cmd_netsurv(cfg: RunConfig) -> int:
-    full = datasets.load_patient_csv(cfg.data)
-    if cfg.fit_path:
-        payload = json.loads(Path(cfg.fit_path).read_text(encoding="utf-8"))
+def cmd_netsurv(args: argparse.Namespace) -> int:
+    full = datasets.load_patient_csv(args.data)
+    if args.fit_path:
+        payload = json.loads(Path(args.fit_path).read_text(encoding="utf-8"))
         res = FitResult.from_json_dict(payload)
         data = full.with_covariates(res.x_names, res.w_names)
+        if res.data_fingerprint != data.fingerprint():
+            # applying a fit to another cohort is a legitimate standardisation
+            print(f"warning: {args.fit_path} was fitted on data with fingerprint "
+                  f"{res.data_fingerprint}, but {args.data} has fingerprint "
+                  f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
     else:
-        data = full.with_covariates(cfg.x, cfg.w)
-        table = lt.load_life_table(cfg.lifetable)
-        spec = ModelSpec(cfg.baseline, cfg.frailty, CovariateMapping(cfg.x, cfg.w))
-        res = fit(data, table, spec, options=_options(cfg))
+        data = full.with_covariates(args.x, args.w)
+        table = lt.load_life_table(args.lifetable)
+        spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
+        res = fit(data, table, spec, options=_options(args))
         if not res.convergence.converged:
             print("error: model fit did not converge; curves not written",
                   file=sys.stderr)
             return EXIT_NOCONV
 
-    grid = _parse_grid(cfg.grid) if cfg.grid else ns.default_grid()
+    grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
 
     def one_curve(selector, label):
-        if cfg.draws > 0:
+        if args.draws > 0:
             return ns.net_survival_mc_ci(
-                data, res, grid, level=cfg.level, draws=cfg.draws,
-                seed=cfg.seed, selector=selector, label=label,
+                data, res, grid, level=args.level, draws=args.draws,
+                seed=args.seed, selector=selector, label=label,
             )
         if selector is None:
             return ns.population_net_survival(data, res, grid, label=label)
@@ -276,81 +239,79 @@ def cmd_netsurv(cfg: RunConfig) -> int:
                                         label=label)
 
     curves = [one_curve(None, "population")]
-    if cfg.by:
-        values = _column_values(data, cfg.by)
+    if args.by:
+        values = _column_values(data, args.by)
         if values.dtype == object:
             as_str = np.array([str(v) for v in values])
             pairs = [(val, as_str == val) for val in sorted(set(as_str))]
         else:
             pairs = [(f"{val:g}", values == val) for val in np.unique(values)]
         for val, mask in pairs:
-            curves.append(one_curve(mask, f"{cfg.by}={val}"))
+            curves.append(one_curve(mask, f"{args.by}={val}"))
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     for curve in curves:
-        _write_text(out / f"curve_{_slug(curve.label)}.csv", _curve_csv(curve))
-    _write_text(out / "curves.csv", _combined_csv(curves))
+        _curve_csv(out / f"curve_{_slug(curve.label)}.csv", curve)
+    _combined_csv(out / "curves.csv", curves)
     print(f"wrote {len(curves)} curve(s) on a {grid.size}-point grid to {out}")
     return EXIT_OK
 
 
 # -- simulation ---------------------------------------------------------------------
 
-def _load_scenario_inputs(cfg: RunConfig):
-    s = sim.load_scenario(cfg.scenario)
+def _load_scenario_inputs(args: argparse.Namespace):
+    s = sim.load_scenario(args.scenario)
     table = sim.resolve_life_table(s.life_table)
     return sim.resolve_dropout(s, table), table
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    s, table = _load_scenario_inputs(cfg)
-    if not 0 <= cfg.replicate < s.M:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    s, table = _load_scenario_inputs(args)
+    if not 0 <= args.replicate < s.M:
         raise ValueError(
-            f"replicate index {cfg.replicate} outside 0..{s.M - 1} "
+            f"replicate index {args.replicate} outside 0..{s.M - 1} "
             f"(scenario has M = {s.M})"
         )
-    child = np.random.SeedSequence(s.seed).spawn(s.M)[cfg.replicate]
+    child = np.random.SeedSequence(s.seed).spawn(s.M)[args.replicate]
     cohort = sim.generate_cohort(s, child, table)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     datasets.write_patient_csv(out / "cohort.csv", cohort)
     events = int(cohort.status.sum())
     print(
-        f"wrote cohort.csv: scenario {s.name}, replicate {cfg.replicate}, "
+        f"wrote cohort.csv: scenario {s.name}, replicate {args.replicate}, "
         f"n={cohort.n}, events={events}, censored share={1 - events / cohort.n:.3f}"
     )
     return EXIT_OK
 
 
 def _write_aic_csv(path: Path, result: sim.Aim1Result) -> None:
-    lines = ["aic_frailty,aic_classical"]
-    for af, ac in zip(result.aic_frailty, result.aic_classical):
-        lines.append(f"{_fmt(af)},{_fmt(ac)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    datasets.write_csv(path, ("aic_frailty", "aic_classical"),
+                       [result.aic_frailty, result.aic_classical])
 
 
-def _run_study(s, table, cfg: RunConfig, out: Path, suffix: str) -> str:
+def _run_study(s, table, args: argparse.Namespace, out: Path, suffix: str) -> str:
     """Run the scenario's study and write its tables; returns its summary.
 
     One truth group runs the recovery study, two the pooled-versus-stratified
     study.
     """
     if len(s.groups) == 1:
-        r = sim.run_aim1(s, table, fit_both=cfg.fit_both, progress=cfg.full)
+        r = sim.run_aim1(s, table, fit_both=args.fit_both, progress=args.full)
         r.table.write_csv(out / f"metrics{suffix}.csv")
-        if cfg.fit_both:
+        if args.fit_both:
             _write_aic_csv(out / f"aic{suffix}.csv", r)
         return r.table.summary()
-    r = sim.run_aim2(s, table, progress=cfg.full)
+    r = sim.run_aim2(s, table, progress=args.full)
     r.write_summary_csv(out / f"aim2_summary{suffix}.csv")
     r.write_curves_csv(out / f"aim2_curves{suffix}.csv")
     return r.summary()
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    s, table = _load_scenario_inputs(cfg)
-    out = _out_dir(cfg)
+def cmd_bench(args: argparse.Namespace) -> int:
+    s, table = _load_scenario_inputs(args)
+    out = _out_dir(args)
     runs = [s]
-    if cfg.full:
+    if args.full:
         sizes = FULL_GRID_SIZES if len(s.groups) == 1 else (s.n,)
         runs = [dataclasses.replace(s, n=n, M=FULL_REPLICATES) for n in sizes]
         seconds = sum(FULL_SECONDS_PER_SUBJECT[len(s.groups)] * r.n * r.M for r in runs)
@@ -362,7 +323,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     summaries = []
     for r in runs:
         suffix = f"_n{r.n}" if len(runs) > 1 else ""
-        summary = _run_study(r, table, cfg, out, suffix)
+        summary = _run_study(r, table, args, out, suffix)
         summaries.append(f"n = {r.n}\n{summary}" if suffix else summary)
     text = "\n\n".join(summaries)
     _write_text(out / "summary.txt", text + "\n")
@@ -372,25 +333,24 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 # -- model comparison ----------------------------------------------------------------
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     results = []
-    for path in cfg.fits:
+    for path in args.fits:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         results.append(FitResult.from_json_dict(payload))
     ranked = aic_compare(results)
     best = ranked[0].aic
-    lines = ["rank,label,baseline,frailty,n_params,loglik,aic,delta_aic"]
-    rows = []
-    for i, r in enumerate(ranked, start=1):
-        label = r.label or r.spec.label()
-        lines.append(
-            f"{i},{label},{r.spec.baseline},{r.spec.frailty},{r.n_params},"
-            f"{_fmt(r.loglik)},{_fmt(r.aic)},{_fmt(r.aic - best)}"
-        )
-        rows.append(f"{i:>4}  {label:<24} AIC {r.aic:.3f}  (+{r.aic - best:.3f})")
-    out = _out_dir(cfg)
-    _write_text(out / "compare.csv", "\n".join(lines) + "\n")
-    print("\n".join(rows))
+    labels = [r.label or r.spec.label() for r in ranked]
+    datasets.write_csv(
+        _out_dir(args) / "compare.csv",
+        ("rank", "label", "baseline", "frailty", "n_params", "loglik", "aic", "delta_aic"),
+        [range(1, len(ranked) + 1), labels, [r.spec.baseline for r in ranked],
+         [r.spec.frailty for r in ranked], [r.n_params for r in ranked],
+         [float(r.loglik) for r in ranked], [r.aic for r in ranked],
+         [r.aic - best for r in ranked]],
+    )
+    for i, (label, r) in enumerate(zip(labels, ranked), start=1):
+        print(f"{i:>4}  {label:<24} AIC {r.aic:.3f}  (+{r.aic - best:.3f})")
     return EXIT_OK
 
 
@@ -457,36 +417,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runconfig(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    ns_dict = vars(args)
-    cfg = RunConfig(command=args.command)
-    for field in dataclasses.fields(RunConfig):
-        if field.name in ns_dict and ns_dict[field.name] is not None:
-            setattr(cfg, field.name, ns_dict[field.name])
-    if cfg.command in ("fit", "netsurv"):
-        model_flags = [
-            name for name in ("baseline", "frailty", "x", "w")
-            if ns_dict.get(name) is not None
-        ]
-        if cfg.command == "netsurv" and cfg.fit_path:
+def _runconfig(args: argparse.Namespace,
+               parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Check flag conflicts and fill the model defaults of ``fit``/``netsurv``."""
+    if args.command in ("fit", "netsurv"):
+        model_flags = [name for name in ("baseline", "frailty", "x", "w")
+                       if getattr(args, name) is not None]
+        if args.command == "netsurv" and args.fit_path:
             # The saved fit defines the model; duplicating it is ambiguous.
-            if model_flags or ns_dict.get("lifetable"):
+            if model_flags or args.lifetable:
                 parser.error(
                     "--fit conflicts with --baseline/--frailty/--x/--w/--lifetable: "
                     "the saved fit already defines the model"
                 )
         else:
-            if ns_dict.get("lifetable") is None:
+            if args.lifetable is None:
                 parser.error("--lifetable is required when fitting")
-            cfg.baseline = ns_dict.get("baseline") or "pgw"
-            cfg.frailty = ns_dict.get("frailty") or "none"
-            cfg.x = _parse_columns(ns_dict.get("x") or "")
-            cfg.w = _parse_columns(ns_dict.get("w") or "")
-    if cfg.command == "netsurv" and cfg.draws > 0 and cfg.seed is None:
+            args.baseline = args.baseline or "pgw"
+            args.frailty = args.frailty or "none"
+            args.x = _parse_columns(args.x or "")
+            args.w = _parse_columns(args.w or "")
+    if args.command == "netsurv" and args.draws > 0 and args.seed is None:
         parser.error("--seed is required when --draws requests Monte-Carlo bands")
-    if cfg.command == "compare":
-        cfg.fits = tuple(ns_dict["fits"])
-    return cfg
+    return args
 
 
 _HANDLERS = {
@@ -500,10 +453,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _runconfig(args, parser)
+    args = _runconfig(parser.parse_args(argv), parser)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -9,6 +9,10 @@ comorbidity flags.  The writers and readers here round-trip those objects.
 Patient CSV layout: ``time,status,<covariates...>,age,year,<stratum cols>``.
 Covariate columns that fail numeric parsing become label columns (usable for
 subgrouping but not as model covariates).
+
+Every CSV the package writes goes through :func:`write_csv`: LF line
+endings, floats with 17 significant digits (an exact round trip), and an
+empty cell where a value is unavailable.
 """
 
 from __future__ import annotations
@@ -32,6 +36,46 @@ class DataFormatError(ValueError):
     """Raised when a patient CSV does not match the documented layout."""
 
 
+# -- the one CSV writer ----------------------------------------------------------
+
+_float_cell = "%.17g".__mod__  # 17 significant digits: an exact round trip
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return _float_cell(float(value))
+
+
+def _column_cells(column) -> list:
+    """Cells of one column; a numpy column is formatted by its dtype at once."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return list(map(_float_cell, values))
+        if column.dtype.kind in "iu":
+            return list(map(str, values))
+        column = values
+    return [_cell(v) for v in column]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a CSV file from a header and equal-length columns.
+
+    Floats are written with 17 significant digits, integers with ``str``
+    and strings as they are; ``None`` marks an unavailable value and gives
+    an empty cell.  Lines end in LF.
+    """
+    cells = [_column_cells(col) for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 # -- synthetic life table ------------------------------------------------------
 
 def synthetic_life_table(age_max: int = 99, years=(2010, 2019)) -> lt.LifeTable:
@@ -52,13 +96,11 @@ def synthetic_life_table(age_max: int = 99, years=(2010, 2019)) -> lt.LifeTable:
 
 def write_life_table_csv(path, table: lt.LifeTable) -> None:
     """Serialise a life table in the loader's ``age,year,...,rate`` layout."""
-    header = ("age", "year") + table.stratum_schema + ("rate",)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for (age, year, stratum) in sorted(table.entries):
-            rate = table.entries[(age, year, stratum)]
-            cells = [str(age), str(year), *stratum, f"{rate:.17g}"]
-            fh.write(",".join(cells) + "\n")
+    keys = sorted(table.entries)
+    ages, years, strata = zip(*keys)
+    write_csv(path, ("age", "year") + table.stratum_schema + ("rate",),
+              [np.array(ages), np.array(years), *zip(*strata),
+               np.array([table.entries[key] for key in keys], dtype=float)])
 
 
 # -- synthetic lung-style cohort -------------------------------------------------
@@ -105,13 +147,7 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
 
     year = 2012.0
     strata = tuple((str(int(s)),) for s in sex)
-    u_bg = rng.random(n)
-    t_bg = np.empty(n)
-    for i in range(n):
-        res = lt.sample_other_cause_time(
-            table, lt.LifeTableKey(float(age[i]), year, strata[i]), float(u_bg[i])
-        )
-        t_bg[i] = math.inf if res.truncated else res.time
+    t_bg = lt.sample_other_cause_times(table, age, year, strata, rng.random(n))
     t_death = np.minimum(t_event, t_bg)
     censor = np.minimum(rng.exponential(1.0 / 0.03, size=n), 5.0)
     time = np.maximum(np.minimum(t_death, censor), 1e-12)
@@ -140,31 +176,10 @@ def write_patient_csv(path, data: Dataset) -> None:
     The covariate block is the ordered union of model columns and extra
     label columns; floats carry full precision.
     """
-    cov_names = list(data.x_names)
-    for name in data.w_names:
-        if name not in cov_names:
-            cov_names.append(name)
-    pool = {name: data.x[:, j] for j, name in enumerate(data.x_names)}
-    pool.update({name: data.w[:, j] for j, name in enumerate(data.w_names)})
-    for name, col in data.extras.items():
-        if name not in cov_names:
-            cov_names.append(name)
-            pool[name] = col
-
-    def cell(value) -> str:
-        if isinstance(value, str):
-            return value
-        return f"{float(value):.17g}"
-
-    header = ["time", "status", *cov_names, "age", "year", *data.stratum_names]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(data.n):
-            cells = [f"{data.time[i]:.17g}", str(int(data.status[i]))]
-            cells += [cell(pool[name][i]) for name in cov_names]
-            cells += [f"{data.age[i]:.17g}", f"{data.year[i]:.17g}"]
-            cells += list(data.strata[i])
-            fh.write(",".join(cells) + "\n")
+    pool = data.columns()
+    write_csv(path, ["time", "status", *pool, "age", "year", *data.stratum_names],
+              [data.time, data.status, *pool.values(), data.age, data.year,
+               *zip(*data.strata)])
 
 
 def load_patient_csv(source) -> Dataset:
@@ -220,26 +235,31 @@ def load_patient_csv(source) -> Dataset:
                 ) from None
         return out
 
+    def require(name: str, ok: np.ndarray, rule: str) -> None:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise DataFormatError(f"row {bad[0] + 2}: column {name!r} must be {rule}")
+
     time = numeric_column(0, "time")
+    require("time", np.isfinite(time) & (time > 0.0), "positive and finite")
     status_f = numeric_column(1, "status")
-    if not np.all((status_f == 0.0) | (status_f == 1.0)):
-        bad = int(np.nonzero((status_f != 0.0) & (status_f != 1.0))[0][0])
-        raise DataFormatError(f"row {bad + 2}: column 'status' must be 0 or 1")
+    require("status", (status_f == 0.0) | (status_f == 1.0), "0 or 1")
     age = numeric_column(idx_age, "age")
     year = numeric_column(idx_age + 1, "year")
     for name, col in (("age", age), ("year", year)):
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise DataFormatError(f"row {bad[0] + 2}: column {name!r} must be finite")
+        require(name, np.isfinite(col), "finite")
 
     numeric_covs, extras = [], {}
     for offset, name in enumerate(cov_names):
         idx = 2 + offset
         raw = [fields[idx] for fields in body]
         try:
-            numeric_covs.append((name, np.array([float(v) for v in raw])))
+            col = np.array([float(v) for v in raw])
         except ValueError:
             extras[name] = np.array([v.strip() for v in raw], dtype=object)
+            continue
+        require(name, np.isfinite(col), "finite")
+        numeric_covs.append((name, col))
 
     x_names = tuple(name for name, _ in numeric_covs)
     x = (

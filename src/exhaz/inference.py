@@ -115,46 +115,34 @@ class Dataset:
 
     def subset(self, mask) -> "Dataset":
         """Row subset for a boolean mask (used for subgroup analyses)."""
-        mask = np.asarray(mask, dtype=bool)
-        idx = np.nonzero(mask)[0]
-        return Dataset(
-            time=self.time[idx],
-            status=self.status[idx],
-            x=self.x[idx],
-            w=self.w[idx],
-            x_names=self.x_names,
-            w_names=self.w_names,
-            age=self.age[idx],
-            year=self.year[idx],
+        idx = np.nonzero(np.asarray(mask, dtype=bool))[0]
+        return replace(
+            self, time=self.time[idx], status=self.status[idx], x=self.x[idx],
+            w=self.w[idx], age=self.age[idx], year=self.year[idx],
             strata=tuple(self.strata[i] for i in idx),
-            stratum_names=self.stratum_names,
             extras={k: v[idx] for k, v in self.extras.items()},
         )
 
-    def with_covariates(self, x_names, w_names) -> "Dataset":
-        """Re-select x/w columns by name from the union of current columns and extras."""
+    def columns(self) -> dict:
+        """Every named column: x, then w, then the label extras (a later block
+        replaces an earlier column of the same name)."""
         pool = {name: self.x[:, j] for j, name in enumerate(self.x_names)}
         pool.update({name: self.w[:, j] for j, name in enumerate(self.w_names)})
         pool.update(self.extras)
-        for name in tuple(x_names) + tuple(w_names):
+        return pool
+
+    def with_covariates(self, x_names, w_names) -> "Dataset":
+        """Re-select x/w columns by name from :meth:`columns`."""
+        x_names, w_names = tuple(x_names), tuple(w_names)
+        pool = self.columns()
+        for name in x_names + w_names:
             if name not in pool:
                 raise ValueError(f"unknown covariate column {name!r}")
         stack = lambda names: (
             np.column_stack([pool[n] for n in names]) if names else np.empty((self.n, 0))
         )
-        return Dataset(
-            time=self.time,
-            status=self.status,
-            x=stack(tuple(x_names)),
-            w=stack(tuple(w_names)),
-            x_names=tuple(x_names),
-            w_names=tuple(w_names),
-            age=self.age,
-            year=self.year,
-            strata=self.strata,
-            stratum_names=self.stratum_names,
-            extras=self.extras,
-        )
+        return replace(self, x=stack(x_names), w=stack(w_names),
+                       x_names=x_names, w_names=w_names)
 
     def fingerprint(self) -> str:
         """Stable hash of the observations; used to guard AIC comparisons.
@@ -393,7 +381,6 @@ class _FitContext:
         at = data.time[self.ev]
         self.hp_ev = table.rates_at(data.age[self.ev] + at, data.year[self.ev] + at,
                                     codes[self.ev])
-        self.t_ev = self.t[self.ev]
         self.X_ev = self.X[self.ev]
         self.W_ev = self.W[self.ev]
         self.k_theta = self.fam.n_params
@@ -401,43 +388,55 @@ class _FitContext:
         self.p = self.X.shape[1]
         self.n_params = self.k_theta + self.p_t + self.p + (frailty != "none")
 
-    def value_and_grad(self, psi):
-        """Negative log-likelihood and its gradient at transformed ``psi``."""
+    def _forward(self, psi, b):
+        """The likelihood's forward pass at transformed ``psi``, with frailty
+        variance ``b`` (``None`` without frailty).
+
+        Returns the per-record ``log L(HE)`` (``-HE`` without frailty; a
+        fresh array), the event denominators ``hP + wgt * hE``, and the
+        pieces the gradient reuses.  Call under ``np.errstate(all="ignore")``.
+        """
         k, p_t, p = self.k_theta, self.p_t, self.p
         theta_t = psi[:k]
         alpha = psi[k:k + p_t]
         beta = psi[k + p_t:k + p_t + p]
         ev = self.ev
+        eta_w = self.W @ alpha if p_t else np.zeros(self.t.shape[0])
+        eta_x = self.X @ beta if p else np.zeros(self.t.shape[0])
+        s = self.t * np.exp(eta_w)
+        H0, s_h0, dH0 = self.fam.cum_block(s, theta_t)
+        e_xw = np.exp(eta_x - eta_w)
+        HE = H0 * e_xw
+        h0_ev, dlog_h0, dlogs = self.fam.haz_block(s[ev], theta_t)
+        hE_ev = h0_ev * np.exp(eta_x[ev])
+        if b is None:
+            frail = None
+            log_lap = -HE
+            D_ev = self.hp_ev + hE_ev
+        else:
+            frail = _frailty_weight_terms(self.frailty, b, HE)
+            log_lap = frail[0]
+            D_ev = self.hp_ev + frail[1][ev] * hE_ev
+        return log_lap, D_ev, (HE, hE_ev, e_xw, s_h0, dH0, dlog_h0, dlogs, frail)
+
+    def value_and_grad(self, psi):
+        """Negative log-likelihood and its gradient at transformed ``psi``."""
+        k, p_t, p = self.k_theta, self.p_t, self.p
+        ev = self.ev
+        has_b = self.frailty != "none"
+        if has_b and psi[-1] > 700.0:  # exp would overflow; treat as infeasible
+            return _PENALTY, np.zeros(self.n_params)
         with np.errstate(all="ignore"):
-            eta_w = self.W @ alpha if p_t else np.zeros(self.t.shape[0])
-            eta_x = self.X @ beta if p else np.zeros(self.t.shape[0])
-            s = self.t * np.exp(eta_w)
-            H0, s_h0, dH0 = self.fam.cum_block(s, theta_t)
-            e_xw = np.exp(eta_x - eta_w)
-            HE = H0 * e_xw
-            h0_ev, dlog_h0, dlogs = self.fam.haz_block(s[ev], theta_t)
-            hE_ev = h0_ev * np.exp(eta_x[ev])
-
-            if self.frailty != "none":
-                if psi[-1] > 700.0:  # exp would overflow; treat as infeasible
-                    return _PENALTY, np.zeros(self.n_params)
-                b = math.exp(psi[-1])
-                log_lap, wgt, dw_dhe, dw_dlogb, dll_dlogb = _frailty_weight_terms(
-                    self.frailty, b, HE
-                )
-                wgt_ev = wgt[ev]
-                D_ev = self.hp_ev + wgt_ev * hE_ev
-                loglik = np.sum(np.log(D_ev)) + np.sum(log_lap)
-            else:
-                D_ev = self.hp_ev + hE_ev
-                loglik = np.sum(np.log(D_ev)) - np.sum(HE)
-
+            log_lap, D_ev, parts = self._forward(psi, math.exp(psi[-1]) if has_b else None)
+            HE, hE_ev, e_xw, s_h0, dH0, dlog_h0, dlogs, frail = parts
+            loglik = np.sum(np.log(D_ev)) + np.sum(log_lap)
             if not np.isfinite(loglik):
                 return _PENALTY, np.zeros(self.n_params)
 
             # dl/d(hE) * hE at events, and dl/d(HE) at all records
-            if self.frailty != "none":
-                a_ev = wgt_ev * hE_ev / D_ev
+            if has_b:
+                _, wgt, dw_dhe, dw_dlogb, dll_dlogb = frail
+                a_ev = wgt[ev] * hE_ev / D_ev
                 r2 = -wgt
                 r2[ev] += hE_ev * dw_dhe[ev] / D_ev
             else:
@@ -452,7 +451,7 @@ class _FitContext:
                 )
             if p:
                 grad[k + p_t:k + p_t + p] = self.X_ev.T @ a_ev + self.X.T @ (r2 * HE)
-            if self.frailty != "none":
+            if has_b:
                 grad[-1] = np.sum(hE_ev * dw_dlogb[ev] / D_ev) + np.sum(dll_dlogb)
 
             if not np.all(np.isfinite(grad)):
@@ -463,32 +462,6 @@ class _FitContext:
         return self.value_and_grad(psi)[0]
 
 
-def _exact_loglik(data: Dataset, table: lt.LifeTable, g: GHParams,
-                  fr: FrailtySpec | None) -> float:
-    """Permutation-invariant log-likelihood via correctly-rounded summation."""
-    ev = data.status.astype(bool)
-    with np.errstate(all="ignore"):
-        eta_w = data.w @ g.alpha if g.alpha.shape[0] else np.zeros(data.n)
-        eta_x = data.x @ g.beta if g.beta.shape[0] else np.zeros(data.n)
-        fam = family_of_params(g.theta)
-        s = data.time * np.exp(eta_w)
-        HE = fam.cum_hazard(s, g.theta) * np.exp(eta_x - eta_w)
-        hE_ev = fam.hazard(s[ev], g.theta) * np.exp(eta_x[ev])
-        codes = table.stratum_codes(data.strata)
-        hp_ev = table.rates_at(data.age[ev] + data.time[ev],
-                               data.year[ev] + data.time[ev], codes[ev])
-        if fr is not None and fr.family != "none":
-            log_lap, wgt, *_ = _frailty_weight_terms(fr.family, fr.b, HE)
-            contrib = np.array(log_lap, dtype=float)
-            contrib[ev] += np.log(hp_ev + wgt[ev] * hE_ev)
-        else:
-            contrib = -HE
-            contrib[ev] += np.log(hp_ev + hE_ev)
-    if not np.all(np.isfinite(contrib)):
-        return float("-inf")
-    return math.fsum(contrib.tolist())
-
-
 def loglik_classical(data: Dataset, table: lt.LifeTable, g: GHParams) -> float:
     """Log-likelihood of the no-frailty model (background factor dropped).
 
@@ -496,15 +469,28 @@ def loglik_classical(data: Dataset, table: lt.LifeTable, g: GHParams) -> float:
     uses correctly-rounded summation, so the value is exactly invariant to
     record permutation.
     """
-    return _exact_loglik(data, table, g, None)
+    return loglik_frailty(data, table, g, FrailtySpec())
 
 
 def loglik_frailty(data: Dataset, table: lt.LifeTable, g: GHParams,
                    fr: FrailtySpec) -> float:
-    """Log-likelihood of the frailty model; reduces to the classical one as b -> 0."""
-    if fr.family == "none":
-        return _exact_loglik(data, table, g, None)
-    return _exact_loglik(data, table, g, fr)
+    """Log-likelihood of the frailty model; reduces to the classical one as b -> 0.
+
+    A ``math.fsum`` over the per-record terms of the fit context's forward
+    pass.  ``fr.b`` is used as given, so a variance below
+    ``B_ZERO_THRESHOLD`` gives exactly the classical value.
+    """
+    if g.alpha.shape[0] != data.w.shape[1] or g.beta.shape[0] != data.x.shape[1]:
+        raise ValueError("alpha/beta lengths must match the dataset's w/x columns")
+    fam = family_of_params(g.theta)
+    ctx = _FitContext(data, table, fam.name, fr.family)
+    with np.errstate(all="ignore"):
+        terms, D_ev, _ = ctx._forward(_pack(g, None, fam),
+                                      None if fr.family == "none" else fr.b)
+        terms[ctx.ev] += np.log(D_ev)
+    if not np.all(np.isfinite(terms)):
+        return float("-inf")
+    return math.fsum(terms.tolist())
 
 
 # -- Hessian, intervals, AIC --------------------------------------------------

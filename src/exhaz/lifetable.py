@@ -258,3 +258,20 @@ def sample_other_cause_time(table: LifeTable, key: LifeTableKey, u) -> OtherCaus
     else:
         t = knots[idx]
     return OtherCauseTime(min(float(t), horizon), False)
+
+
+def sample_other_cause_times(table: LifeTable, ages, year: float, strata, u) -> np.ndarray:
+    """Other-cause death times of subjects diagnosed in calendar ``year``,
+    one uniform draw ``u`` each.
+
+    A draw truncated by the table's declared coverage becomes ``+inf``:
+    callers keep their follow-up inside the coverage, so the substitution
+    never reaches observed data.
+    """
+    out = np.empty(len(u))
+    for i in range(len(u)):
+        res = sample_other_cause_time(
+            table, LifeTableKey(float(ages[i]), float(year), strata[i]), float(u[i])
+        )
+        out[i] = math.inf if res.truncated else res.time
+    return out

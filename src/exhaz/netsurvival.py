@@ -82,21 +82,15 @@ def _validate_grid(data: Dataset, grid) -> np.ndarray:
     return grid
 
 
-def _row_mapping(data: Dataset, i: int) -> dict:
-    row = {name: data.x[i, j] for j, name in enumerate(data.x_names)}
-    row.update({name: data.w[i, j] for j, name in enumerate(data.w_names)})
-    row.update({name: v[i] for name, v in data.extras.items()})
-    row.update({name: data.strata[i][j] for j, name in enumerate(data.stratum_names)})
-    row["age"] = data.age[i]
-    row["year"] = data.year[i]
-    return row
-
-
 def _as_mask(data: Dataset, selector) -> np.ndarray:
     if selector is None:
         return np.ones(data.n, dtype=bool)
-    if callable(selector):
-        return np.array([bool(selector(_row_mapping(data, i))) for i in range(data.n)])
+    if callable(selector):  # called with each row as a name -> value mapping
+        columns = data.columns()
+        columns.update(zip(data.stratum_names, zip(*data.strata)))
+        columns.update(age=data.age, year=data.year)
+        return np.array([bool(selector({name: col[i] for name, col in columns.items()}))
+                         for i in range(data.n)])
     mask = np.asarray(selector, dtype=bool)
     if mask.shape != (data.n,):
         raise ValueError("selector mask length does not match the dataset")

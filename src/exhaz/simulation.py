@@ -27,6 +27,7 @@ from scipy import optimize as sp_optimize
 
 from . import lifetable as lt
 from .baseline import get_family
+from .datasets import write_csv
 from .inference import Dataset, ModelSpec, OptimizerOptions, _natural_names, fit
 from .model import (B_ZERO_THRESHOLD, CovariateMapping, FrailtySpec, GHParams,
                     simulate_event_time)
@@ -326,27 +327,12 @@ def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     return tc
 
 
-def _background_times(table, age, year, strata, u) -> np.ndarray:
-    """Other-cause death times; draws truncated by table support become +inf.
-
-    Shipped scenarios keep the administrative horizon inside the table's
-    support, so the substitution never affects the observed data.
-    """
-    out = np.empty(len(u))
-    for i in range(len(u)):
-        res = lt.sample_other_cause_time(
-            table, lt.LifeTableKey(float(age[i]), float(year), strata[i]), float(u[i])
-        )
-        out[i] = math.inf if res.truncated else res.time
-    return out
-
-
 def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
     """Covariates, raw ages, strata, and latent all-cause death times."""
     x, age = _draw_covariates(s, rng, n)
     tc = _event_times(s, rng, x)
     strata = _strata_tuples(table, list(s.covariate_names), x, n)
-    tp = _background_times(table, age, s.year, strata, rng.random(n))
+    tp = lt.sample_other_cause_times(table, age, s.year, strata, rng.random(n))
     return x, age, strata, np.minimum(tc, tp)
 
 
@@ -545,17 +531,12 @@ class PerformanceTable:
                 raise ValueError(f"{fname} must have one entry per parameter")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("parameter,true,mean_mle,bias,median_mle,coverage,"
-                     "mean_se,emp_sd,analysed,excluded\n")
-            for j, name in enumerate(self.names):
-                cells = [name] + [
-                    f"{float(v):.17g}"
-                    for v in (self.true_values[j], self.mean_mle[j], self.bias[j],
-                              self.median_mle[j], self.coverage[j],
-                              self.mean_se[j], self.emp_sd[j])
-                ] + [str(self.analysed), str(self.excluded)]
-                fh.write(",".join(cells) + "\n")
+        k = len(self.names)
+        write_csv(path, ("parameter", "true", "mean_mle", "bias", "median_mle", "coverage",
+                         "mean_se", "emp_sd", "analysed", "excluded"),
+                  [self.names, self.true_values, self.mean_mle, self.bias,
+                   self.median_mle, self.coverage, self.mean_se, self.emp_sd,
+                   [self.analysed] * k, [self.excluded] * k])
 
     def summary(self) -> str:
         lines = [
@@ -702,30 +683,19 @@ class Aim2Result:
         return float(np.max(np.abs(self.mean_curves[key] - self.truth[key[2]])))
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("analysis,model,group,mean_sup_dev,sup_dev_of_mean,"
-                     "analysed,excluded\n")
-            for key in sorted(self.mean_sup_dev):
-                analysis, model, group = key
-                fh.write(
-                    f"{analysis},{model},{group},"
-                    f"{self.mean_sup_dev[key]:.17g},"
-                    f"{self.sup_dev_of_mean(key):.17g},"
-                    f"{self.analysed},{self.excluded}\n"
-                )
+        keys = sorted(self.mean_sup_dev)
+        write_csv(path, ("analysis", "model", "group", "mean_sup_dev", "sup_dev_of_mean",
+                         "analysed", "excluded"),
+                  [*zip(*keys), [self.mean_sup_dev[key] for key in keys],
+                   [self.sup_dev_of_mean(key) for key in keys],
+                   [self.analysed] * len(keys), [self.excluded] * len(keys)])
 
     def write_curves_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("analysis,model,group,time,truth,mean_fitted\n")
-            for key in sorted(self.mean_curves):
-                analysis, model, group = key
-                truth = self.truth[group]
-                fitted = self.mean_curves[key]
-                for t, tv, fv in zip(self.grid, truth, fitted):
-                    fh.write(
-                        f"{analysis},{model},{group},"
-                        f"{t:.17g},{tv:.17g},{fv:.17g}\n"
-                    )
+        rows = [(*key, t, tv, fv) for key in sorted(self.mean_curves)
+                for t, tv, fv in zip(self.grid.tolist(), self.truth[key[2]].tolist(),
+                                     self.mean_curves[key].tolist())]
+        write_csv(path, ("analysis", "model", "group", "time", "truth", "mean_fitted"),
+                  list(zip(*rows)))
 
     def summary(self) -> str:
         lines = [

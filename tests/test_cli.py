@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism, ambiguity rules."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from exhaz import cli, datasets
+from exhaz.inference import FitResult
 from exhaz import simulation as sim
 
 
@@ -45,6 +47,19 @@ class TestFit:
         assert payload["converged"] is True
         summary = (out / "summary.txt").read_text()
         assert "AIC" in summary and "b" in summary
+
+    def test_invalid_standard_errors_leave_cells_empty(self, inputs, tmp_path):
+        payload = json.loads((inputs["fits"]["frailty"] / "fit.json").read_text())
+        res = dataclasses.replace(FitResult.from_json_dict(payload), se_valid=False)
+        path = tmp_path / "estimates.csv"
+        cli._estimates_csv(path, res, 0.95)
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[0] == "parameter,estimate,std_error,ci_lower,ci_upper"
+        assert lines[-1] == "" and len(lines) == 2 + len(res.natural_names)
+        for line, name, value in zip(lines[1:], res.natural_names, res.natural_estimates()):
+            cells = line.split(",")
+            assert cells[0] == name and float(cells[1]) == value
+            assert cells[2:] == ["", "", ""]
 
     def test_missing_column_exit_code(self, inputs, tmp_path, capsys):
         code = cli.main([
@@ -175,6 +190,39 @@ class TestNetsurv:
                 "--baseline", "pgw", "--out", str(tmp_path / "o"),
             ])
         assert exc.value.code == 2
+
+    def test_saved_fit_on_another_cohort_warns(self, inputs, tmp_path, capsys):
+        other = tmp_path / "other.csv"
+        cohort = datasets.synthetic_lung_cohort(300, seed=6,
+                                                table=datasets.synthetic_life_table())
+        datasets.write_patient_csv(other, cohort)
+        fit_json = inputs["fits"]["frailty"] / "fit.json"
+        args = ["netsurv", "--fit", str(fit_json), "--grid", "0:5:6"]
+        assert cli.main(args + ["--data", str(inputs["data"]),
+                                "--out", str(tmp_path / "same")]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(args + ["--data", str(other), "--out", str(tmp_path / "other")]) == 0
+        err = capsys.readouterr().err
+        saved = json.loads(fit_json.read_text())["data_fingerprint"]
+        assert err.startswith("warning:")
+        assert saved in err and cohort.fingerprint() in err and saved != cohort.fingerprint()
+        written = sorted(p.name for p in (tmp_path / "other").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "same").iterdir())
+
+    def test_unbanded_curves_leave_band_cells_empty(self, inputs, tmp_path):
+        out = tmp_path / "plain"
+        assert cli.main([
+            "netsurv", "--data", str(inputs["data"]),
+            "--fit", str(inputs["fits"]["classical"] / "fit.json"),
+            "--grid", "0:5:6", "--by", "cvd", "--out", str(out),
+        ]) == 0
+        lines = (out / "curve_population.csv").read_text().splitlines()
+        assert lines[0] == "time,estimate" and len(lines) == 7
+        combined = (out / "curves.csv").read_text().splitlines()
+        assert len(combined) == 1 + 3 * 6
+        for line in combined[1:]:
+            label, model, t, est, lo, hi = line.split(",")
+            assert lo == hi == "" and 0.0 <= float(est) <= 1.0
 
     def test_bad_grid_is_schema_error(self, inputs, tmp_path, capsys):
         code = cli.main([

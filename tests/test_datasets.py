@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exhaz import datasets
 from exhaz import lifetable as lt
@@ -130,11 +132,59 @@ class TestPatientCsv:
             ("time,status,age,year\n-1,1,60,2012\n", "time"),
             ("time,status,age,year\n1,1,60,2012\n1,0,nan,2012\n", "row 3: column 'age'"),
             ("time,status,age,year\n1,1,60,inf\n", "row 2: column 'year' must be finite"),
+            ("time,status,age,year\nnan,1,60,2012\n",
+             "row 2: column 'time' must be positive and finite"),
+            ("time,status,age,year\n1,1,60,2012\n-2,0,61,2012\n",
+             "row 3: column 'time' must be positive and finite"),
+            ("time,status,x,age,year\n1,1,0.5,60,2012\n2,0,inf,61,2012\n",
+             "row 3: column 'x' must be finite"),
         ],
     )
     def test_malformed_inputs(self, text, match):
         with pytest.raises(datasets.DataFormatError, match=match):
             datasets.load_patient_csv(io.StringIO(text))
+
+
+class TestCsvWriter:
+    def test_cells_by_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        datasets.write_csv(path, ("label", "status", "value", "maybe"), [
+            np.array(["a", "b", "c"], dtype=object),
+            np.array([1, 0, 1], dtype=np.int8),
+            np.array([0.1, np.inf, -np.inf]),
+            [None, 2, 1.5],
+        ])
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "label,status,value,maybe",
+            "a,1,0.10000000000000001,",
+            "b,0,inf,2",
+            "c,1,-inf,1.5",
+        ]
+
+    def test_lf_endings(self, tmp_path):
+        path = tmp_path / "t.csv"
+        datasets.write_csv(path, ("a", "b"), [[1.0, 2.0], ["x", "y"]])
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw == b"a,b\n1,x\n2,y\n"
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        datasets.write_csv(path, ("a", "b"), [np.empty(0), np.empty(0)])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            datasets.write_csv(tmp_path / "t.csv", ("a", "b"), [[1.0], [1.0, 2.0]])
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_floats_round_trip_exactly(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        datasets.write_csv(path, ("array", "list"), [np.array(values), values])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [float(a) for a, _ in rows] == values
+        assert [float(b) for _, b in rows] == values
 
 
 class TestBundledData:

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exhaz import inference as inf
 from exhaz import model as mdl
@@ -24,6 +26,9 @@ from exhaz.baseline import LogNormalParams, PGWParams
 from conftest import random_dataset, simulate_ph_cohort
 
 Z975 = 1.959963984540054
+
+BASELINES = ["pgw", "lognormal"]
+FRAILTIES = ["none", "gamma", "ig"]
 
 
 def one_record_dataset(time, status, table_year=2012.0):
@@ -43,6 +48,21 @@ def one_record_dataset(time, status, table_year=2012.0):
 def exp_unit_params():
     # PGW with sigma = nu = gamma = 1 is the unit exponential
     return mdl.GHParams(PGWParams(1.0, 1.0, 1.0), alpha=np.zeros(0), beta=np.zeros(0))
+
+
+def random_params(rng, baseline, p, p_t):
+    """Hazard parameters of either family, drawn from ``rng``."""
+    if baseline == "pgw":
+        theta = PGWParams(rng.uniform(0.5, 2.5), rng.uniform(0.6, 2.0), rng.uniform(0.5, 4.0))
+    else:
+        theta = LogNormalParams(rng.uniform(-0.5, 1.5), rng.uniform(0.4, 1.5))
+    return mdl.GHParams(theta, alpha=rng.normal(0, 0.3, p_t), beta=rng.normal(0, 0.4, p))
+
+
+def loglik(data, table, g, fr):
+    if fr.family == "none":
+        return inf.loglik_classical(data, table, g)
+    return inf.loglik_frailty(data, table, g, fr)
 
 
 class TestLoglikOracles:
@@ -114,15 +134,20 @@ class TestLoglikOracles:
             oracle(fr), rel=1e-10
         )
 
-    def test_tiny_variance_matches_classical_exactly(self, sex_table):
-        data = random_dataset(80, p=2, p_t=1, seed=6)
-        g = mdl.GHParams(PGWParams(1.5, 1.1, 1.4), alpha=[0.2], beta=[0.4, -0.3])
-        base = inf.loglik_classical(data, sex_table, g)
-        for family in ("gamma", "ig"):
-            assert (
-                inf.loglik_frailty(data, sex_table, g, mdl.FrailtySpec(family, 1e-10))
-                == base
-            )
+    @pytest.mark.parametrize("baseline", BASELINES)
+    @pytest.mark.parametrize("frailty", FRAILTIES)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           b=st.floats(0.0, mdl.B_ZERO_THRESHOLD, exclude_max=True))
+    def test_tiny_variance_matches_classical_exactly(self, sex_table, baseline, frailty,
+                                                     seed, b):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(80, p=2, p_t=1, seed=seed)
+        g = random_params(rng, baseline, 2, 1)
+        assert (
+            inf.loglik_frailty(data, sex_table, g, mdl.FrailtySpec(frailty, b))
+            == inf.loglik_classical(data, sex_table, g)
+        )
 
     def test_event_record_monte_carlo_marginalisation(self, flat_table):
         # exp of the one-record frailty log-likelihood must equal
@@ -137,9 +162,13 @@ class TestLoglikOracles:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(math.exp(val) - draws.mean()) < 3 * se
 
-    def test_permutation_invariance_is_exact(self, sex_table):
-        data = random_dataset(500, p=3, p_t=2, seed=7)
-        rng = np.random.default_rng(8)
+    @pytest.mark.parametrize("baseline", BASELINES)
+    @pytest.mark.parametrize("frailty", FRAILTIES)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 500))
+    def test_permutation_invariance_is_exact(self, sex_table, baseline, frailty, seed, n):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(n, p=3, p_t=2, seed=seed)
         perm = rng.permutation(data.n)
         shuffled = inf.Dataset(
             time=data.time[perm],
@@ -153,14 +182,9 @@ class TestLoglikOracles:
             strata=tuple(data.strata[i] for i in perm),
             stratum_names=data.stratum_names,
         )
-        g = mdl.GHParams(PGWParams(1.8, 1.2, 2.0), alpha=[0.3, -0.2], beta=[0.5, -0.4, 0.2])
-        fr = mdl.FrailtySpec("ig", 0.9)
-        assert inf.loglik_classical(data, sex_table, g) == inf.loglik_classical(
-            shuffled, sex_table, g
-        )
-        assert inf.loglik_frailty(data, sex_table, g, fr) == inf.loglik_frailty(
-            shuffled, sex_table, g, fr
-        )
+        g = random_params(rng, baseline, 3, 2)
+        fr = mdl.FrailtySpec(frailty, rng.uniform(0.05, 2.0))
+        assert loglik(data, sex_table, g, fr) == loglik(shuffled, sex_table, g, fr)
 
     def test_nonfinite_parameters_give_minus_inf(self, zero_table):
         d = one_record_dataset(2.0, 1)
@@ -169,8 +193,8 @@ class TestLoglikOracles:
 
 
 class TestObjectiveAndGradient:
-    @pytest.mark.parametrize("baseline", ["pgw", "lognormal"])
-    @pytest.mark.parametrize("frailty", ["none", "gamma", "ig"])
+    @pytest.mark.parametrize("baseline", BASELINES)
+    @pytest.mark.parametrize("frailty", FRAILTIES)
     def test_analytic_gradient_matches_central_differences(
         self, sex_table, baseline, frailty
     ):
@@ -186,14 +210,16 @@ class TestObjectiveAndGradient:
             fd = (ctx.value(psi + e) - ctx.value(psi - e)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=5e-6, abs=5e-7)
 
-    def test_objective_matches_public_loglik(self, sex_table):
+    @pytest.mark.parametrize("baseline", BASELINES)
+    @pytest.mark.parametrize("frailty", FRAILTIES)
+    def test_objective_matches_public_loglik(self, sex_table, baseline, frailty):
         data = random_dataset(200, p=2, p_t=1, seed=11)
-        ctx = inf._FitContext(data, sex_table, "pgw", "gamma")
-        psi = np.array([0.4, 0.1, -0.2, 0.15, 0.3, -0.25, math.log(0.8)])
-        g, fr = inf._unpack(psi, ctx.fam, "gamma", 1, 2)
-        assert ctx.value(psi) == pytest.approx(
-            -inf.loglik_frailty(data, sex_table, g, fr), rel=1e-12
-        )
+        ctx = inf._FitContext(data, sex_table, baseline, frailty)
+        theta = [0.4, 0.1, -0.2] if baseline == "pgw" else [0.4, -0.2]
+        log_b = [math.log(0.8)] if frailty != "none" else []
+        psi = np.array(theta + [0.15, 0.3, -0.25] + log_b)
+        g, fr = inf._unpack(psi, ctx.fam, frailty, 1, 2)
+        assert ctx.value(psi) == pytest.approx(-loglik(data, sex_table, g, fr), rel=1e-12)
 
     def test_penalty_at_nonfinite_point(self, sex_table):
         data = random_dataset(30, p=1, p_t=0, seed=12)

@@ -222,6 +222,20 @@ class TestSampleOtherCause:
         assert res.truncated
         assert res.time == pytest.approx(2.0)  # min(72-70, 2012-2010)
 
+    def test_many_subjects_match_one_at_a_time(self):
+        # ages 70-71 at 2010-2011 leave at most 2 years of coverage; u = 0.999
+        # truncates, and the vector form reports that draw as +inf
+        table = build_table(lambda a, y, s: 0.05 * (a - 69), range(70, 72),
+                            range(2010, 2012), [("0",), ("1",)], ("sex",))
+        ages, strata = [70.0, 70.5, 71.2], [("0",), ("1",), ("0",)]
+        u = [0.01, 0.05, 0.999]
+        times = lt.sample_other_cause_times(table, ages, 2010.0, strata, u)
+        for age, stratum, ui, t in zip(ages, strata, u, times):
+            res = lt.sample_other_cause_time(
+                table, lt.LifeTableKey(age, 2010.0, stratum), ui)
+            assert t == (math.inf if res.truncated else res.time)
+        assert np.isfinite(times[:2]).all() and times[2] == math.inf
+
     def test_empirical_distribution_constant_rate(self):
         # rate 0.5 over 60 years of coverage: cumulative hazard reaches 30,
         # so no uniform draw from a 53-bit generator can hit the horizon
