@@ -13,7 +13,6 @@ import numpy as np
 from exhaz import (
     CovariateMapping,
     ModelSpec,
-    OptimizerOptions,
     aic_compare,
     fit,
     load_life_table,
@@ -34,13 +33,12 @@ print(f"cohort: n={cohort.n}, events={int(cohort.status.sum())}, "
 x_names = ("agec", "imd", "stage2", "stage3", "stage4", "cvd", "copd")
 mapping = CovariateMapping(x_names=x_names, w_names=("agec",))
 data = cohort.with_covariates(x_names, ("agec",))
-opts = OptimizerOptions(seed=0)
 
 # 1 - classical vs gamma-frailty fits on identical covariates
 fits = []
 for frailty in ("none", "gamma"):
     spec = ModelSpec(baseline="pgw", frailty=frailty, mapping=mapping)
-    res = fit(data, table, spec, options=opts, label=frailty)
+    res = fit(data, table, spec, label=frailty)
     fits.append(res)
     print(f"{frailty:>6}: loglik={res.loglik:9.3f}  aic={res.aic:9.3f}  "
           f"converged={res.convergence.converged}")

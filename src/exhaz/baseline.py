@@ -10,6 +10,17 @@ Each family exposes the hazard, the cumulative hazard, and the inverse of
 the cumulative hazard (``quantile``), plus the derivative blocks used by
 the fitting routines (gradients with respect to the transformed parameter
 scale, where positive parameters are optimised on the log scale).
+
+Where each formula is written:
+
+* PGW h0: ``_pgw_hazard_terms``, read by ``pgw_hazard`` and ``haz_block``.
+* PGW H0: ``pgw_cum_hazard`` (curves and simulation) and ``cum_block``
+  (fits) keep one expression each, since merging them would change the
+  bytes of every curve or of every fit.
+* Log-Normal zeta and H0: ``_lognormal_terms``; the ratio phi/Phibar:
+  ``_mills_ratio``.  Both are read by the point functions and both blocks.
+* Quantiles: ``pgw_quantile`` and ``lognormal_quantile``.
+* A parameter block from natural values: ``from_natural`` of the family.
 """
 
 from __future__ import annotations
@@ -52,6 +63,13 @@ class LogNormalParams:
         _require_positive(sd=self.sd)
 
 
+def _pgw_hazard_terms(s, sigma, nu, gamma):
+    """log(s/sigma), z = (s/sigma)^nu and the hazard h0(s)."""
+    ls = np.log(s / sigma)
+    z = np.exp(nu * ls)
+    return ls, z, nu * z * np.exp((1.0 / gamma - 1.0) * np.log1p(z)) / (gamma * s)
+
+
 def pgw_hazard(t, p: PGWParams):
     """Baseline hazard of the PGW family at time ``t > 0``.
 
@@ -60,8 +78,7 @@ def pgw_hazard(t, p: PGWParams):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("hazard requires t > 0")
-    z = (t / p.sigma) ** p.nu
-    return (p.nu / p.gamma) * z / t * (1.0 + z) ** (1.0 / p.gamma - 1.0)
+    return _pgw_hazard_terms(t, p.sigma, p.nu, p.gamma)[2]
 
 
 def pgw_cum_hazard(t, p: PGWParams):
@@ -71,6 +88,7 @@ def pgw_cum_hazard(t, p: PGWParams):
         raise ValueError("cumulative hazard requires t >= 0")
     z = (t / p.sigma) ** p.nu
     # expm1 keeps accuracy when the whole expression is close to zero
+    # cum_block keeps its own H0: one shared form would change curve or fit bytes
     return np.expm1(np.log1p(z) / p.gamma)
 
 
@@ -85,14 +103,24 @@ def pgw_quantile(q, p: PGWParams):
     return p.sigma * np.expm1(p.gamma * np.log1p(q)) ** (1.0 / p.nu)
 
 
+def _lognormal_terms(s, mu, sd):
+    """zeta = (log s - mu) / sd and the cumulative hazard H0 = -log Phibar(zeta)."""
+    zeta = (np.log(s) - mu) / sd
+    return zeta, -special.log_ndtr(-zeta)
+
+
+def _mills_ratio(zeta, H0):
+    """phi(zeta) / Phibar(zeta), in log space for stability in the tails."""
+    return np.exp(-0.5 * zeta**2 - 0.5 * math.log(2.0 * math.pi) + H0)
+
+
 def lognormal_cum_hazard(t, p: LogNormalParams):
     """Cumulative hazard -log S(t) of the Log-Normal family for ``t >= 0``."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("cumulative hazard requires t >= 0")
     with np.errstate(divide="ignore"):  # log(0) -> -inf gives H(0) = 0
-        zeta = (np.log(t) - p.mu) / p.sd
-    return -special.log_ndtr(-zeta)
+        return _lognormal_terms(t, p.mu, p.sd)[1]
 
 
 def lognormal_hazard(t, p: LogNormalParams):
@@ -100,10 +128,7 @@ def lognormal_hazard(t, p: LogNormalParams):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("hazard requires t > 0")
-    zeta = (np.log(t) - p.mu) / p.sd
-    # phi(zeta) / Phibar(zeta), computed in log space for stability in the tails
-    log_ratio = -0.5 * zeta**2 - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(-zeta)
-    return np.exp(log_ratio) / (p.sd * t)
+    return _mills_ratio(*_lognormal_terms(t, p.mu, p.sd)) / (p.sd * t)
 
 
 def lognormal_quantile(q, p: LogNormalParams):
@@ -115,13 +140,25 @@ def lognormal_quantile(q, p: LogNormalParams):
         return np.exp(p.mu + p.sd * special.ndtri(-np.expm1(-q)))
 
 
-class _PGWFamily:
+class _Family:
+    """What the families share: a parameter block from natural values."""
+
+    def from_natural(self, theta):
+        """The parameter block of a sequence of natural-scale values."""
+        theta = tuple(float(v) for v in theta)
+        if len(theta) != self.n_params:
+            raise ValueError(f"{self.name} baseline needs ({', '.join(self.natural_names)})")
+        return self.params_type(*theta)
+
+
+class _PGWFamily(_Family):
     """PGW family plus the derivative blocks used by the optimiser.
 
     The transformed scale is (log sigma, log nu, log gamma).
     """
 
     name = "pgw"
+    params_type = PGWParams
     n_params = 3
     natural_names = ("sigma", "nu", "gamma")
     transformed_names = ("log_sigma", "log_nu", "log_gamma")
@@ -174,11 +211,9 @@ class _PGWFamily:
         ``(3, len(s))``.
         """
         sigma, nu, gamma = np.exp(psi)
-        ls = np.log(s / sigma)
-        z = np.exp(nu * ls)
+        ls, z, h0 = _pgw_hazard_terms(s, sigma, nu, gamma)
         A = 1.0 + z
         ginv = 1.0 / gamma
-        h0 = nu * z * np.exp((ginv - 1.0) * np.log1p(z)) / (gamma * s)
         frac = (ginv - 1.0) * z / A
         dlog = np.empty((3, s.shape[0]))
         dlog[0] = -nu * (1.0 + frac)
@@ -194,10 +229,11 @@ class _PGWFamily:
         return np.array([math.log(max(med, 1e-8)), 0.0, 0.0])
 
 
-class _LogNormalFamily:
+class _LogNormalFamily(_Family):
     """Log-Normal family; transformed scale is (mu, log sd)."""
 
     name = "lognormal"
+    params_type = LogNormalParams
     n_params = 2
     natural_names = ("mu", "sd")
     transformed_names = ("mu", "log_sd")
@@ -225,10 +261,8 @@ class _LogNormalFamily:
     @staticmethod
     def cum_block(s, psi):
         mu, sd = psi[0], math.exp(psi[1])
-        zeta = (np.log(s) - mu) / sd
-        H0 = -special.log_ndtr(-zeta)
-        log_ratio = -0.5 * zeta**2 - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(-zeta)
-        r = np.exp(log_ratio)  # phi(zeta)/Phibar(zeta)
+        zeta, H0 = _lognormal_terms(s, mu, sd)
+        r = _mills_ratio(zeta, H0)
         s_h0 = r / sd
         dH0 = np.empty((2, s.shape[0]))
         dH0[0] = -r / sd
@@ -238,9 +272,8 @@ class _LogNormalFamily:
     @staticmethod
     def haz_block(s, psi):
         mu, sd = psi[0], math.exp(psi[1])
-        zeta = (np.log(s) - mu) / sd
-        log_ratio = -0.5 * zeta**2 - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(-zeta)
-        r = np.exp(log_ratio)
+        zeta, H0 = _lognormal_terms(s, mu, sd)
+        r = _mills_ratio(zeta, H0)
         h0 = r / (sd * s)
         dlog = np.empty((2, s.shape[0]))
         dlog[0] = (zeta - r) / sd
@@ -273,8 +306,7 @@ def get_family(name: str):
 
 def family_of_params(p):
     """Return the family object matching a parameter block instance."""
-    if isinstance(p, PGWParams):
-        return PGW
-    if isinstance(p, LogNormalParams):
-        return LOGNORMAL
+    for fam in _FAMILIES.values():
+        if isinstance(p, fam.params_type):
+            return fam
     raise TypeError(f"unsupported baseline parameter block: {type(p).__name__}")

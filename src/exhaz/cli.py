@@ -40,7 +40,8 @@ from .inference import (
     fit,
     wald_ci,
 )
-from .model import CovariateMapping
+from .baseline import _FAMILIES
+from .model import FRAILTY_FAMILIES, CovariateMapping
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own convention
@@ -78,15 +79,6 @@ def _parse_grid(text: str) -> np.ndarray:
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _options(args: argparse.Namespace) -> OptimizerOptions:
-    kwargs = {}
-    if args.maxiter is not None:
-        kwargs["maxiter"] = args.maxiter
-    if args.multistart is not None:
-        kwargs["multistart"] = args.multistart
-    return OptimizerOptions(**kwargs)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -151,7 +143,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = datasets.load_patient_csv(args.data).with_covariates(args.x, args.w)
     table = lt.load_life_table(args.lifetable)
     spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
-    res = fit(data, table, spec, options=_options(args), label=args.label)
+    res = fit(data, table, spec, options=OptimizerOptions(args.maxiter, args.multistart),
+              label=args.label)
     out = _out_dir(args)
     _estimates_csv(out / "estimates.csv", res, args.level)
     _write_text(
@@ -219,7 +212,7 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
         data = full.with_covariates(args.x, args.w)
         table = lt.load_life_table(args.lifetable)
         spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
-        res = fit(data, table, spec, options=_options(args))
+        res = fit(data, table, spec, options=OptimizerOptions(args.maxiter, args.multistart))
         if not res.convergence.converged:
             print("error: model fit did not converge; curves not written",
                   file=sys.stderr)
@@ -233,8 +226,6 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
                 data, res, grid, level=args.level, draws=args.draws,
                 seed=args.seed, selector=selector, label=label,
             )
-        if selector is None:
-            return ns.population_net_survival(data, res, grid, label=label)
         return ns.subgroup_net_survival(data, res, grid, selector=selector,
                                         label=label)
 
@@ -368,16 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=required_data,
                        help="patient CSV (time,status,<covariates>,age,year,<strata>)")
         p.add_argument("--lifetable", help="life-table CSV (age,year,<strata>,rate)")
-        p.add_argument("--baseline", choices=("pgw", "lognormal"), default=None,
+        p.add_argument("--baseline", choices=tuple(_FAMILIES), default=None,
                        help="baseline hazard family (default pgw)")
-        p.add_argument("--frailty", choices=("none", "gamma", "ig"), default=None,
+        p.add_argument("--frailty", choices=FRAILTY_FAMILIES, default=None,
                        help="heterogeneity family (default none)")
         p.add_argument("--x", default=None,
                        help="comma-separated hazard-level covariate columns")
         p.add_argument("--w", default=None,
                        help="comma-separated time-scale covariate columns")
-        p.add_argument("--maxiter", type=int, default=None)
-        p.add_argument("--multistart", type=int, default=None)
+        p.add_argument("--maxiter", type=int, default=OptimizerOptions.maxiter)
+        p.add_argument("--multistart", type=int, default=OptimizerOptions.multistart)
 
     p_fit = sub.add_parser("fit", help="fit one excess-hazard model")
     add_model_flags(p_fit)

@@ -78,29 +78,31 @@ def write_csv(path, header, columns) -> None:
 
 # -- synthetic life table ------------------------------------------------------
 
-def synthetic_life_table(age_max: int = 99, years=(2010, 2019)) -> lt.LifeTable:
-    """Deterministic sex-stratified background-mortality grid.
+def synthetic_life_table() -> lt.LifeTable:
+    """Deterministic sex-stratified background-mortality grid over ages
+    0-99 and calendar years 2010-2019.
 
     Rates rise log-linearly with age above 35 from a small floor, carry a
     constant between-sex factor, and improve mildly by calendar year.
     """
     entries = {}
-    for a in range(0, age_max + 1):
+    for a in range(0, 100):
         base = 0.0004 + 0.00022 * math.exp(0.088 * max(a - 35, 0))
-        for y in range(years[0], years[1] + 1):
-            trend = 1.0 - 0.004 * (y - years[0])
+        for y in range(2010, 2020):
+            trend = 1.0 - 0.004 * (y - 2010)
             for sex, factor in (("0", 1.0), ("1", 1.28)):
                 entries[(a, y, (sex,))] = base * factor * trend
     return lt.LifeTable.from_entries(entries, stratum_schema=("sex",))
 
 
 def write_life_table_csv(path, table: lt.LifeTable) -> None:
-    """Serialise a life table in the loader's ``age,year,...,rate`` layout."""
-    keys = sorted(table.entries)
-    ages, years, strata = zip(*keys)
+    """Serialise a life table in the loader's ``age,year,...,rate`` layout,
+    one row per grid cell in (age, year, stratum) order."""
+    combos = list(table._combo_index)
+    ages, years, codes = (idx.ravel() for idx in np.indices(table._grid.shape))
     write_csv(path, ("age", "year") + table.stratum_schema + ("rate",),
-              [np.array(ages), np.array(years), *zip(*strata),
-               np.array([table.entries[key] for key in keys], dtype=float)])
+              [ages + table.age_range[0], years + table.year_range[0],
+               *zip(*(combos[c] for c in codes)), table._grid.ravel()])
 
 
 # -- synthetic lung-style cohort -------------------------------------------------

@@ -28,18 +28,25 @@ from scipy import linalg, optimize, stats
 from . import lifetable as lt
 from .baseline import family_of_params, get_family
 from .model import (
-    B_ZERO_THRESHOLD,
-    FRAILTY_FAMILIES,
     CovariateMapping,
     FrailtySpec,
     GHParams,
-    _frailty_weight_terms,
+    _frailty_form,
 )
 
 _PENALTY = 1e10  # objective value returned to the optimiser at non-finite points
 
 
 # -- data containers -------------------------------------------------------
+
+def _require_each(name: str, ok: np.ndarray, values: np.ndarray, rule: str) -> None:
+    """Raise for the first record where ``ok`` fails, naming its 0-based index."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"record {i} (0-based): {name} must be {rule}, "
+                         f"got {values.tolist()[i]!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -65,7 +72,10 @@ class Dataset:
 
     def __post_init__(self):
         time = np.ascontiguousarray(self.time, dtype=float)
-        status = np.ascontiguousarray(self.status, dtype=np.int8)
+        _require_each("time", np.isfinite(time) & (time > 0.0), time, "positive and finite")
+        status = np.asarray(self.status)
+        _require_each("status", (status == 0) | (status == 1), status, "0 or 1")
+        status = np.ascontiguousarray(status, dtype=np.int8)
         n = time.shape[0]
 
         def as_matrix(arr):
@@ -86,24 +96,20 @@ class Dataset:
         object.__setattr__(self, "year", np.ascontiguousarray(self.year, dtype=float))
         object.__setattr__(self, "strata", tuple(tuple(s) for s in self.strata))
         object.__setattr__(self, "stratum_names", tuple(self.stratum_names))
-        if not np.all(np.isfinite(time)) or np.any(time <= 0.0):
-            raise ValueError("all times must be positive and finite")
-        if not np.all((status == 0) | (status == 1)):
-            raise ValueError("status must be 0 or 1")
-        for name, arr in (("x", x), ("w", w)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in covariate block {name!r}")
         if x.shape[1] != len(self.x_names) or w.shape[1] != len(self.w_names):
             raise ValueError("covariate name lists must match matrix widths")
+        for block, names in ((x, self.x_names), (w, self.w_names)):
+            for j, name in enumerate(names):
+                _require_each(f"covariate {name!r}", np.isfinite(block[:, j]), block[:, j],
+                              "finite")
         for arr_name in ("status", "age", "year"):
             if getattr(self, arr_name).shape[0] != n:
                 raise ValueError(f"column {arr_name!r} has wrong length")
         if len(self.strata) != n:
             raise ValueError("strata tuple has wrong length")
         for arr_name in ("age", "year"):
-            bad = np.flatnonzero(~np.isfinite(getattr(self, arr_name)))
-            if bad.size:
-                raise ValueError(f"row {bad[0]}: {arr_name} must be finite")
+            values = getattr(self, arr_name)
+            _require_each(arr_name, np.isfinite(values), values, "finite")
 
     @property
     def n(self) -> int:
@@ -170,10 +176,7 @@ class ModelSpec:
 
     def __post_init__(self):
         get_family(self.baseline)
-        if self.frailty not in FRAILTY_FAMILIES:
-            raise ValueError(
-                f"unknown frailty family {self.frailty!r}; choose from {FRAILTY_FAMILIES}"
-            )
+        FrailtySpec(self.frailty)
 
     @property
     def has_frailty(self) -> bool:
@@ -185,14 +188,17 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Quasi-Newton settings (L-BFGS-B with analytic gradients)."""
+    """Quasi-Newton settings (L-BFGS-B with analytic gradients): the iteration
+    cap and the number of jittered restarts after a failed first attempt."""
 
     maxiter: int = 2000
-    gtol: float = 1e-6
-    ftol: float = 1e-12
     multistart: int = 5
-    jitter_sd: float = 0.3
-    seed: int = 0
+
+
+_GTOL = 1e-6  # L-BFGS-B projected-gradient tolerance
+_FTOL = 1e-12  # L-BFGS-B relative objective-change tolerance
+_JITTER_SD = 0.3  # sd of the normal jitter of each restart's start
+_JITTER_SEED = 0  # seed of the restart jitter, so fits are reproducible
 
 
 @dataclass(frozen=True)
@@ -206,20 +212,14 @@ class Convergence:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Maximum-likelihood fit summary on both parameter scales."""
+    """Maximum-likelihood fit: the estimate ``psi`` on the transformed scale,
+    its covariance (``None`` when the Hessian gave no valid one), and what
+    the fit saw.  Everything else is derived from these."""
 
     spec: ModelSpec
-    params: GHParams
-    frailty: FrailtySpec
     psi: np.ndarray
-    transformed_names: tuple
-    natural_names: tuple
-    loglik: float
-    n_params: int
     covariance: np.ndarray | None
-    std_errors: np.ndarray | None
-    std_errors_natural: np.ndarray | None
-    se_valid: bool
+    loglik: float
     convergence: Convergence
     n: int
     n_events: int
@@ -229,11 +229,50 @@ class FitResult:
     label: str = ""
 
     @property
+    def params(self) -> GHParams:
+        return self._unpacked()[0]
+
+    @property
+    def frailty(self) -> FrailtySpec:
+        return self._unpacked()[1]
+
+    def _unpacked(self):
+        return _unpack(self.psi, get_family(self.spec.baseline), self.spec.frailty,
+                       len(self.w_names), len(self.x_names))
+
+    @property
+    def transformed_names(self) -> tuple:
+        return _param_names(self.spec, self.w_names, self.x_names)[0]
+
+    @property
+    def natural_names(self) -> tuple:
+        return _param_names(self.spec, self.w_names, self.x_names)[1]
+
+    @property
+    def n_params(self) -> int:
+        return self.psi.shape[0]
+
+    @property
+    def se_valid(self) -> bool:
+        return self.covariance is not None
+
+    @property
+    def std_errors(self) -> np.ndarray | None:
+        """Standard errors on the transformed scale."""
+        return None if self.covariance is None else np.sqrt(np.diag(self.covariance))
+
+    @property
+    def std_errors_natural(self) -> np.ndarray | None:
+        """Delta-method standard errors on the natural scale."""
+        se = self.std_errors
+        return None if se is None else se * _to_natural(self.psi, self.transformed_names)[1]
+
+    @property
     def aic(self) -> float:
         return 2.0 * self.n_params - 2.0 * self.loglik
 
     def natural_estimates(self) -> np.ndarray:
-        return _to_natural(self.psi, self.transformed_names)
+        return _to_natural(self.psi, self.transformed_names)[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,31 +302,12 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FitResult":
-        spec = ModelSpec(baseline=d["baseline"], frailty=d["frailty"])
-        psi = np.array(d["psi"], dtype=float)
-        fam = get_family(spec.baseline)
-        params, frailty = _unpack(psi, fam, spec.frailty,
-                                  len(d["w_names"]), len(d["x_names"]))
-        cov = None if d["covariance"] is None else np.array(d["covariance"], dtype=float)
-        se = None if cov is None else np.sqrt(np.diag(cov))
-        se_nat = (
-            None
-            if se is None
-            else se * _natural_scale_jacobian(psi, tuple(d["transformed_names"]))
-        )
         return cls(
-            spec=spec,
-            params=params,
-            frailty=frailty,
-            psi=psi,
-            transformed_names=tuple(d["transformed_names"]),
-            natural_names=tuple(d["natural_names"]),
+            spec=ModelSpec(baseline=d["baseline"], frailty=d["frailty"]),
+            psi=np.array(d["psi"], dtype=float),
+            covariance=None if d["covariance"] is None
+            else np.array(d["covariance"], dtype=float),
             loglik=d["loglik"],
-            n_params=d["n_params"],
-            covariance=cov,
-            std_errors=se,
-            std_errors_natural=se_nat,
-            se_valid=d["se_valid"],
             convergence=Convergence(
                 converged=d["converged"],
                 iterations=d["iterations"],
@@ -306,22 +326,16 @@ class FitResult:
 
 # -- parameter packing -------------------------------------------------------
 
-def _transformed_names(fam, w_names, x_names, frailty: str) -> tuple:
-    names = list(fam.transformed_names)
-    names += [f"alpha:{n}" for n in w_names]
-    names += [f"beta:{n}" for n in x_names]
-    if frailty != "none":
+def _param_names(spec: ModelSpec, w_names, x_names) -> tuple:
+    """Names of the entries of ``psi`` and of their natural-scale values.
+
+    A ``log_`` prefix marks a log-scale entry; its natural name drops it.
+    """
+    names = [*get_family(spec.baseline).transformed_names,
+             *(f"alpha:{n}" for n in w_names), *(f"beta:{n}" for n in x_names)]
+    if spec.has_frailty:
         names.append("log_b")
-    return tuple(names)
-
-
-def _natural_names(fam, w_names, x_names, frailty: str) -> tuple:
-    names = list(fam.natural_names)
-    names += [f"alpha:{n}" for n in w_names]
-    names += [f"beta:{n}" for n in x_names]
-    if frailty != "none":
-        names.append("b")
-    return tuple(names)
+    return tuple(names), tuple(name.removeprefix("log_") for name in names)
 
 
 def _exp(v: float) -> float:
@@ -332,26 +346,12 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def _natural_scale_jacobian(psi, transformed_names) -> np.ndarray:
-    """d(natural)/d(transformed) for the elementwise exp/identity map."""
-    return np.array(
-        [_exp(v) if name.startswith("log_") else 1.0
-         for name, v in zip(transformed_names, psi)]
-    )
-
-
-def _to_natural(psi, transformed_names) -> np.ndarray:
-    return np.array(
-        [_exp(v) if name.startswith("log_") else v
-         for name, v in zip(transformed_names, psi)]
-    )
-
-
-def _pack(g: GHParams, fr: FrailtySpec | None, fam) -> np.ndarray:
-    parts = [fam.to_transformed(g.theta), g.alpha, g.beta]
-    if fr is not None and fr.family != "none":
-        parts.append([math.log(max(fr.b, B_ZERO_THRESHOLD))])
-    return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
+def _to_natural(psi, transformed_names):
+    """Natural-scale values of ``psi`` and their derivatives d(natural)/d(psi):
+    exp of each ``log_`` entry, the identity elsewhere."""
+    is_log = [name.startswith("log_") for name in transformed_names]
+    deriv = np.array([_exp(v) if log else 1.0 for log, v in zip(is_log, psi)])
+    return np.where(is_log, deriv, psi), deriv
 
 
 def _unpack(psi, fam, frailty: str, p_t: int, p: int):
@@ -390,7 +390,7 @@ class _FitContext:
 
     def _forward(self, psi, b):
         """The likelihood's forward pass at transformed ``psi``, with frailty
-        variance ``b`` (``None`` without frailty).
+        variance ``b`` (ignored without frailty).
 
         Returns the per-record ``log L(HE)`` (``-HE`` without frailty; a
         fresh array), the event denominators ``hP + wgt * hE``, and the
@@ -409,15 +409,11 @@ class _FitContext:
         HE = H0 * e_xw
         h0_ev, dlog_h0, dlogs = self.fam.haz_block(s[ev], theta_t)
         hE_ev = h0_ev * np.exp(eta_x[ev])
-        if b is None:
-            frail = None
-            log_lap = -HE
-            D_ev = self.hp_ev + hE_ev
-        else:
-            frail = _frailty_weight_terms(self.frailty, b, HE)
-            log_lap = frail[0]
-            D_ev = self.hp_ev + frail[1][ev] * hE_ev
-        return log_lap, D_ev, (HE, hE_ev, e_xw, s_h0, dH0, dlog_h0, dlogs, frail)
+        form = _frailty_form(self.frailty, b)
+        log_lap = form.log_laplace(b, HE)
+        wgt = form.weight(b, HE)
+        D_ev = self.hp_ev + wgt[ev] * hE_ev  # a unit weight leaves hE unchanged
+        return log_lap, D_ev, (form, wgt, HE, hE_ev, e_xw, s_h0, dH0, dlog_h0, dlogs)
 
     def value_and_grad(self, psi):
         """Negative log-likelihood and its gradient at transformed ``psi``."""
@@ -426,22 +422,19 @@ class _FitContext:
         has_b = self.frailty != "none"
         if has_b and psi[-1] > 700.0:  # exp would overflow; treat as infeasible
             return _PENALTY, np.zeros(self.n_params)
+        b = math.exp(psi[-1]) if has_b else 0.0
         with np.errstate(all="ignore"):
-            log_lap, D_ev, parts = self._forward(psi, math.exp(psi[-1]) if has_b else None)
-            HE, hE_ev, e_xw, s_h0, dH0, dlog_h0, dlogs, frail = parts
+            log_lap, D_ev, parts = self._forward(psi, b)
+            form, wgt, HE, hE_ev, e_xw, s_h0, dH0, dlog_h0, dlogs = parts
             loglik = np.sum(np.log(D_ev)) + np.sum(log_lap)
             if not np.isfinite(loglik):
                 return _PENALTY, np.zeros(self.n_params)
 
             # dl/d(hE) * hE at events, and dl/d(HE) at all records
-            if has_b:
-                _, wgt, dw_dhe, dw_dlogb, dll_dlogb = frail
-                a_ev = wgt[ev] * hE_ev / D_ev
-                r2 = -wgt
-                r2[ev] += hE_ev * dw_dhe[ev] / D_ev
-            else:
-                a_ev = hE_ev / D_ev
-                r2 = np.full(HE.shape[0], -1.0)
+            dw_dhe, dw_dlogb, dll_dlogb = form.weight_derivs(b, HE, log_lap, wgt)
+            a_ev = wgt[ev] * hE_ev / D_ev
+            r2 = -wgt
+            r2[ev] += hE_ev * dw_dhe[ev] / D_ev
 
             grad = np.empty(self.n_params)
             grad[:k] = dlog_h0 @ a_ev + dH0 @ (r2 * e_xw)
@@ -484,9 +477,9 @@ def loglik_frailty(data: Dataset, table: lt.LifeTable, g: GHParams,
         raise ValueError("alpha/beta lengths must match the dataset's w/x columns")
     fam = family_of_params(g.theta)
     ctx = _FitContext(data, table, fam.name, fr.family)
+    psi = np.concatenate([fam.to_transformed(g.theta), g.alpha, g.beta])
     with np.errstate(all="ignore"):
-        terms, D_ev, _ = ctx._forward(_pack(g, None, fam),
-                                      None if fr.family == "none" else fr.b)
+        terms, D_ev, _ = ctx._forward(psi, fr.b)
         terms[ctx.ev] += np.log(D_ev)
     if not np.all(np.isfinite(terms)):
         return float("-inf")
@@ -548,16 +541,15 @@ def wald_ci(result: FitResult, level: float = 0.95) -> WaldIntervals:
 
     Raises :class:`ValueError` when the fit's standard errors are invalid.
     """
-    if not result.se_valid or result.std_errors is None:
+    if not result.se_valid:
         raise ValueError("fit has no valid standard errors; intervals unavailable")
     if not (0.0 < level < 1.0):
         raise ValueError("level must be in (0, 1)")
     z = stats.norm.ppf(0.5 + level / 2.0)
-    lo_t = result.psi - z * result.std_errors
-    hi_t = result.psi + z * result.std_errors
-    est = _to_natural(result.psi, result.transformed_names)
-    lo = _to_natural(lo_t, result.transformed_names)
-    hi = _to_natural(hi_t, result.transformed_names)
+    names, se = result.transformed_names, result.std_errors
+    est = result.natural_estimates()
+    lo = _to_natural(result.psi - z * se, names)[0]
+    hi = _to_natural(result.psi + z * se, names)[0]
     notes = []
     if result.spec.has_frailty and result.frailty.b < 0.02:
         notes.append(
@@ -593,7 +585,7 @@ def aic_compare(fits) -> list:
 def _minimize(ctx: _FitContext, psi0, opts: OptimizerOptions):
     return optimize.minimize(
         ctx.value_and_grad, psi0, jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.maxiter, "ftol": opts.ftol, "gtol": opts.gtol},
+        options={"maxiter": opts.maxiter, "ftol": _FTOL, "gtol": _GTOL},
     )
 
 
@@ -625,9 +617,9 @@ def _optimize_with_restarts(ctx, psi0, opts):
     first_ok = res.success and np.isfinite(res.fun) and res.fun < _PENALTY
     if not first_ok:
         messages.append(f"initial optimisation failed: {res.message}")
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(_JITTER_SEED)
         for _ in range(opts.multistart):
-            start = psi0 + rng.normal(scale=opts.jitter_sd, size=psi0.shape[0])
+            start = psi0 + rng.normal(scale=_JITTER_SD, size=psi0.shape[0])
             res_j = _minimize(ctx, start, opts)
             attempts += 1
             consider(res_j)
@@ -643,12 +635,11 @@ def _optimize_with_restarts(ctx, psi0, opts):
             messages.append("multistart recovered a converged optimum")
         else:
             messages.append("multistart kept the best non-converged optimum")
-    return best_any, attempts, messages, first_ok
+    return best_any, attempts, messages
 
 
 def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
-        init: tuple | None = None, options: OptimizerOptions | None = None,
-        label: str = "") -> FitResult:
+        options: OptimizerOptions | None = None, label: str = "") -> FitResult:
     """Maximum-likelihood fit of a classical or frailty excess-hazard model.
 
     Parameters
@@ -657,8 +648,6 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
     spec : ModelSpec
         Baseline family, frailty family, optional covariate mapping (must
         match the dataset's x/w columns when given).
-    init : optional ``(GHParams, FrailtySpec or None)`` starting point;
-        when omitted the two-stage recipe is used (PH submodel first).
     options : OptimizerOptions
     label : free-text tag carried into reports.
 
@@ -679,20 +668,14 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
     ctx = _FitContext(data, table, spec.baseline, spec.frailty)
     messages: list[str] = []
 
-    if init is not None:
-        g0, fr0 = init
-        if spec.has_frailty and (fr0 is None or fr0.family == "none"):
-            fr0 = FrailtySpec(spec.frailty, 1.0)
-        psi0 = _pack(g0, fr0 if spec.has_frailty else None, fam)
-    elif spec.has_frailty or ctx.p_t > 0:
-        # stage 1: proportional-hazards submodel (alpha = 0, no frailty)
+    # start of the proportional-hazards submodel (alpha = 0, no frailty)
+    ph0 = np.concatenate([fam.default_transformed_init(data.time), np.zeros(ctx.p)])
+    if spec.has_frailty or ctx.p_t > 0:
+        # stage 1: fit the PH submodel
         ph_ctx = _FitContext(
             data.with_covariates(data.x_names, ()), table, spec.baseline, "none"
         )
-        ph0 = np.concatenate(
-            [fam.default_transformed_init(data.time), np.zeros(ctx.p)]
-        )
-        ph_best, _, ph_msgs, _ = _optimize_with_restarts(ph_ctx, ph0, opts)
+        ph_best, _, ph_msgs = _optimize_with_restarts(ph_ctx, ph0, opts)
         messages.extend(ph_msgs)
         if ph_best is None:
             theta_beta = ph0
@@ -709,11 +692,9 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
         )
     else:
         # the requested model *is* the PH submodel; one stage suffices
-        psi0 = np.concatenate(
-            [fam.default_transformed_init(data.time), np.zeros(ctx.p)]
-        )
+        psi0 = ph0
 
-    best, attempts, opt_msgs, _ = _optimize_with_restarts(ctx, psi0, opts)
+    best, attempts, opt_msgs = _optimize_with_restarts(ctx, psi0, opts)
     messages.extend(opt_msgs)
 
     if best is None:
@@ -731,29 +712,17 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
         grad_norm = float(np.max(np.abs(jac))) if np.all(np.isfinite(jac)) else float("inf")
         loglik_val = -float(best.fun)
 
-    cov, se, se_ok, se_msg = hessian_std_errors(
+    cov, _, se_ok, se_msg = hessian_std_errors(
         lambda q: ctx.value_and_grad(q)[1], psi_hat
     )
     if not se_ok:
         messages.append(f"standard errors invalid: {se_msg}")
 
-    tnames = _transformed_names(fam, data.w_names, data.x_names, spec.frailty)
-    nnames = _natural_names(fam, data.w_names, data.x_names, spec.frailty)
-    params, frailty = _unpack(psi_hat, fam, spec.frailty, ctx.p_t, ctx.p)
-    se_nat = None if se is None else se * _natural_scale_jacobian(psi_hat, tnames)
     return FitResult(
         spec=spec,
-        params=params,
-        frailty=frailty,
         psi=np.array(psi_hat, dtype=float),
-        transformed_names=tnames,
-        natural_names=nnames,
-        loglik=loglik_val,
-        n_params=ctx.n_params,
         covariance=cov,
-        std_errors=se,
-        std_errors_natural=se_nat,
-        se_valid=se_ok,
+        loglik=loglik_val,
         convergence=Convergence(
             converged=converged,
             iterations=iterations,

@@ -43,15 +43,15 @@ class LifeTable:
 
     Attributes
     ----------
-    entries : dict
-        Mapping ``(age_band, year_band, stratum_tuple) -> rate``.
     age_range, year_range : tuple of int
         Inclusive band ranges covered by the grid.
     stratum_schema : tuple of str
         Names of the stratum variables, in column order.
+
+    The rates live in ``_grid[age - age_range[0], year - year_range[0], code]``,
+    where ``_combo_index`` maps each stratum tuple to its code, in sorted order.
     """
 
-    entries: dict
     age_range: tuple[int, int]
     year_range: tuple[int, int]
     stratum_schema: tuple[str, ...]
@@ -88,7 +88,6 @@ class LifeTable:
             missing = (int(a) + a0, int(y) + y0, combos[c])
             raise LifeTableError(f"incomplete grid: missing cell {missing}")
         return cls(
-            entries=dict(entries),
             age_range=(a0, a1),
             year_range=(y0, y1),
             stratum_schema=stratum_schema,

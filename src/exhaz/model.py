@@ -34,7 +34,76 @@ from .baseline import family_of_params
 #: below this variance the frailty is treated as the exact no-frailty limit
 B_ZERO_THRESHOLD = 1e-8
 
-FRAILTY_FAMILIES = ("none", "gamma", "ig")
+# -- the closed forms of each frailty family ----------------------------------
+# Each family gives log L(s) and the conditional frailty mean -L'/L(s) (the
+# weight), written once here.  For the likelihood gradient, ``weight_derivs``
+# adds d weight/ds, d weight/d log b and d log L/d log b; d log L/ds is
+# -weight for every family.
+
+class _NoFrailty:
+    """No frailty, and the exact limit of both families as b -> 0."""
+
+    @staticmethod
+    def log_laplace(b, s):
+        return -s
+
+    @staticmethod
+    def weight(b, s):
+        return np.ones_like(s)
+
+    @staticmethod
+    def weight_derivs(b, s, log_lap, weight):
+        zeros = np.zeros_like(s)
+        return zeros, zeros, zeros
+
+
+class _GammaFrailty:
+    """Gamma frailty with unit mean and variance b: L(s) = (1 + b s)^(-1/b)
+    and -L'/L(s) = 1/(1 + b s)."""
+
+    @staticmethod
+    def log_laplace(b, s):
+        return -np.log1p(b * s) / b
+
+    @staticmethod
+    def weight(b, s):
+        return 1.0 / (1.0 + b * s)
+
+    @staticmethod
+    def weight_derivs(b, s, log_lap, weight):
+        return -b * weight**2, -b * s * weight**2, -log_lap - s * weight
+
+
+class _InverseGaussianFrailty:
+    """Inverse Gaussian frailty with unit mean and variance b:
+    L(s) = exp((1 - sqrt(1 + 2bs))/b), in the rationalised form
+    exp(-2s / (1 + sqrt(1 + 2bs))), and -L'/L(s) = 1/sqrt(1 + 2bs)."""
+
+    @staticmethod
+    def log_laplace(b, s):
+        return -2.0 * s / (1.0 + np.sqrt(1.0 + 2.0 * b * s))
+
+    @staticmethod
+    def weight(b, s):
+        return 1.0 / np.sqrt(1.0 + 2.0 * b * s)
+
+    @staticmethod
+    def weight_derivs(b, s, log_lap, weight):
+        # the cube of the root, not of the weight, keeps the fits' bits
+        root = np.sqrt(1.0 + 2.0 * b * s)
+        return -b / root**3, -b * s / root**3, -log_lap - s / root
+
+
+_FRAILTY_FORMS = {"gamma": _GammaFrailty, "ig": _InverseGaussianFrailty}
+FRAILTY_FAMILIES = ("none", *_FRAILTY_FORMS)
+
+
+def _frailty_form(family: str, b: float):
+    """The closed forms of ``family`` at variance ``b``; the no-frailty limit
+    below ``B_ZERO_THRESHOLD``."""
+    if family == "none" or b < B_ZERO_THRESHOLD:
+        return _NoFrailty
+    return _FRAILTY_FORMS[family]
 
 
 @dataclass(frozen=True)
@@ -121,39 +190,28 @@ def excess_cum_hazard(t, x, w, g: GHParams):
 
 
 def laplace(f: FrailtySpec, s):
-    """Frailty Laplace transform L(s) = E[exp(-s * frailty)] for ``s >= 0``.
-
-    Gamma (unit mean, variance b): (1 + b s)^(-1/b), computed as
-    exp(-log1p(b s)/b).  Inverse Gaussian: exp((1 - sqrt(1+2bs))/b), computed
-    in the rationalised form exp(-2s / (1 + sqrt(1+2bs))).  Variances below
-    ``B_ZERO_THRESHOLD`` use the exact no-frailty limit exp(-s).
+    """Frailty Laplace transform L(s) = E[exp(-s * frailty)] for ``s >= 0``,
+    from the family's closed form; variances below ``B_ZERO_THRESHOLD`` use
+    the exact no-frailty limit exp(-s).
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("laplace requires s >= 0")
     if f.family == "none":
         raise ValueError("laplace requires a frailty family (gamma or ig)")
-    if f.b < B_ZERO_THRESHOLD:
-        return np.exp(-s)
-    if f.family == "gamma":
-        return np.exp(-np.log1p(f.b * s) / f.b)
-    return np.exp(-2.0 * s / (1.0 + np.sqrt(1.0 + 2.0 * f.b * s)))
+    return np.exp(_frailty_form(f.family, f.b).log_laplace(f.b, s))
 
 
 def laplace_log_deriv(f: FrailtySpec, s):
     """Conditional frailty mean among survivors, -L'(s)/L(s), for ``s >= 0``.
 
-    Gamma: 1/(1 + b s); inverse Gaussian: 1/sqrt(1 + 2 b s).  Equals 1 at
-    s = 0 (unit mean) and is nonincreasing in s (survivor selection).
+    Equals 1 at s = 0 (unit mean) and is nonincreasing in s (survivor
+    selection); 1 throughout without frailty.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("laplace_log_deriv requires s >= 0")
-    if f.family == "none" or f.b < B_ZERO_THRESHOLD:
-        return np.ones_like(s)
-    if f.family == "gamma":
-        return 1.0 / (1.0 + f.b * s)
-    return 1.0 / np.sqrt(1.0 + 2.0 * f.b * s)
+    return _frailty_form(f.family, f.b).weight(f.b, s)
 
 
 def conditional_net_survival(t, x, w, g: GHParams):
@@ -172,8 +230,7 @@ def marginal_net_survival(t, x, w, g: GHParams, f: FrailtySpec):
 def marginal_hazard(t, x, w, key: lt.LifeTableKey, table: lt.LifeTable, g: GHParams,
                     f: FrailtySpec):
     """Observable (all-cause) marginal hazard h_P + E[frailty | alive] * h_E at ``t > 0``."""
-    he_cum = excess_cum_hazard(t, x, w, g)
-    weight = laplace_log_deriv(f, he_cum) if f.family != "none" else 1.0
+    weight = laplace_log_deriv(f, excess_cum_hazard(t, x, w, g))
     return lt.pop_hazard(table, key, t) + weight * excess_hazard(t, x, w, g)
 
 
@@ -202,36 +259,3 @@ def simulate_event_time(u, x, w, g: GHParams, lam=1.0):
     q = -np.log1p(-u) * np.exp(eta_w - eta_x) / lam
     fam = family_of_params(g.theta)
     return fam.quantile(q, g.theta) * np.exp(-eta_w)
-
-
-# -- gradient helpers used by the likelihood ------------------------------
-
-def _frailty_weight_terms(family: str, b: float, he):
-    """Per-record pieces of the frailty log-likelihood and its gradient.
-
-    For cumulative excess hazards ``he`` returns ``(log_lap, weight, dw_dhe,
-    dw_dlogb, dlog_lap_dlogb)`` where ``weight`` is the conditional frailty
-    mean (-L'/L)(he); ``dw_dhe`` is its derivative in ``he`` and the last two
-    are derivatives with respect to log b.  The derivative of log L with
-    respect to ``he`` equals ``-weight`` for any family.
-    """
-    if b < B_ZERO_THRESHOLD:
-        zeros = np.zeros_like(he)
-        return -he, np.ones_like(he), zeros, zeros, zeros
-    if family == "gamma":
-        log1pbh = np.log1p(b * he)
-        weight = 1.0 / (1.0 + b * he)
-        log_lap = -log1pbh / b
-        dw_dhe = -b * weight**2
-        dw_dlogb = -b * he * weight**2
-        dlog_lap_dlogb = log1pbh / b - he * weight
-        return log_lap, weight, dw_dhe, dw_dlogb, dlog_lap_dlogb
-    if family == "ig":
-        root = np.sqrt(1.0 + 2.0 * b * he)
-        weight = 1.0 / root
-        log_lap = -2.0 * he / (1.0 + root)
-        dw_dhe = -b / root**3
-        dw_dlogb = -b * he / root**3
-        dlog_lap_dlogb = 2.0 * he / (1.0 + root) - he / root
-        return log_lap, weight, dw_dhe, dw_dlogb, dlog_lap_dlogb
-    raise ValueError(f"unsupported frailty family {family!r}")

@@ -20,7 +20,7 @@ from scipy import linalg
 
 from .baseline import family_of_params, get_family
 from .inference import Dataset, FitResult, _unpack
-from .model import B_ZERO_THRESHOLD, FrailtySpec, GHParams, laplace
+from .model import FrailtySpec, GHParams, laplace
 
 __all__ = [
     "NetSurvivalCurve",
@@ -97,6 +97,17 @@ def _as_mask(data: Dataset, selector) -> np.ndarray:
     return mask
 
 
+def _selected_rows(data: Dataset, grid, selector):
+    """The checked grid and the ``(x, w)`` rows that ``selector`` picks."""
+    if data.n == 0:
+        raise ValueError("dataset is empty")
+    grid = _validate_grid(data, grid)
+    mask = _as_mask(data, selector)
+    if not mask.any():
+        raise ValueError("selector picked an empty subgroup")
+    return grid, data.x[mask], data.w[mask]
+
+
 def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec) -> np.ndarray:
     """Average net survival over the rows of (x, w) at each grid time."""
     fam = family_of_params(g.theta)
@@ -105,21 +116,15 @@ def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec) -> np.ndarray:
     with np.errstate(all="ignore"):
         s = grid[None, :] * np.exp(eta_w)[:, None]
         he = fam.cum_hazard(s, g.theta) * np.exp(eta_x - eta_w)[:, None]
-        if fr.family == "none" or fr.b < B_ZERO_THRESHOLD:
-            individual = np.exp(-he)
-        else:
-            individual = laplace(fr, he)
+        # laplace takes the b -> 0 limit itself, but needs a frailty family
+        individual = np.exp(-he) if fr.family == "none" else laplace(fr, he)
     return individual.mean(axis=0)
 
 
 def population_net_survival(data: Dataset, fit: FitResult, grid=None,
                             label: str = "population") -> NetSurvivalCurve:
     """Cohort-average net-survival curve under the fitted parameters."""
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    grid = _validate_grid(data, grid)
-    values = _curve_values(data.x, data.w, grid, fit.params, fit.frailty)
-    return NetSurvivalCurve(grid, values, label=label, model=fit.spec.label())
+    return subgroup_net_survival(data, fit, grid, label=label)
 
 
 def subgroup_net_survival(data: Dataset, fit: FitResult, grid=None, selector=None,
@@ -127,15 +132,11 @@ def subgroup_net_survival(data: Dataset, fit: FitResult, grid=None, selector=Non
     """Average net survival restricted to the rows picked by ``selector``.
 
     ``selector`` is either a boolean mask of length n or a predicate applied
-    to a per-record mapping of covariate, extra, stratum, age and year values.
+    to a per-record mapping of covariate, extra, stratum, age and year values;
+    ``None`` picks every row.
     """
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    grid = _validate_grid(data, grid)
-    mask = _as_mask(data, selector)
-    if not mask.any():
-        raise ValueError("selector picked an empty subgroup")
-    values = _curve_values(data.x[mask], data.w[mask], grid, fit.params, fit.frailty)
+    grid, x, w = _selected_rows(data, grid, selector)
+    values = _curve_values(x, w, grid, fit.params, fit.frailty)
     return NetSurvivalCurve(grid, values, label=label, model=fit.spec.label())
 
 
@@ -150,20 +151,13 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, level: float = 
     producing non-finite curves are rejected and resampled, up to ten times
     the requested count.
     """
-    if not fit.se_valid or fit.covariance is None:
+    if not fit.se_valid:
         raise ValueError("fit has no valid covariance; Monte-Carlo bands unavailable")
     if draws < 100:
         raise ValueError("draws must be at least 100")
     if not (0.0 < level < 1.0):
         raise ValueError("level must be in (0, 1)")
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    grid = _validate_grid(data, grid)
-    mask = _as_mask(data, selector)
-    if not mask.any():
-        raise ValueError("selector picked an empty subgroup")
-    x, w = data.x[mask], data.w[mask]
-
+    grid, x, w = _selected_rows(data, grid, selector)
     estimate = _curve_values(x, w, grid, fit.params, fit.frailty)
 
     cov = 0.5 * (fit.covariance + fit.covariance.T)

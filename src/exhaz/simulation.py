@@ -28,12 +28,13 @@ from scipy import optimize as sp_optimize
 from . import lifetable as lt
 from .baseline import get_family
 from .datasets import write_csv
-from .inference import Dataset, ModelSpec, OptimizerOptions, _natural_names, fit
+from .inference import Dataset, ModelSpec, OptimizerOptions, _param_names, fit
 from .model import (B_ZERO_THRESHOLD, CovariateMapping, FrailtySpec, GHParams,
                     simulate_event_time)
 from .netsurvival import NetSurvivalCurve, _curve_values, default_grid
 
 Z975 = 1.959963984540054
+_PILOT_N = 20000  # subjects in the pilot cohort that calibrates drop-out
 
 __all__ = [
     "AgeMixture",
@@ -97,30 +98,12 @@ class AgeMixture:
         return (np.asarray(age, dtype=float) - self.mean) / self.sd
 
 
-def _natural_params(baseline: str, theta) -> object:
-    """Build a baseline parameter block from a tuple of natural values."""
-    from .baseline import LogNormalParams, PGWParams
-
-    theta = tuple(float(v) for v in theta)
-    if baseline == "pgw":
-        if len(theta) != 3:
-            raise ValueError("pgw baseline needs (sigma, nu, gamma)")
-        return PGWParams(*theta)
-    if baseline == "lognormal":
-        if len(theta) != 2:
-            raise ValueError("lognormal baseline needs (mu, sd)")
-        return LogNormalParams(*theta)
-    raise ValueError(f"unknown baseline family {baseline!r}")
-
-
 def _sample_frailty(family: str, b: float, rng: np.random.Generator, n: int) -> np.ndarray:
     if family == "none" or b < B_ZERO_THRESHOLD:
         return np.ones(n)
     if family == "gamma":
         return rng.gamma(1.0 / b, b, size=n)
-    if family == "ig":
-        return rng.wald(1.0, 1.0 / b, size=n)
-    raise ValueError(f"unsupported frailty family {family!r}")
+    return rng.wald(1.0, 1.0 / b, size=n)  # inverse Gaussian
 
 
 # -- scenario definitions ----------------------------------------------------
@@ -193,10 +176,9 @@ class Scenario:
             raise ValueError(
                 f"alpha/beta must have {k} entries (agec plus each binary)"
             )
-        for g in range(len(self.groups)):
+        for g in range(len(self.groups)):  # building the truth validates it
             self.group_params(g)
-        if self.frailty_family not in ("none", "gamma", "ig"):
-            raise ValueError(f"unknown frailty family {self.frailty_family!r}")
+        self.true_frailty()
 
     @property
     def covariate_names(self) -> tuple:
@@ -224,7 +206,7 @@ class Scenario:
 
     def group_params(self, g: int = 0) -> GHParams:
         truth = self.groups[g]
-        theta = _natural_params(self.baseline, truth.theta)
+        theta = get_family(self.baseline).from_natural(truth.theta)
         return GHParams(theta, truth.alpha, truth.beta)
 
     def true_frailty(self) -> FrailtySpec:
@@ -336,22 +318,21 @@ def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
     return x, age, strata, np.minimum(tc, tp)
 
 
-def calibrate_dropout(s, table: lt.LifeTable | None = None,
-                      pilot_n: int = 20000) -> float:
+def calibrate_dropout(s, table: lt.LifeTable | None = None) -> float:
     """Exponential censoring rate matching the scenario's censoring target.
 
     The ``"dropout"`` share is ``E[1 - exp(-r * min(T, admin))]``, the
     share of subjects whose follow-up ends by drop-out; the ``"censoring"``
     share is ``1 - E[1{T <= admin} exp(-r T)]``, the overall censored share
     (``T`` is the latent all-cause death time).  Both use a deterministic
-    pilot cohort and bisection in ``r``.
+    pilot cohort of ``_PILOT_N`` subjects and bisection in ``r``.
     """
     share, target = s.censoring_target
     if target <= 0.0:
         return 0.0
     table = _resolve_table(s, table)
     rng = np.random.default_rng(np.random.SeedSequence([int(s.seed), 0xD407]))
-    _, _, _, t_death = _all_cause_latent(s, rng, pilot_n, table)
+    _, _, _, t_death = _all_cause_latent(s, rng, _PILOT_N, table)
     if share == "dropout":
         t_other = np.minimum(t_death, s.admin_censor)
 
@@ -575,7 +556,7 @@ def _true_vectors(s: Scenario):
     (truth,) = s.groups
     b = [s.frailty_b] if s.frailty_family != "none" else []
     log_b = [math.log(v) if v > 0.0 else -math.inf for v in b]
-    theta = get_family(s.baseline).to_transformed(_natural_params(s.baseline, truth.theta))
+    theta = get_family(s.baseline).to_transformed(s.group_params().theta)
     nat = np.concatenate([truth.theta, truth.alpha, truth.beta, b])
     return nat, np.concatenate([theta, truth.alpha, truth.beta, log_b])
 
@@ -614,7 +595,6 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
         if not (
             res.convergence.converged
             and res.se_valid
-            and se_nat is not None
             and np.all(np.isfinite(est))
             and np.all(np.isfinite(se_nat))
         ):
@@ -640,7 +620,7 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
     )
     perf = PerformanceTable(
         scenario_name=s.name,
-        names=_natural_names(get_family(s.baseline), names, names, s.frailty_family),
+        names=_param_names(specs["main"], names, names)[1],
         true_values=nat_true,
         mean_mle=est.mean(axis=0),
         bias=est.mean(axis=0) - nat_true,

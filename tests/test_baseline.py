@@ -9,6 +9,8 @@ t=1.5 for (mu, sd) = (0.2, 0.9) likewise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from exhaz import baseline as bl
@@ -66,17 +68,13 @@ class TestPGW:
         with pytest.raises(ValueError):
             bl.pgw_quantile(-1.0, PGW_ORACLE)
 
-    def test_quantile_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = bl.PGWParams(*rng.uniform(0.3, 5.0, size=3))
-            t = rng.uniform(0.01, 8.0)
-            q = bl.pgw_cum_hazard(t, p)
-            assert bl.pgw_quantile(q, p) == pytest.approx(t, rel=1e-9)
-            q2 = rng.uniform(0.01, 5.0)
-            assert bl.pgw_cum_hazard(bl.pgw_quantile(q2, p), p) == pytest.approx(
-                q2, rel=1e-10
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.floats(0.3, 5.0), nu=st.floats(0.3, 5.0), gamma=st.floats(0.3, 5.0),
+           t=st.floats(0.01, 8.0), q=st.floats(0.01, 5.0))
+    def test_quantile_round_trip(self, sigma, nu, gamma, t, q):
+        p = bl.PGWParams(sigma, nu, gamma)
+        assert bl.pgw_quantile(bl.pgw_cum_hazard(t, p), p) == pytest.approx(t, rel=1e-9)
+        assert bl.pgw_cum_hazard(bl.pgw_quantile(q, p), p) == pytest.approx(q, rel=1e-10)
 
     def test_invalid_params_rejected(self):
         for bad in [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, float("nan"))]:
@@ -112,13 +110,12 @@ class TestLogNormal:
             )
             assert bl.lognormal_hazard(t, p) == pytest.approx(fd, rel=1e-6)
 
-    def test_quantile_round_trip(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = bl.LogNormalParams(rng.uniform(-0.5, 1.0), rng.uniform(0.4, 1.6))
-            t = rng.uniform(0.05, 8.0)
-            q = bl.lognormal_cum_hazard(t, p)
-            assert bl.lognormal_quantile(q, p) == pytest.approx(t, rel=1e-7)
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.floats(-0.5, 1.0), sd=st.floats(0.4, 1.6), t=st.floats(0.05, 8.0))
+    def test_quantile_round_trip(self, mu, sd, t):
+        p = bl.LogNormalParams(mu, sd)
+        q = bl.lognormal_cum_hazard(t, p)
+        assert bl.lognormal_quantile(q, p) == pytest.approx(t, rel=1e-7)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

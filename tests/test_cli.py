@@ -50,7 +50,7 @@ class TestFit:
 
     def test_invalid_standard_errors_leave_cells_empty(self, inputs, tmp_path):
         payload = json.loads((inputs["fits"]["frailty"] / "fit.json").read_text())
-        res = dataclasses.replace(FitResult.from_json_dict(payload), se_valid=False)
+        res = dataclasses.replace(FitResult.from_json_dict(payload), covariance=None)
         path = tmp_path / "estimates.csv"
         cli._estimates_csv(path, res, 0.95)
         lines = path.read_bytes().decode().split("\n")

@@ -26,34 +26,46 @@ def lung(synth_table):
     return datasets.synthetic_lung_cohort(600, seed=5, table=synth_table)
 
 
+def rate(table, age, year, sex):
+    return float(table.rates_at(age, year, table.stratum_code((sex,))))
+
+
+def csv_bytes(table, path):
+    datasets.write_life_table_csv(path, table)
+    return path.read_bytes()
+
+
 class TestSyntheticLifeTable:
-    def test_grid_is_complete(self, synth_table):
-        assert len(synth_table.entries) == 100 * 10 * 2
+    def test_grid_is_complete(self, tmp_path, synth_table):
+        assert len(csv_bytes(synth_table, tmp_path / "t.csv").splitlines()) == 1 + 100 * 10 * 2
+        ages, years = (a.ravel() for a in np.meshgrid(np.arange(100), np.arange(2010, 2020)))
+        rates = np.concatenate([synth_table.rates_at(ages, years, synth_table.stratum_code((s,)))
+                                for s in ("0", "1")])
         assert synth_table.age_range == (0, 99)
         assert synth_table.year_range == (2010, 2019)
         assert synth_table.stratum_schema == ("sex",)
-        assert all(r > 0.0 for r in synth_table.entries.values())
+        assert np.all(rates > 0.0)
 
     def test_rate_structure(self, synth_table):
-        young = synth_table.entries[(50, 2012, ("0",))]
-        old = synth_table.entries[(80, 2012, ("0",))]
+        young = rate(synth_table, 50, 2012, "0")
+        old = rate(synth_table, 80, 2012, "0")
         assert old > young
-        men = synth_table.entries[(70, 2012, ("1",))]
-        women = synth_table.entries[(70, 2012, ("0",))]
+        men = rate(synth_table, 70, 2012, "1")
+        women = rate(synth_table, 70, 2012, "0")
         assert men / women == pytest.approx(1.28, rel=1e-12)
-        later = synth_table.entries[(70, 2018, ("0",))]
+        later = rate(synth_table, 70, 2018, "0")
         assert later < women  # rates drift down over calendar time
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         a = datasets.synthetic_life_table()
         b = datasets.synthetic_life_table()
-        assert a.entries == b.entries
+        assert csv_bytes(a, tmp_path / "a.csv") == csv_bytes(b, tmp_path / "b.csv")
 
     def test_csv_round_trip(self, tmp_path, synth_table):
         path = tmp_path / "table.csv"
         datasets.write_life_table_csv(path, synth_table)
         loaded = lt.load_life_table(path)
-        assert loaded.entries == synth_table.entries
+        assert csv_bytes(loaded, tmp_path / "again.csv") == path.read_bytes()
         assert loaded.stratum_schema == synth_table.stratum_schema
         assert loaded.age_range == synth_table.age_range
 
@@ -222,7 +234,7 @@ class TestBundledData:
     def test_bundled_inputs_load(self, tmp_path, synth_table):
         written = {p.name: p for p in datasets.write_bundled_data(tmp_path)}
         table = lt.load_life_table(written["lifetable_synthetic.csv"])
-        assert table.entries == synth_table.entries
+        assert csv_bytes(table, tmp_path / "a.csv") == csv_bytes(synth_table, tmp_path / "b.csv")
         cohort = datasets.load_patient_csv(written["lung_synthetic.csv"])
         assert cohort.n == 4000
         assert cohort.x_names == ("agec", "imd", "stage2", "stage3", "stage4",

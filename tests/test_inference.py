@@ -288,16 +288,6 @@ class TestFit:
         assert res_scaled.params.beta[1] == pytest.approx(res.params.beta[1], abs=2e-4)
         assert res_scaled.loglik == pytest.approx(res.loglik, abs=1e-6)
 
-    def test_user_init_is_honoured(self, zero_table):
-        data = simulate_ph_cohort(500, PGWParams(1.5, 1.1, 1.3), np.array([0.4, -0.6]),
-                                  b=0.5, seed=18)
-        init = (
-            mdl.GHParams(PGWParams(1.5, 1.1, 1.3), np.zeros(0), np.array([0.4, -0.6])),
-            mdl.FrailtySpec("gamma", 0.5),
-        )
-        res = inf.fit(data, zero_table, inf.ModelSpec("pgw", "gamma"), init=init)
-        assert res.convergence.converged
-
     def test_fit_error_conditions(self, zero_table):
         with pytest.raises(ValueError, match="empty"):
             inf.fit(
@@ -325,19 +315,28 @@ class TestFit:
         with pytest.raises(ValueError, match="mapping"):
             inf.fit(data, zero_table, bad_map)
 
-    def test_json_round_trip(self, zero_table):
+    @pytest.mark.parametrize("baseline, frailty, se_valid", [
+        ("pgw", "gamma", True),
+        ("lognormal", "ig", True),
+        ("pgw", "none", True),
+        ("pgw", "gamma", False),
+    ], ids=["pgw+gamma", "lognormal+ig", "classical", "invalid-se"])
+    def test_json_round_trip(self, zero_table, baseline, frailty, se_valid):
         data = simulate_ph_cohort(300, PGWParams(1.5, 1.1, 1.3), np.array([0.4, -0.6]),
                                   b=0.5, seed=20)
-        res = inf.fit(data, zero_table, inf.ModelSpec("pgw", "gamma"), label="demo")
-        back = inf.FitResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
-        np.testing.assert_array_equal(back.psi, res.psi)
-        assert back.aic == res.aic
-        assert back.label == "demo"
-        assert back.natural_names == res.natural_names
-        np.testing.assert_allclose(back.covariance, res.covariance, rtol=1e-15)
-        np.testing.assert_allclose(
-            back.std_errors_natural, res.std_errors_natural, rtol=1e-12
-        )
+        res = inf.fit(data, zero_table, inf.ModelSpec(baseline, frailty), label="demo")
+        if not se_valid:
+            res = dataclasses.replace(res, covariance=None)
+        assert res.se_valid is se_valid
+        payload = res.to_json_dict()
+        back = inf.FitResult.from_json_dict(json.loads(json.dumps(payload)))
+        assert back.to_json_dict() == payload
+        assert back.label == "demo" and back.aic == res.aic
+        for name in ("std_errors", "std_errors_natural"):
+            if se_valid:
+                np.testing.assert_array_equal(getattr(back, name), getattr(res, name))
+            else:
+                assert getattr(back, name) is None
 
 
 class TestHessian:
@@ -384,17 +383,9 @@ class TestWaldAndAic:
         se = np.array([0.1, 0.1, 5378.0])
         res = inf.FitResult(
             spec=inf.ModelSpec("lognormal", "ig"),
-            params=mdl.GHParams(LogNormalParams(0.1, 0.9)),
-            frailty=mdl.FrailtySpec("ig", 2e-8),
             psi=psi,
-            transformed_names=("mu", "log_sd", "log_b"),
-            natural_names=("mu", "sd", "b"),
-            loglik=-100.0,
-            n_params=3,
             covariance=np.diag(se**2),
-            std_errors=se,
-            std_errors_natural=se * np.array([1.0, 0.9, 2e-8]),
-            se_valid=True,
+            loglik=-100.0,
             convergence=inf.Convergence(True, 10, 1e-7, ()),
             n=100,
             n_events=50,
@@ -436,13 +427,13 @@ class TestWaldAndAic:
             inf.wald_ci(gamma_fit, 1.2)
 
     def test_invalid_se_raises(self, gamma_fit):
-        broken = dataclasses.replace(gamma_fit, se_valid=False)
+        broken = dataclasses.replace(gamma_fit, covariance=None)
         with pytest.raises(ValueError, match="standard errors"):
             inf.wald_ci(broken)
 
     def test_boundary_note(self, gamma_fit):
         near_zero = dataclasses.replace(
-            gamma_fit, frailty=mdl.FrailtySpec("gamma", 0.001)
+            gamma_fit, psi=np.append(gamma_fit.psi[:-1], math.log(0.001))
         )
         notes = inf.wald_ci(near_zero).notes
         assert any("boundary" in n for n in notes)
@@ -454,8 +445,8 @@ class TestWaldAndAic:
         )
 
     def test_aic_tie_breaks_on_parameter_count(self, gamma_fit):
-        slim = dataclasses.replace(gamma_fit, n_params=gamma_fit.n_params - 1,
-                                   loglik=gamma_fit.loglik - 1.0)
+        slim = dataclasses.replace(gamma_fit, spec=inf.ModelSpec("pgw", "none"),
+                                   psi=gamma_fit.psi[:-1], loglik=gamma_fit.loglik - 1.0)
         # equal AIC by construction; fewer parameters must rank first
         assert slim.aic == gamma_fit.aic
         assert inf.aic_compare([gamma_fit, slim])[0] is slim
@@ -499,14 +490,28 @@ class TestDatasetUtilities:
         assert list(sub.extras["stage"]) == ["II"] * 10
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"record 0 \(0-based\): time must be positive"):
             one_record_dataset(-1.0, 0)
-        with pytest.raises(ValueError, match="status"):
+        with pytest.raises(ValueError, match=r"record 0 \(0-based\): status must be 0 or 1"):
             one_record_dataset(1.0, 2)
-        data = random_dataset(5, p=1, p_t=0, seed=28)
-        age = data.age.copy()
-        age[3] = math.nan
-        with pytest.raises(ValueError, match="row 3: age must be finite"):
-            dataclasses.replace(data, age=age)
-        with pytest.raises(ValueError, match="row 0: year must be finite"):
+        with pytest.raises(ValueError, match=r"record 0 \(0-based\): year must be finite"):
             one_record_dataset(1.0, 1, table_year=math.inf)
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("time", math.nan, "time must be positive and finite, got nan"),
+        ("status", 0.5, "status must be 0 or 1, got 0.5"),
+        ("x", math.inf, "covariate 'x1' must be finite, got inf"),
+        ("w", -math.inf, "covariate 'x0' must be finite, got -inf"),
+        ("age", math.nan, "age must be finite, got nan"),
+        ("year", math.inf, "year must be finite, got inf"),
+    ])
+    def test_errors_name_the_record_and_column(self, column, value, message):
+        data = random_dataset(5, p=2, p_t=1, seed=28)
+        values = np.array(getattr(data, column), dtype=float)
+        if values.ndim == 2:
+            values[3, -1] = value
+        else:
+            values[3] = value
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(data, **{column: values})
+        assert str(info.value) == f"record 3 (0-based): {message}"

@@ -12,11 +12,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from exhaz import lifetable as lt
 
 from conftest import build_table
+
+
+@pytest.fixture(scope="module")
+def banded_table():
+    """Rates that change at every integer crossing, so draws traverse many bands."""
+    return build_table(lambda a, y, s: 0.08 + 0.01 * ((a + y) % 5),
+                       range(40, 101), range(2000, 2071), [()], ())
 
 
 def two_band_table():
@@ -44,8 +53,9 @@ class TestLoader:
         table = lt.load_life_table(io.StringIO(text))
         assert table.age_range == (70, 71)
         assert table.year_range == (2010, 2011)
-        assert len(table.entries) == 4
-        assert table.entries[(71, 2011, ())] == 0.04
+        rates = table.rates_at(np.array([70, 70, 71, 71]), np.array([2010, 2011, 2010, 2011]),
+                               table.stratum_code(()))
+        np.testing.assert_array_equal(rates, [0.01, 0.02, 0.03, 0.04])
 
     def test_stratified_parse_and_lookup(self):
         text = "\n".join(
@@ -107,7 +117,7 @@ class TestPopHazard:
             (),
         )
         key = lt.LifeTableKey(70.2, 2012.0)
-        expected = table.entries[(71, 2012, ())]
+        expected = 0.001 * 71 + 1e-6 * (2012 - 2010)
         assert lt.pop_hazard(table, key, 0.9) == pytest.approx(expected, rel=1e-14)
 
     def test_clamping_beyond_max_age(self):
@@ -192,28 +202,17 @@ class TestSampleOtherCause:
         res = lt.sample_other_cause_time(table, key, u)
         assert res.time == pytest.approx(5.0 / 6.0, rel=1e-12)
 
-    def test_round_trip(self):
-        # rates change at every integer crossing so many bands are traversed;
-        # coverage is deep enough that the targets below never truncate
-        table = build_table(
-            lambda a, y, s: 0.08 + 0.01 * ((a + y) % 5),
-            range(40, 101),
-            range(2000, 2071),
-            [()],
-            (),
-        )
-        rng = np.random.default_rng(11)
-        checked = 0
-        for _ in range(200):
-            key = lt.LifeTableKey(rng.uniform(45, 55), rng.uniform(2005, 2015))
-            u = rng.uniform(1e-6, 0.97)
-            res = lt.sample_other_cause_time(table, key, u)
-            if res.truncated:
-                continue
-            back = float(lt.pop_cum_hazard(table, key, res.time))
-            assert back == pytest.approx(-math.log1p(-u), rel=1e-10, abs=1e-12)
-            checked += 1
-        assert checked > 150
+    @settings(max_examples=200, deadline=None)
+    @given(age=st.floats(45.0, 55.0), year=st.floats(2005.0, 2015.0),
+           u=st.floats(1e-6, 0.97))
+    def test_round_trip(self, banded_table, age, year, u):
+        # coverage of at least 46 years at rates >= 0.08 holds a cumulative
+        # hazard above -log(0.03), so no target here is truncated
+        key = lt.LifeTableKey(age, year)
+        res = lt.sample_other_cause_time(banded_table, key, u)
+        assert not res.truncated
+        back = float(lt.pop_cum_hazard(banded_table, key, res.time))
+        assert back == pytest.approx(-math.log1p(-u), rel=1e-10, abs=1e-12)
 
     def test_truncation_flag(self):
         table = build_table(lambda a, y, s: 0.001, range(70, 72), range(2010, 2012), [()], ())

@@ -67,11 +67,8 @@ class TestPointCurves:
             year=[2012.0, 2012.0],
             strata=((), ()),
         )
-        crafted = dataclasses.replace(
-            fit_classical,
-            params=mdl.GHParams(PGWParams(1.0, 1.0, 1.0), np.zeros(0), np.array([5.0, 0.0])),
-            frailty=mdl.FrailtySpec("none"),
-        )
+        # unit exponential baseline (log sigma = log nu = log gamma = 0), beta = (5, 0)
+        crafted = dataclasses.replace(fit_classical, psi=np.array([0.0, 0.0, 0.0, 5.0, 0.0]))
         curve = ns.population_net_survival(data, crafted, np.array([0.0, 2.0, 4.0]))
         assert curve.estimate[0] == 1.0
         np.testing.assert_allclose(curve.estimate[1:], 0.5, atol=1e-6)
@@ -110,7 +107,8 @@ class TestPointCurves:
         # Jensen: for identical excess-hazard parameters, averaging over the
         # frailty can only raise net survival
         with_frailty = dataclasses.replace(
-            fit_classical, frailty=mdl.FrailtySpec("gamma", 0.7)
+            fit_classical, spec=inf.ModelSpec("pgw", "gamma"),
+            psi=np.append(fit_classical.psi, math.log(0.7)),
         )
         base = ns.population_net_survival(cohort, fit_classical)
         mixed = ns.population_net_survival(cohort, with_frailty)
@@ -186,6 +184,6 @@ class TestMonteCarloBands:
             ns.net_survival_mc_ci(cohort, fit_gamma, draws=50, seed=1)
         with pytest.raises(ValueError, match="level"):
             ns.net_survival_mc_ci(cohort, fit_gamma, level=0.0, seed=1)
-        broken = dataclasses.replace(fit_gamma, se_valid=False)
+        broken = dataclasses.replace(fit_gamma, covariance=None)
         with pytest.raises(ValueError, match="covariance"):
             ns.net_survival_mc_ci(cohort, broken, seed=1)

@@ -73,6 +73,11 @@ class TestScenarios:
                 (0.5, 1.5, 5.0), (0.7, 0.7, 0.5), (1.0,))))
         with pytest.raises(ValueError):
             sim.Scenario(frailty_family="weird")
+        for bad_b in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"frailty variance .*got {bad_b!r}"):
+                sim.Scenario(frailty_b=bad_b)
+        with pytest.raises(ValueError, match="lognormal baseline needs \\(mu, sd\\)"):
+            sim.Scenario(baseline="lognormal")
         with pytest.raises(ValueError):
             sim.Scenario(dropout_rate=-0.1)
         with pytest.raises(ValueError):
