@@ -765,29 +765,26 @@ def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
 
 # -- scenario files --------------------------------------------------------------
 
-def _fmt_floats(values) -> str:
-    return ", ".join(repr(float(v)) for v in values)
+def _fmt_floats(values, sep: str = ", ") -> str:
+    return sep.join(repr(float(v)) for v in values)
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_floats(text: str, sep: str = ",") -> tuple:
+    return tuple(float(v) for v in text.split(sep) if v.strip())
 
 
 def save_scenario(path, s) -> None:
-    """Write a scenario to an INI file (round-trips with :func:`load_scenario`).
+    """Write any scenario to an INI file (round-trips with :func:`load_scenario`).
 
-    One truth group is written as ``kind = aim1`` with ``[truth]`` and
-    ``[covariates]`` sections; two as ``kind = aim2`` with a ``[groups]``
-    section of covariate probabilities and a ``[truth.<group>]`` section per
-    group, a form that implies a PGW baseline without frailty.
+    ``[truth]`` holds the baseline family and the frailty law the truth
+    groups share.  One group's ``theta``/``alpha``/``beta`` are written in
+    ``[truth]`` too; two groups get one ``[truth.<label>]`` section each,
+    labelled as in :attr:`Scenario.group_labels`.  ``[covariates]`` lists
+    each binary as ``name:p``, or ``name:p0/p1`` for a per-group pair.
     """
-    two = len(s.groups) == 2
-    if two and (s.baseline, s.frailty_family) != ("pgw", "none"):
-        raise ValueError("a two-group scenario file holds a PGW baseline without frailty")
     share, target = s.censoring_target
     cp = configparser.ConfigParser()
     cp["scenario"] = {
-        "kind": "aim2" if two else "aim1",
         "name": s.name,
         "n": str(s.n),
         "replicates": str(s.M),
@@ -799,26 +796,18 @@ def save_scenario(path, s) -> None:
         f"{share}_target": repr(float(target)),
     }
     cp["age"] = {
-        "bounds": ", ".join(f"{repr(lo)}:{repr(hi)}" for lo, hi in s.age_mixture.bounds),
+        "bounds": ", ".join(_fmt_floats(band, ":") for band in s.age_mixture.bounds),
         "probs": _fmt_floats(s.age_mixture.probs),
     }
     truths = [{"theta": _fmt_floats(g.theta), "alpha": _fmt_floats(g.alpha),
                "beta": _fmt_floats(g.beta)} for g in s.groups]
-    if two:
-        gcol, p_group = s.binary_probs[0]
-        cp["groups"] = {f"p_{gcol}1": repr(float(p_group))}
-        for name, p in s.binary_probs[1:]:
-            p0, p1 = p if isinstance(p, tuple) else (p, p)
-            cp["groups"][f"p_{name}_{gcol}1"] = repr(float(p1))
-            cp["groups"][f"p_{name}_{gcol}0"] = repr(float(p0))
-        for g in (1, 0):
-            cp[f"truth.{gcol}{g}"] = truths[g]
-    else:
-        cp["truth"] = {"baseline": s.baseline, **truths[0],
-                       "frailty": s.frailty_family, "b": repr(float(s.frailty_b))}
-        cp["covariates"] = {
-            "binary": ", ".join(f"{name}:{repr(float(p))}" for name, p in s.binary_probs),
-        }
+    one = len(s.groups) == 1
+    cp["truth"] = {"baseline": s.baseline, **(truths[0] if one else {}),
+                   "frailty": s.frailty_family, "b": repr(float(s.frailty_b))}
+    if not one:
+        cp.read_dict({f"truth.{label}": t for label, t in zip(s.group_labels, truths)})
+    cp["covariates"] = {"binary": ", ".join(f"{name}:{_fmt_floats(np.atleast_1d(p), '/')}"
+                                            for name, p in s.binary_probs)}
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
@@ -840,34 +829,9 @@ def load_scenario(path) -> Scenario:
             raise ValueError(f"{path}: [{section}] is missing key {key!r}")
         return cp[section][key].strip()
 
-    def truth(section: str) -> TruthGroup:
-        return TruthGroup(*(_parse_floats(get(section, key))
-                            for key in ("theta", "alpha", "beta")))
-
-    kind = get("scenario", "kind")
-    if kind == "aim1":
-        binary = [(item.split(":")[0].strip(), float(item.split(":")[1]))
-                  for item in get("covariates", "binary").split(",") if item.strip()]
-        model = dict(baseline=get("truth", "baseline"), groups=(truth("truth"),),
-                     frailty_family=get("truth", "frailty"),
-                     frailty_b=float(get("truth", "b")))
-    elif kind == "aim2":
-        # [groups] opens with p_<grouping covariate>1; each later binary then
-        # has p_<name>_<grouping covariate>1 and p_<name>_<grouping covariate>0
-        keys = list(cp["groups"]) if "groups" in cp else []
-        gcol = keys[0][2:-1] if keys else "<group>"
-        binary = [(gcol, float(get("groups", f"p_{gcol}1")))]
-        for key in keys[1:]:
-            if key.endswith(f"_{gcol}1"):
-                pair = (float(get("groups", key[:-1] + "0")), float(get("groups", key)))
-                binary.append((key[2:-len(gcol) - 2], pair))
-        model = dict(baseline="pgw", frailty_family="none", frailty_b=0.0,
-                     groups=(truth(f"truth.{gcol}0"), truth(f"truth.{gcol}1")))
-    else:
-        raise ValueError(f"{path}: unknown scenario kind {kind!r} (expected aim1 or aim2)")
-    share = "censoring" if "censoring_target" in cp["scenario"] else "dropout"
     dropout = get("scenario", "dropout_rate")
-    return Scenario(
+    share = "censoring" if "censoring_target" in cp["scenario"] else "dropout"
+    fields = dict(
         name=get("scenario", "name"),
         n=int(get("scenario", "n")),
         M=int(get("scenario", "replicates")),
@@ -878,10 +842,19 @@ def load_scenario(path) -> Scenario:
         censoring_target=(share, float(get("scenario", f"{share}_target"))),
         life_table=get("scenario", "life_table"),
         age_mixture=AgeMixture(
-            bounds=tuple(tuple(float(v) for v in pair.split(":"))
-                         for pair in get("age", "bounds").split(",")),
+            bounds=tuple(_parse_floats(band, ":") for band in get("age", "bounds").split(",")),
             probs=_parse_floats(get("age", "probs")),
         ),
-        binary_probs=tuple(binary),
-        **model,
+        baseline=get("truth", "baseline"),
+        frailty_family=get("truth", "frailty"),
+        frailty_b=float(get("truth", "b")),
     )
+    items = [item.split(":") for item in get("covariates", "binary").split(",") if item.strip()]
+    probs = [_parse_floats(p, "/") for _, p in items]
+    binary = tuple((name.strip(), p if len(p) > 1 else p[0]) for (name, _), p in zip(items, probs))
+    # two groups are labelled by the first binary, as in Scenario.group_labels
+    two = [f"truth.{name}{g}" for name, _ in binary[:1] for g in (0, 1)]
+    sections = two if any(sec.startswith("truth.") for sec in cp) else ["truth"]
+    keys = ("theta", "alpha", "beta")
+    groups = tuple(TruthGroup(*(_parse_floats(get(sec, key)) for key in keys)) for sec in sections)
+    return Scenario(**fields, binary_probs=binary, groups=groups)

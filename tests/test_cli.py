@@ -288,6 +288,23 @@ class TestSimulate:
         assert code == 3
         assert "[scenario] is missing key 'n'" in capsys.readouterr().err
 
+    def test_retired_two_group_layout_is_an_input_error(self, tmp_path, capsys):
+        old = tmp_path / "old.ini"
+        old.write_text(
+            "[scenario]\nkind = aim2\nname = two-group-2\nn = 800\nreplicates = 1\n"
+            "seed = 606\nadmin_censor = 5.0\nyear = 2012.0\ndropout_rate = auto\n"
+            "life_table = builtin:synthetic\ncensoring_target = 0.65\n\n"
+            "[age]\nbounds = 30.0:65.0, 65.0:75.0, 75.0:85.0\nprobs = 0.25, 0.35, 0.4\n\n"
+            "[groups]\np_sex1 = 0.6\np_x1_sex1 = 0.8\np_x1_sex0 = 0.4\n\n"
+            "[truth.sex1]\ntheta = 0.5, 1.5, 5.0\nalpha = 0.7, 0.7, 0.5\nbeta = 1.0, 0.5, 1.0\n\n"
+            "[truth.sex0]\ntheta = 0.5, 1.5, 0.75\nalpha = 0.7, 0.7, 0.25\n"
+            "beta = 0.5, 0.5, 0.25\n",
+            encoding="utf-8",
+        )
+        code = cli.main(["simulate", "--scenario", str(old), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "missing [truth] section" in capsys.readouterr().err
+
     def test_scenario_owns_the_seed(self, scenario_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([
@@ -323,6 +340,23 @@ class TestBench:
         lines = (out / "aim2_summary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 10  # 6 pooled + 4 stratified rows
         assert (out / "aim2_curves.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["gamma", "lognormal"])
+    def test_two_group_scenarios_beyond_pgw_without_frailty(self, tmp_path, variant):
+        s = sim.two_group_scenario(2, n=400, M=2, seed=606)
+        if variant == "gamma":
+            s = dataclasses.replace(s, frailty_family="gamma", frailty_b=0.5)
+        else:
+            s = dataclasses.replace(s, baseline="lognormal", groups=(
+                sim.TruthGroup((0.3, 0.9), (0.7, 0.7, 0.25), (0.5, 0.5, 0.25)),
+                sim.TruthGroup((-0.5, 0.4), (0.7, 0.7, 0.5), (1.0, 0.5, 1.0))))
+        scen = tmp_path / "two.ini"
+        sim.save_scenario(scen, s)
+        assert cli.main(["simulate", "--scenario", str(scen), "--replicate", "1",
+                         "--out", str(tmp_path / "sim")]) == 0
+        assert datasets.load_patient_csv(tmp_path / "sim" / "cohort.csv").n == 400
+        assert cli.main(["bench", "--scenario", str(scen), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "aim2_summary.csv").exists()
 
     def test_full_flag_warns_before_launch(self, tmp_path, capsys, monkeypatch):
         scen = tmp_path / "mini.ini"

@@ -137,8 +137,18 @@ class TestScenarioFiles:
             ),
             sim.two_group_scenario(1),
             sim.two_group_scenario(2, n=800, M=5, seed=77),
+            dataclasses.replace(sim.two_group_scenario(2), frailty_family="gamma",
+                                frailty_b=0.5),
+            dataclasses.replace(
+                sim.two_group_scenario(1),
+                baseline="lognormal",
+                groups=(sim.TruthGroup((0.3, 0.9), (0.7, 0.7, 0.25), (0.5, 0.5, 0.25)),
+                        sim.TruthGroup((-0.5, 0.4), (0.7, 0.7, 0.5), (1.0, 0.5, 1.0))),
+                binary_probs=(("sex", 0.6), ("x1", 0.3)),
+            ),
         ],
-        ids=["sc1", "sc1-small", "sc1-null", "fixed-dropout", "standin", "two1", "two2"],
+        ids=["sc1", "sc1-small", "sc1-null", "fixed-dropout", "standin", "two1", "two2",
+             "two-gamma", "two-lognormal"],
     )
     def test_round_trip(self, tmp_path, scenario):
         path = tmp_path / "scenario.ini"
@@ -150,8 +160,8 @@ class TestScenarioFiles:
         path.write_text("[other]\nx = 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="scenario"):
             sim.load_scenario(path)
-        path.write_text("[scenario]\nkind = nope\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="kind"):
+        path.write_text("[scenario]\nname = x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"\[scenario\] is missing key"):
             sim.load_scenario(path)
 
     def _saved_without(self, tmp_path, scenario, section, key=None):
@@ -176,20 +186,19 @@ class TestScenarioFiles:
         "scenario, section, key",
         [
             (sim.sc1_scenario(), "scenario", "n"),
-            (sim.two_group_scenario(2), "groups", "p_x1_sex0"),
+            (sim.two_group_scenario(2), "truth.sex0", "theta"),
         ],
-        ids=["n", "group-probability"],
+        ids=["n", "group-theta"],
     )
     def test_missing_key_is_named(self, tmp_path, scenario, section, key):
         path = self._saved_without(tmp_path, scenario, section, key)
         with pytest.raises(ValueError, match=rf"\[{section}\] is missing key '{key}'"):
             sim.load_scenario(path)
 
-    def test_two_group_file_needs_pgw_without_frailty(self, tmp_path):
-        s = dataclasses.replace(sim.two_group_scenario(2), frailty_family="gamma",
-                                frailty_b=0.5)
-        with pytest.raises(ValueError, match="PGW baseline without frailty"):
-            sim.save_scenario(tmp_path / "s.ini", s)
+    def test_missing_group_section_is_named(self, tmp_path):
+        path = self._saved_without(tmp_path, sim.two_group_scenario(2), "truth.sex0")
+        with pytest.raises(ValueError, match=r"missing \[truth\.sex0\] section"):
+            sim.load_scenario(path)
 
 
 class TestCohorts:
