@@ -371,6 +371,9 @@ class _FitContext:
     """Precomputed per-dataset arrays shared by every objective evaluation."""
 
     def __init__(self, data: Dataset, table: lt.LifeTable, baseline: str, frailty: str):
+        if data.stratum_names != table.stratum_schema:
+            raise ValueError(f"stratum columns {data.stratum_names} do not match the life "
+                             f"table's stratum schema {table.stratum_schema}")
         self.fam = get_family(baseline)
         self.frailty = frailty
         self.t = data.time

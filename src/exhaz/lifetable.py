@@ -206,10 +206,7 @@ def load_life_table(source) -> LifeTable:
         entries[key] = rate
     if header is None or not entries:
         raise LifeTableError("life-table file contains no data rows")
-    try:
-        return LifeTable.from_entries(entries, stratum_schema)
-    except LifeTableError as exc:
-        raise LifeTableError(str(exc)) from None
+    return LifeTable.from_entries(entries, stratum_schema)
 
 
 def pop_hazard(table: LifeTable, key: LifeTableKey, t):

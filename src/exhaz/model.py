@@ -136,10 +136,6 @@ class CovariateMapping:
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate column in {label} mapping: {names}")
 
-    @property
-    def w_subset_of_x(self) -> bool:
-        return set(self.w_names) <= set(self.x_names)
-
 
 @dataclass(frozen=True, eq=False)
 class GHParams:

@@ -61,10 +61,6 @@ class NetSurvivalCurve:
         if np.any(est < 0.0) or np.any(est > 1.0):
             raise ValueError("net survival estimates must lie in [0, 1]")
 
-    @property
-    def has_bands(self) -> bool:
-        return self.lower is not None and self.upper is not None
-
 
 def _validate_grid(data: Dataset, grid) -> np.ndarray:
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -85,12 +81,6 @@ def _validate_grid(data: Dataset, grid) -> np.ndarray:
 def _as_mask(data: Dataset, selector) -> np.ndarray:
     if selector is None:
         return np.ones(data.n, dtype=bool)
-    if callable(selector):  # called with each row as a name -> value mapping
-        columns = data.columns()
-        columns.update(zip(data.stratum_names, zip(*data.strata)))
-        columns.update(age=data.age, year=data.year)
-        return np.array([bool(selector({name: col[i] for name, col in columns.items()}))
-                         for i in range(data.n)])
     mask = np.asarray(selector, dtype=bool)
     if mask.shape != (data.n,):
         raise ValueError("selector mask length does not match the dataset")
@@ -131,9 +121,8 @@ def subgroup_net_survival(data: Dataset, fit: FitResult, grid=None, selector=Non
                           label: str = "subgroup") -> NetSurvivalCurve:
     """Average net survival restricted to the rows picked by ``selector``.
 
-    ``selector`` is either a boolean mask of length n or a predicate applied
-    to a per-record mapping of covariate, extra, stratum, age and year values;
-    ``None`` picks every row.
+    ``selector`` is a boolean mask of length n (e.g. ``data.extras["stage"]
+    == "I"``); ``None`` picks every row.
     """
     grid, x, w = _selected_rows(data, grid, selector)
     values = _curve_values(x, w, grid, fit.params, fit.frailty)
@@ -149,7 +138,8 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, level: float = 
     transformed scale; each draw's curve is recomputed and the bands are the
     empirical (1-level)/2 and (1+level)/2 quantiles per grid point.  Draws
     producing non-finite curves are rejected and resampled, up to ten times
-    the requested count.
+    the requested count.  ``selector`` restricts the curve to a subgroup as
+    in :func:`subgroup_net_survival`.
     """
     if not fit.se_valid:
         raise ValueError("fit has no valid covariance; Monte-Carlo bands unavailable")

@@ -69,6 +69,19 @@ class TestFit:
         assert code == 3
         assert "bogus" in capsys.readouterr().err
 
+    def test_stratum_column_must_match_the_table(self, inputs, tmp_path, capsys):
+        lines = inputs["data"].read_text().splitlines(True)
+        assert lines[0].rstrip("\n").endswith(",sex")
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(lines[0].replace(",sex\n", ",region\n") + "".join(lines[1:]))
+        code = cli.main([
+            "fit", "--data", str(renamed), "--lifetable", str(inputs["table"]),
+            "--x", "agec", "--w", "agec", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert "('region',) do not match the life table's stratum schema ('sex',)" in (
+            capsys.readouterr().err)
+
     def test_rerun_is_byte_identical(self, inputs, tmp_path):
         args = [
             "fit", "--data", str(inputs["data"]), "--lifetable", str(inputs["table"]),

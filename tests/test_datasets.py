@@ -252,7 +252,7 @@ class TestStageSubgroupBands:
         grid = np.array([0.0, 1.0, 2.0])
         curve = ns.net_survival_mc_ci(
             data, res, grid, draws=400, seed=7,
-            selector=lambda rec: rec["stage"] == "I",
+            selector=data.extras["stage"] == "I",
         )
         width = curve.upper - curve.lower
         assert width[0] == 0.0

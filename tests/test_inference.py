@@ -315,6 +315,11 @@ class TestFit:
         with pytest.raises(ValueError, match="mapping"):
             inf.fit(data, zero_table, bad_map)
 
+    def test_stratum_columns_must_match_the_table(self, sex_table):
+        data = dataclasses.replace(random_dataset(40, 1, 0, seed=3), stratum_names=("region",))
+        with pytest.raises(ValueError, match=r"\('region',\) do not match .* \('sex',\)"):
+            inf.fit(data, sex_table, inf.ModelSpec("pgw", "none"))
+
     @pytest.mark.parametrize("baseline, frailty, se_valid", [
         ("pgw", "gamma", True),
         ("lognormal", "ig", True),

@@ -66,12 +66,6 @@ class TestSpecs:
         with pytest.raises(ValueError, match="duplicate"):
             mdl.CovariateMapping(x_names=("age", "age"), w_names=())
 
-    def test_mapping_subset_flag(self):
-        m = mdl.CovariateMapping(x_names=("a", "b", "c"), w_names=("b",))
-        assert m.w_subset_of_x
-        m2 = mdl.CovariateMapping(x_names=("a",), w_names=("z",))
-        assert not m2.w_subset_of_x
-
     def test_gh_params_finite(self):
         with pytest.raises(ValueError, match="finite"):
             mdl.GHParams(PGWParams(1, 1, 1), alpha=[np.inf], beta=[0.0])
