@@ -136,8 +136,11 @@ def lognormal_quantile(q, p: LogNormalParams):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("quantile requires q >= 0")
+    # beyond the median 1 - e^{-q} nears 1, so invert the survival e^{-q} instead
     with np.errstate(divide="ignore"):  # ndtri(0) = -inf gives t = 0 at q = 0
-        return np.exp(p.mu + p.sd * special.ndtri(-np.expm1(-q)))
+        z = np.where(q >= math.log(2.0), -special.ndtri(np.exp(-q)),
+                     special.ndtri(-np.expm1(-q)))
+    return np.exp(p.mu + p.sd * z)
 
 
 class _Family:

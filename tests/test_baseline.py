@@ -115,7 +115,7 @@ class TestLogNormal:
     def test_quantile_round_trip(self, mu, sd, t):
         p = bl.LogNormalParams(mu, sd)
         q = bl.lognormal_cum_hazard(t, p)
-        assert bl.lognormal_quantile(q, p) == pytest.approx(t, rel=1e-7)
+        assert bl.lognormal_quantile(q, p) == pytest.approx(t, rel=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
