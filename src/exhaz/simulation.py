@@ -816,7 +816,7 @@ def load_scenario(path) -> Scenario:
     """Read a scenario INI file in the form :func:`save_scenario` writes.
 
     Every section and key is required; a missing one raises ``ValueError``
-    naming it.
+    naming it.  ``[truth.<label>]`` sections mark a two-group file.
     """
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
@@ -851,7 +851,7 @@ def load_scenario(path) -> Scenario:
     )
     items = [item.split(":") for item in get("covariates", "binary").split(",") if item.strip()]
     probs = [_parse_floats(p, "/") for _, p in items]
-    binary = tuple((name.strip(), p if len(p) > 1 else p[0]) for (name, _), p in zip(items, probs))
+    binary = tuple((name.strip(), p if len(p) != 1 else p[0]) for (name, _), p in zip(items, probs))
     # two groups are labelled by the first binary, as in Scenario.group_labels
     two = [f"truth.{name}{g}" for name, _ in binary[:1] for g in (0, 1)]
     sections = two if any(sec.startswith("truth.") for sec in cp) else ["truth"]
