@@ -32,13 +32,11 @@ grid = np.linspace(0.0, 5.0, 6)
 hp = pop_cum_hazard(table, key, grid)
 print("background survival:", np.round(np.exp(-hp), 4))
 
-# 3 - sampling an other-cause death time by inverting the diagonal hazard
+# 3 - sampling other-cause death times by inverting the diagonal hazard
 rng = np.random.default_rng(7)
-draws = []
-for u in rng.random(10_000):
-    res = sample_other_cause_time(table, key, float(u))
-    if not res.truncated:  # truncated = alive at the end of table support
-        draws.append(res.time)
+times = sample_other_cause_time(table, np.full(10_000, key.age), key.year,
+                                [key.stratum] * 10_000, rng.random(10_000))
+draws = times[np.isfinite(times)]  # +inf = alive at the end of table support
 share = 1 - len(draws) / 10_000
 print(f"sampled 10000 subjects aged {key.age}: "
       f"{share:.1%} outlive the table horizon")

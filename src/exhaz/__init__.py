@@ -29,7 +29,6 @@ from .inference import (
 from .lifetable import (
     LifeTable,
     LifeTableKey,
-    OtherCauseTime,
     load_life_table,
     sample_other_cause_time,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "ModelSpec",
     "NetSurvivalCurve",
     "OptimizerOptions",
-    "OtherCauseTime",
     "PGWParams",
     "PerformanceTable",
     "Scenario",

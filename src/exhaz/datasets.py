@@ -149,7 +149,7 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
 
     year = 2012.0
     strata = tuple((str(int(s)),) for s in sex)
-    t_bg = lt.sample_other_cause_times(table, age, year, strata, rng.random(n))
+    t_bg = lt.sample_other_cause_time(table, age, year, strata, rng.random(n))
     t_death = np.minimum(t_event, t_bg)
     censor = np.minimum(rng.exponential(1.0 / 0.03, size=n), 5.0)
     time = np.maximum(np.minimum(t_death, censor), 1e-12)

@@ -5,6 +5,10 @@ grid of 1-year age bands, 1-year calendar bands, and optional demographic
 strata (e.g. sex).  Lookups use attained age and attained calendar year with
 floor semantics, clamping at the table edges.
 
+One vectorised sampler, :func:`sample_other_cause_time`, inverts many subjects'
+cumulative hazards at once.  A draw past the table's declared coverage becomes
+``+inf``; simulated cohorts refuse follow-up that outlives the coverage.
+
 CSV format: header ``age,year,<stratum columns...>,rate``; one row per grid
 cell; lines starting with ``#`` are comments.
 """
@@ -14,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
+
+_BLOCK = 1024  # subjects per sampling block; bounds the knot matrices' memory
 
 
 class LifeTableError(ValueError):
@@ -30,11 +35,6 @@ class LifeTableKey:
     age: float
     year: float
     stratum: tuple[str, ...] = ()
-
-
-class OtherCauseTime(NamedTuple):
-    time: float
-    truncated: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,42 +119,37 @@ class LifeTable:
         yi = np.clip(np.floor(years).astype(np.intp), y0, y1) - y0
         return self._grid[ai, yi, codes]
 
-    def support_horizon(self, key: LifeTableKey) -> float:
-        """Follow-up time after which the table's declared coverage is exhausted."""
-        return max(
-            min(self.age_range[1] + 1 - key.age, self.year_range[1] + 1 - key.year), 0.0
-        )
+    def _segment_rows(self, ages, years, codes, stop):
+        """Piecewise-constant rate segments of t -> rate(age+t, year+t, code), one row each.
 
-    def _segments(self, key: LifeTableKey):
-        """Piecewise-constant rate segments of t -> rate(age+t, year+t, stratum).
-
-        Returns ``(knots, cum_hazard_at_knots, segment_rates)``; the final knot
-        is the time after which the (clamped) rate stays constant forever.
+        Row i's knots are 0, each band-edge crossing of its age or year, and the
+        time after which both are clamped (then the corner rate applies), up
+        to its second knot at or past ``stop[i]``.  Returns ``(knots, cum,
+        rates, count)``; columns past ``count[i]`` repeat row i's last knot.
         """
-        code = self.stratum_code(key.stratum)
-        end = max(
-            self.age_range[1] + 1 - key.age, self.year_range[1] + 1 - key.year, 0.0
-        )
-        points = {0.0, end}
-        for start in (key.age, key.year):
-            first = math.floor(start) + 1 - start
-            points.update(np.arange(first, end, 1.0).tolist())
-        knots = np.array(sorted(p for p in points if 0.0 <= p <= end))
-        if len(knots) < 2:
-            knots = np.array([0.0])
-            rates = np.empty(0)
-        else:
-            mids = (knots[:-1] + knots[1:]) / 2.0
-            rates = self.rates_at(key.age + mids, key.year + mids, code)
-        cum = np.concatenate(([0.0], np.cumsum(rates * np.diff(knots))))
-        return knots, cum, rates
-
-    def _tail_rate(self, key: LifeTableKey) -> float:
-        """Clamped constant rate applying beyond the last segment knot."""
-        code = self.stratum_code(key.stratum)
-        return float(
-            self.rates_at(self.age_range[1] + 1.0, self.year_range[1] + 1.0, code)
-        )
+        ages, years, codes, stop = np.broadcast_arrays(ages, years, codes, stop)
+        end = np.maximum(np.maximum(self.age_range[1] + 1 - ages, self.year_range[1] + 1 - years), 0)
+        col = np.arange(int(np.ceil(min(end.max(), stop.max()))) + 3)
+        parts = [np.zeros((len(ages), 1)), end[:, None]]
+        for start in (ages, years):
+            first = (np.floor(start) + 1 - start)[:, None]
+            # first + i * ((first + 1) - first) is how np.arange(first, end, 1.0)
+            # fills, which differs from first + i for ages below 1
+            seq = first + col * ((first + 1.0) - first)
+            seq[(col >= np.ceil(end[:, None] - first)) | (seq > end[:, None])] = np.inf
+            parts.append(seq)
+        knots = np.sort(np.concatenate(parts, axis=1), axis=1)
+        knots[:, 1:][knots[:, 1:] == knots[:, :-1]] = np.inf  # drop exact repeats
+        knots.sort(axis=1)
+        count = np.minimum(np.isfinite(knots).sum(axis=1),
+                           (knots < stop[:, None]).sum(axis=1) + 2)
+        cols = np.minimum(np.arange(max(count.max(), 2)), count[:, None] - 1)
+        knots = np.take_along_axis(knots, cols, axis=1)
+        mids = (knots[:, :-1] + knots[:, 1:]) / 2.0
+        rates = self.rates_at(ages[:, None] + mids, years[:, None] + mids, codes[:, None])
+        steps = np.cumsum(rates * np.diff(knots, axis=1), axis=1)
+        cum = np.concatenate((np.zeros((len(ages), 1)), steps), axis=1)
+        return knots, cum, rates, count
 
 
 def load_life_table(source) -> LifeTable:
@@ -223,51 +218,55 @@ def pop_cum_hazard(table: LifeTable, key: LifeTableKey, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("pop_cum_hazard requires t >= 0")
-    knots, cum, _ = table._segments(key)
+    code = table.stratum_code(key.stratum)
+    knots, cum, _, count = table._segment_rows(np.array([key.age]), key.year, code, np.inf)
+    knots, cum = knots[0, :count[0]], cum[0, :count[0]]
     out = np.interp(t, knots, cum)
     beyond = t > knots[-1]
     if np.any(beyond):
-        out = np.where(beyond, cum[-1] + table._tail_rate(key) * (t - knots[-1]), out)
+        out = np.where(beyond, cum[-1] + table._grid[-1, -1, code] * (t - knots[-1]), out)
     return out
 
 
-def sample_other_cause_time(table: LifeTable, key: LifeTableKey, u) -> OtherCauseTime:
-    """Invert the background cumulative hazard at target ``-log(1-u)``.
+def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u) -> np.ndarray:
+    """Other-cause death times of subjects diagnosed in calendar ``year``, one draw ``u`` each.
 
-    Returns the exact solution of ``pop_cum_hazard(t) = -log(1-u)``; if the
-    table's declared coverage ends first, returns the coverage horizon with
-    ``truncated=True``.
+    Each time solves ``pop_cum_hazard(t) = -log(1-u)`` exactly.  A draw that
+    outlives the table's declared coverage (until age or year leaves its last
+    band) becomes ``+inf``; simulated cohorts keep follow-up inside coverage.
     """
-    if not (0.0 < u < 1.0):
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-    target = -math.log1p(-u)
-    knots, cum, rates = table._segments(key)
-    horizon = table.support_horizon(key)
-    max_cum = float(np.interp(horizon, knots, cum))
-    if target > max_cum or horizon == 0.0:
-        return OtherCauseTime(horizon, True)
-    idx = int(np.searchsorted(cum, target, side="right")) - 1
-    idx = min(max(idx, 0), len(rates) - 1)
-    remaining = target - cum[idx]
-    if rates[idx] > 0.0:
-        t = knots[idx] + remaining / rates[idx]
-    else:
-        t = knots[idx]
-    return OtherCauseTime(min(float(t), horizon), False)
-
-
-def sample_other_cause_times(table: LifeTable, ages, year: float, strata, u) -> np.ndarray:
-    """Other-cause death times of subjects diagnosed in calendar ``year``,
-    one uniform draw ``u`` each.
-
-    A draw truncated by the table's declared coverage becomes ``+inf``:
-    callers keep their follow-up inside the coverage, so the substitution
-    never reaches observed data.
-    """
+    # math.log1p, not np.log1p, which differs from it in the last bit on some u
+    target = np.array([-math.log1p(-v) for v in u.tolist()])
+    ages = np.asarray(ages, dtype=float)
+    codes = table.stratum_codes(strata)
     out = np.empty(len(u))
-    for i in range(len(u)):
-        res = sample_other_cause_time(
-            table, LifeTableKey(float(ages[i]), float(year), strata[i]), float(u[i])
-        )
-        out[i] = math.inf if res.truncated else res.time
+    for lo in range(0, len(u), _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        out[b] = _invert_rows(table, ages[b], year, codes[b], target[b])
     return out
+
+
+def _invert_rows(table, ages, year, codes, target) -> np.ndarray:
+    """Solve each row's cumulative hazard for ``target`` within the table's coverage."""
+    horizon = np.maximum(
+        np.minimum(table.age_range[1] + 1 - ages, table.year_range[1] + 1 - year), 0.0)
+    knots, cum, rates, count = table._segment_rows(ages, year, codes, horizon)
+    rows = np.arange(len(ages))
+    # cumulative hazard at the horizon, by np.interp's arithmetic
+    j = np.minimum((knots <= horizon[:, None]).sum(axis=1), count) - 1
+    nxt = np.minimum(j + 1, count - 1)
+    xj, yj = knots[rows, j], cum[rows, j]
+    dx = np.where(nxt > j, knots[rows, nxt] - xj, 1.0)
+    slope = (cum[rows, nxt] - yj) / dx
+    max_cum = np.where(xj == horizon, yj, slope * (horizon - xj) + yj)
+    # the segment holding the target: the last knot with cum <= target,
+    # clamped to the last real segment
+    idx = np.minimum((cum <= target[:, None]).sum(axis=1) - 1, np.maximum(count - 2, 0))
+    rate = rates[rows, idx]
+    step = (target - cum[rows, idx]) / np.where(rate > 0.0, rate, 1.0)
+    t = knots[rows, idx] + np.where(rate > 0.0, step, 0.0)
+    truncated = (target > max_cum) | (horizon == 0.0)
+    return np.where(truncated, np.inf, np.minimum(t, horizon))

@@ -310,11 +310,22 @@ def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
 
 
 def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
-    """Covariates, raw ages, strata, and latent all-cause death times."""
+    """Covariates, raw ages, strata, and latent all-cause death times.
+
+    Follow-up must end inside the life table's coverage: past it the
+    sampler has no other-cause rates and returns ``+inf``.  An all-zero
+    table (background mortality off) has no deaths to lose and is exempt.
+    """
+    top_age = max(hi for _, hi in s.age_mixture.bounds)
+    for name, start, (lo, hi) in (("year", s.year, table.year_range),
+                                  ("top [age] bound", top_age, table.age_range)):
+        if start + s.admin_censor > hi + 1 and table._grid.any():
+            raise ValueError(f"{name} {start:g} + admin_censor {s.admin_censor:g} outlives "
+                             f"the life table's coverage {lo}-{hi + 1}")
     x, age = _draw_covariates(s, rng, n)
     tc = _event_times(s, rng, x)
     strata = _strata_tuples(table, list(s.covariate_names), x, n)
-    tp = lt.sample_other_cause_times(table, age, s.year, strata, rng.random(n))
+    tp = lt.sample_other_cause_time(table, age, s.year, strata, rng.random(n))
     return x, age, strata, np.minimum(tc, tp)
 
 
@@ -773,6 +784,18 @@ def _parse_floats(text: str, sep: str = ",") -> tuple:
     return tuple(float(v) for v in text.split(sep) if v.strip())
 
 
+def _parse_binary(text: str) -> tuple:
+    """``name:p`` or ``name:p0/p1`` items, as ``[covariates] binary`` lists them."""
+    binary = []
+    for item in filter(str.strip, text.split(",")):
+        name, sep, p = item.partition(":")
+        if not sep:
+            raise ValueError(f"expected 'name:p', got {item.strip()!r}")
+        p = _parse_floats(p, "/")
+        binary.append((name.strip(), p if len(p) != 1 else p[0]))
+    return tuple(binary)
+
+
 def save_scenario(path, s) -> None:
     """Write any scenario to an INI file (round-trips with :func:`load_scenario`).
 
@@ -815,46 +838,49 @@ def save_scenario(path, s) -> None:
 def load_scenario(path) -> Scenario:
     """Read a scenario INI file in the form :func:`save_scenario` writes.
 
-    Every section and key is required; a missing one raises ``ValueError``
-    naming it.  ``[truth.<label>]`` sections mark a two-group file.
+    Every section and key is required; a missing one, or a value that does
+    not parse, raises ``ValueError`` naming it.  ``[truth.<label>]``
+    sections mark a two-group file.
     """
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
 
-    def get(section: str, key: str) -> str:
+    def get(section: str, key: str, convert=str):
         if section not in cp:
             raise ValueError(f"{path}: missing [{section}] section")
         if key not in cp[section]:
             raise ValueError(f"{path}: [{section}] is missing key {key!r}")
-        return cp[section][key].strip()
+        try:
+            return convert(cp[section][key].strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
 
-    dropout = get("scenario", "dropout_rate")
+    dropout = get("scenario", "dropout_rate", lambda v: None if v == "auto" else float(v))
     share = "censoring" if "censoring_target" in cp["scenario"] else "dropout"
     fields = dict(
         name=get("scenario", "name"),
-        n=int(get("scenario", "n")),
-        M=int(get("scenario", "replicates")),
-        seed=int(get("scenario", "seed")),
-        admin_censor=float(get("scenario", "admin_censor")),
-        year=float(get("scenario", "year")),
-        dropout_rate=None if dropout == "auto" else float(dropout),
-        censoring_target=(share, float(get("scenario", f"{share}_target"))),
+        n=get("scenario", "n", int),
+        M=get("scenario", "replicates", int),
+        seed=get("scenario", "seed", int),
+        admin_censor=get("scenario", "admin_censor", float),
+        year=get("scenario", "year", float),
+        dropout_rate=dropout,
+        censoring_target=(share, get("scenario", f"{share}_target", float)),
         life_table=get("scenario", "life_table"),
         age_mixture=AgeMixture(
-            bounds=tuple(_parse_floats(band, ":") for band in get("age", "bounds").split(",")),
-            probs=_parse_floats(get("age", "probs")),
+            bounds=get("age", "bounds", lambda v: tuple(
+                (lo, hi) for lo, hi in (_parse_floats(band, ":") for band in v.split(",")))),
+            probs=get("age", "probs", _parse_floats),
         ),
         baseline=get("truth", "baseline"),
         frailty_family=get("truth", "frailty"),
-        frailty_b=float(get("truth", "b")),
+        frailty_b=get("truth", "b", float),
     )
-    items = [item.split(":") for item in get("covariates", "binary").split(",") if item.strip()]
-    probs = [_parse_floats(p, "/") for _, p in items]
-    binary = tuple((name.strip(), p if len(p) != 1 else p[0]) for (name, _), p in zip(items, probs))
+    binary = get("covariates", "binary", _parse_binary)
     # two groups are labelled by the first binary, as in Scenario.group_labels
     two = [f"truth.{name}{g}" for name, _ in binary[:1] for g in (0, 1)]
     sections = two if any(sec.startswith("truth.") for sec in cp) else ["truth"]
     keys = ("theta", "alpha", "beta")
-    groups = tuple(TruthGroup(*(_parse_floats(get(sec, key)) for key in keys)) for sec in sections)
+    groups = tuple(TruthGroup(*(get(sec, key, _parse_floats) for key in keys)) for sec in sections)
     return Scenario(**fields, binary_probs=binary, groups=groups)

@@ -301,6 +301,15 @@ class TestSimulate:
         assert code == 3
         assert "[scenario] is missing key 'n'" in capsys.readouterr().err
 
+    def test_follow_up_past_the_life_table_is_an_input_error(self, tmp_path, capsys):
+        late = tmp_path / "late.ini"
+        sim.save_scenario(late, dataclasses.replace(sim.sc1_scenario(n=120, M=1), year=2018.0))
+        code = cli.main(["simulate", "--scenario", str(late), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "year 2018 + admin_censor 5 outlives the life table's coverage 2010-2020" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o" / "cohort.csv").exists()
+
     def test_retired_two_group_layout_is_an_input_error(self, tmp_path, capsys):
         old = tmp_path / "old.ini"
         old.write_text(

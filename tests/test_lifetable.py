@@ -187,20 +187,59 @@ class TestPopCumHazard:
         assert v5 - v2 == pytest.approx(0.05 * 3.0, rel=1e-12)
 
 
+def steep_table():
+    """Rate 0.5 over ages 0-59 and years 2000-2059: draws end well inside coverage."""
+    return build_table(lambda a, y, s: 0.5, range(0, 60), range(2000, 2060), [()], ())
+
+
+def one_time(table, key, u):
+    """Other-cause time of one subject, by a one-row call of the sampler."""
+    return lt.sample_other_cause_time(table, [key.age], key.year, [key.stratum], [u])[0]
+
+
+# Frozen draws, as float.hex so that a change in the last bit shows.  Each row:
+# table ("sex" is the sex_table fixture), age, year, stratum, u, time.  They
+# cover an integer age (age and year knots coincide), fractional years, ages
+# below 1, horizon 0 (age or year past the table), truncated draws (+inf), u
+# near 0 and near 1, and both strata.  The two rows aged about 0.005 move by one
+# ulp if knots are built as first + i instead of np.arange's fill, or if the
+# target uses np.log1p instead of math.log1p.
+PINNED_DRAWS = [
+    ("sex", 70.0, 2012.0, ("0",), 0.05, "0x1.1e3443d4dd45cp+2"),
+    ("sex", 70.0, 2012.0, ("1",), 0.05, "0x1.4800d2ebdfa59p+2"),
+    ("sex", 63.3, 2011.2, ("1",), 0.05, "0x1.f3942f12d0645p+2"),
+    ("sex", 55.7, 2009.6, ("1",), 1e-12, "0x1.b18b3f260f7c0p-32"),
+    ("sex", 0.3, 2008.9, ("0",), 0.01, "0x1.419c59ef935bbp+2"),
+    ("sex", 98.6, 2010.4, ("1",), 0.1, "0x1.42ac3a9a1cfc8p+0"),
+    ("sex", 81.0, 2013.37, ("0",), 0.1, "0x1.f446d036123acp+1"),
+    ("sex", 100.5, 2012.0, ("0",), 0.5, "inf"),
+    ("sex", 60.0, 2020.5, ("1",), 0.5, "inf"),
+    ("sex", 85.25, 2015.0, ("0",), 0.999, "inf"),
+    ("sex", 0.004776, 2008.9, ("0",), 0.008436, "0x1.0f18dbaf8c384p+2"),
+    ("steep", 0.005167, 2003.25, (), 0.287835, "0x1.5b97a426f4a0ap-1"),
+    ("steep", 12.4, 2000.0, (), 0.999999999, "0x1.4b927f3a57808p+5"),
+    ("steep", 0.7, 2003.25, (), 0.6, "0x1.d5240f0e0e077p+0"),
+    ("steep", 12.4, 2000.0, (), 0.9999999999999999, "inf"),
+]
+
+
 class TestSampleOtherCause:
+    def test_pinned_draws(self, sex_table):
+        tables = {"sex": sex_table, "steep": steep_table()}
+        for name, age, year, stratum, u, expected in PINNED_DRAWS:
+            t = one_time(tables[name], lt.LifeTableKey(age, year, stratum), u)
+            assert t.hex() == expected, (name, age, year, stratum, u)
+
     def test_exponential_inversion(self, flat_table):
         key = lt.LifeTableKey(40.0, 2005.0)
         u = 1.0 - math.exp(-0.1)  # target -log(1-u) = 0.1 under r = 0.02
-        res = lt.sample_other_cause_time(flat_table, key, u)
-        assert not res.truncated
-        assert res.time == pytest.approx(5.0, rel=1e-12)
+        assert one_time(flat_table, key, u) == pytest.approx(5.0, rel=1e-12)
 
     def test_two_band_oracle(self):
         table = two_band_table()
         key = lt.LifeTableKey(70.5, 2012.0)
         u = 1.0 - math.exp(-0.015)
-        res = lt.sample_other_cause_time(table, key, u)
-        assert res.time == pytest.approx(5.0 / 6.0, rel=1e-12)
+        assert one_time(table, key, u) == pytest.approx(5.0 / 6.0, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(age=st.floats(45.0, 55.0), year=st.floats(2005.0, 2015.0),
@@ -209,48 +248,51 @@ class TestSampleOtherCause:
         # coverage of at least 46 years at rates >= 0.08 holds a cumulative
         # hazard above -log(0.03), so no target here is truncated
         key = lt.LifeTableKey(age, year)
-        res = lt.sample_other_cause_time(banded_table, key, u)
-        assert not res.truncated
-        back = float(lt.pop_cum_hazard(banded_table, key, res.time))
+        t = one_time(banded_table, key, u)
+        assert math.isfinite(t)
+        back = float(lt.pop_cum_hazard(banded_table, key, t))
         assert back == pytest.approx(-math.log1p(-u), rel=1e-10, abs=1e-12)
 
     def test_truncation_flag(self):
         table = build_table(lambda a, y, s: 0.001, range(70, 72), range(2010, 2012), [()], ())
         key = lt.LifeTableKey(70.0, 2010.0)
-        res = lt.sample_other_cause_time(table, key, 0.999)  # target ~6.9 >> coverage
-        assert res.truncated
-        assert res.time == pytest.approx(2.0)  # min(72-70, 2012-2010)
+        # target ~6.9 >> the min(72-70, 2012-2010) = 2 years of coverage
+        assert one_time(table, key, 0.999) == math.inf
+        assert one_time(table, key, 0.001) < 2.0
 
-    def test_many_subjects_match_one_at_a_time(self):
-        # ages 70-71 at 2010-2011 leave at most 2 years of coverage; u = 0.999
-        # truncates, and the vector form reports that draw as +inf
-        table = build_table(lambda a, y, s: 0.05 * (a - 69), range(70, 72),
-                            range(2010, 2012), [("0",), ("1",)], ("sex",))
-        ages, strata = [70.0, 70.5, 71.2], [("0",), ("1",), ("0",)]
-        u = [0.01, 0.05, 0.999]
-        times = lt.sample_other_cause_times(table, ages, 2010.0, strata, u)
-        for age, stratum, ui, t in zip(ages, strata, u, times):
-            res = lt.sample_other_cause_time(
-                table, lt.LifeTableKey(age, 2010.0, stratum), ui)
-            assert t == (math.inf if res.truncated else res.time)
-        assert np.isfinite(times[:2]).all() and times[2] == math.inf
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           year=st.floats(2005.0, 2021.0))
+    def test_many_subjects_match_one_at_a_time(self, sex_table, n, seed, year):
+        # n beyond the 1,024-row sampling block crosses a block edge; ages and
+        # years run past the table, so truncated draws (+inf) and horizon-0
+        # subjects are included
+        rng = np.random.default_rng(seed)
+        ages = rng.uniform(0.0, 105.0, n)
+        ages[::7] = np.floor(ages[::7])
+        strata = [(str(v),) for v in rng.integers(0, 2, n)]
+        u = rng.random(n)
+        times = lt.sample_other_cause_time(sex_table, ages, year, strata, u)
+        one = [lt.sample_other_cause_time(sex_table, ages[i:i + 1], year, strata[i:i + 1],
+                                          u[i:i + 1])[0] for i in range(n)]
+        assert times.tobytes() == np.array(one).tobytes()
 
     def test_empirical_distribution_constant_rate(self):
         # rate 0.5 over 60 years of coverage: cumulative hazard reaches 30,
         # so no uniform draw from a 53-bit generator can hit the horizon
-        table = build_table(lambda a, y, s: 0.5, range(0, 60), range(2000, 2060), [()], ())
-        key = lt.LifeTableKey(0.0, 2000.0)
+        table = steep_table()
         rng = np.random.default_rng(12)
-        draws = np.array(
-            [lt.sample_other_cause_time(table, key, u).time for u in rng.uniform(
-                1e-12, 1.0, size=100_000)]
-        )
+        n = 100_000
+        draws = lt.sample_other_cause_time(table, np.zeros(n), 2000.0, [()] * n,
+                                           rng.uniform(1e-12, 1.0, size=n))
         stat = stats.kstest(draws, lambda x: 1.0 - np.exp(-0.5 * x)).statistic
         crit_1pct = 1.63 / math.sqrt(draws.size)
         assert stat < crit_1pct
 
     def test_u_domain(self, flat_table):
         key = lt.LifeTableKey(40.0, 2005.0)
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError):
-                lt.sample_other_cause_time(flat_table, key, bad)
+        for bad in (0.0, 1.0, -0.2, math.nan):
+            with pytest.raises(ValueError, match="strictly inside"):
+                one_time(flat_table, key, bad)
+        with pytest.raises(ValueError, match="strictly inside"):
+            lt.sample_other_cause_time(flat_table, [40.0, 41.0], 2005.0, [(), ()], [0.5, 1.0])

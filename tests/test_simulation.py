@@ -164,15 +164,18 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match=r"\[scenario\] is missing key"):
             sim.load_scenario(path)
 
-    def _saved_without(self, tmp_path, scenario, section, key=None):
+    def _saved_without(self, tmp_path, scenario, section, key=None, value=None):
+        """Save ``scenario`` without ``section`` or its ``key``, or with ``key = value``."""
         path = tmp_path / "cut.ini"
         sim.save_scenario(path, scenario)
         cp = configparser.ConfigParser()
         cp.read(path, encoding="utf-8")
         if key is None:
             cp.remove_section(section)
-        else:
+        elif value is None:
             cp.remove_option(section, key)
+        else:
+            cp.set(section, key, value)
         with open(path, "w", encoding="utf-8") as fh:
             cp.write(fh)
         return path
@@ -183,16 +186,23 @@ class TestScenarioFiles:
             sim.load_scenario(path)
 
     @pytest.mark.parametrize(
-        "scenario, section, key",
+        "scenario, section, key, value, message",
         [
-            (sim.sc1_scenario(), "scenario", "n"),
-            (sim.two_group_scenario(2), "truth.sex0", "theta"),
+            (sim.sc1_scenario(), "scenario", "n", None, r"\[scenario\] is missing key 'n'"),
+            (sim.two_group_scenario(2), "truth.sex0", "theta", None,
+             r"\[truth\.sex0\] is missing key 'theta'"),
+            (sim.sc1_scenario(), "scenario", "n", "ten",
+             r"\[scenario\] n: invalid literal for int\(\) with base 10: 'ten'"),
+            (sim.sc1_scenario(), "covariates", "binary", "sex",
+             r"\[covariates\] binary: expected 'name:p', got 'sex'"),
+            (sim.sc1_scenario(), "age", "bounds", "30.0, 65.0:85.0",
+             r"\[age\] bounds: not enough values to unpack"),
         ],
-        ids=["n", "group-theta"],
+        ids=["n", "group-theta", "n-malformed", "binary-malformed", "age-band-malformed"],
     )
-    def test_missing_key_is_named(self, tmp_path, scenario, section, key):
-        path = self._saved_without(tmp_path, scenario, section, key)
-        with pytest.raises(ValueError, match=rf"\[{section}\] is missing key '{key}'"):
+    def test_missing_key_is_named(self, tmp_path, scenario, section, key, value, message):
+        path = self._saved_without(tmp_path, scenario, section, key, value)
+        with pytest.raises(ValueError, match=message):
             sim.load_scenario(path)
 
     def test_missing_group_section_is_named(self, tmp_path):
@@ -228,6 +238,27 @@ class TestCohorts:
         # Life-table strata mirror the sex covariate.
         sex = d.x[:, 1]
         assert all(st == (str(int(v)),) for st, v in zip(d.strata, sex))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(year=2018.0), r"year 2018 \+ admin_censor 5 outlives .* 2010-2020"),
+            (dict(age_mixture=sim.AgeMixture(bounds=((30.0, 65.0), (65.0, 75.0), (75.0, 97.0)))),
+             r"top \[age\] bound 97 \+ admin_censor 5 outlives .* 0-100"),
+        ],
+        ids=["year", "age"],
+    )
+    def test_follow_up_past_the_life_table_is_refused(self, synth_table, change, message):
+        # past its coverage the table has no other-cause rates, so other-cause
+        # deaths would silently stop; calibration and cohorts both refuse
+        s = dataclasses.replace(sim.sc1_scenario(n=200, M=1), **change)
+        with pytest.raises(ValueError, match=message):
+            sim.generate_cohort(s, 0, synth_table)
+        with pytest.raises(ValueError, match=message):
+            sim.calibrate_dropout(s, synth_table)
+        # follow-up ending exactly where the coverage ends is accepted
+        edge = dataclasses.replace(sim.sc1_scenario(n=200, M=1), year=2015.0)
+        assert sim.generate_cohort(edge, 0, synth_table).time.size == 200
 
     def test_recovery_scenario_censoring_share(self, synth_table):
         s = sim.sc1_scenario(n=4000)
