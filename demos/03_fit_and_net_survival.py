@@ -18,7 +18,6 @@ from exhaz import (
     load_life_table,
     load_patient_csv,
     net_survival_mc_ci,
-    population_net_survival,
     wald_ci,
 )
 
@@ -57,19 +56,17 @@ for note in ci.notes:
 
 # 3 - population net survival (average over the cohort's covariates)
 grid = np.linspace(0.0, 5.0, 11)
-curve = population_net_survival(data, best, grid)
+(curve,) = net_survival_mc_ci(data, best, grid)
 print("\npopulation net survival:")
 for t, s in zip(grid, curve.estimate):
     print(f"  t={t:3.1f}: {s:.3f}")
 
-# 4 - stage-specific curves with Monte-Carlo uncertainty bands
+# 4 - stage-specific curves with Monte-Carlo uncertainty bands; one call
+# evaluates each parameter draw once and shares it between the four stages
 stage = cohort.extras["stage"]
+groups = [(f"stage {label}", stage == label) for label in sorted(set(stage))]
+bands = net_survival_mc_ci(data, best, grid, groups, level=0.95, draws=500, seed=11)
 print("\n5-year net survival by stage (95% bands, 500 draws):")
-for label in sorted(set(stage)):
-    sel = np.asarray([s == label for s in stage])
-    band = net_survival_mc_ci(
-        data, best, grid, level=0.95, draws=500, seed=11, selector=sel,
-        label=f"stage {label}",
-    )
-    print(f"  stage {label}: {band.estimate[-1]:.3f} "
+for (label, sel), band in zip(groups, bands):
+    print(f"  {label}: {band.estimate[-1]:.3f} "
           f"[{band.lower[-1]:.3f}, {band.upper[-1]:.3f}]  (n={sel.sum()})")

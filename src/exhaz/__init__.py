@@ -48,8 +48,6 @@ from .netsurvival import (
     NetSurvivalCurve,
     default_grid,
     net_survival_mc_ci,
-    population_net_survival,
-    subgroup_net_survival,
 )
 from .simulation import (
     AgeMixture,
@@ -108,7 +106,6 @@ __all__ = [
     "marginal_hazard",
     "marginal_net_survival",
     "net_survival_mc_ci",
-    "population_net_survival",
     "resolve_life_table",
     "run_aim1",
     "run_aim2",
@@ -116,7 +113,6 @@ __all__ = [
     "save_scenario",
     "sc1_scenario",
     "simulate_event_time",
-    "subgroup_net_survival",
     "synthetic_life_table",
     "synthetic_lung_cohort",
     "true_net_survival_curve",

@@ -219,26 +219,16 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
             return EXIT_NOCONV
 
     grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
-
-    def one_curve(selector, label):
-        if args.draws > 0:
-            return ns.net_survival_mc_ci(
-                data, res, grid, level=args.level, draws=args.draws,
-                seed=args.seed, selector=selector, label=label,
-            )
-        return ns.subgroup_net_survival(data, res, grid, selector=selector,
-                                        label=label)
-
-    curves = [one_curve(None, "population")]
+    groups = [("population", None)]
     if args.by:
         values = _column_values(data, args.by)
         if values.dtype == object:
             as_str = np.array([str(v) for v in values])
-            pairs = [(val, as_str == val) for val in sorted(set(as_str))]
+            groups += [(f"{args.by}={val}", as_str == val) for val in sorted(set(as_str))]
         else:
-            pairs = [(f"{val:g}", values == val) for val in np.unique(values)]
-        for val, mask in pairs:
-            curves.append(one_curve(mask, f"{args.by}={val}"))
+            groups += [(f"{args.by}={val:g}", values == val) for val in np.unique(values)]
+    curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
+                                   draws=args.draws, seed=args.seed)
 
     out = _out_dir(args)
     for curve in curves:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg, optimize, stats
+from scipy import linalg, optimize, special
 
 from . import lifetable as lt
 from .baseline import family_of_params, get_family
@@ -548,7 +548,7 @@ def wald_ci(result: FitResult, level: float = 0.95) -> WaldIntervals:
         raise ValueError("fit has no valid standard errors; intervals unavailable")
     if not (0.0 < level < 1.0):
         raise ValueError("level must be in (0, 1)")
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = special.ndtri(0.5 + level / 2.0)
     names, se = result.transformed_names, result.std_errors
     est = result.natural_estimates()
     lo = _to_natural(result.psi - z * se, names)[0]

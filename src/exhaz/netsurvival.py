@@ -1,14 +1,17 @@
 """Population and subgroup net-survival curves with Monte-Carlo bands.
 
-A cohort-level net-survival curve is the pointwise average of the individual
-net-survival curves implied by a fitted model:
+A group's net-survival curve is the pointwise average of the individual
+net-survival curves implied by a fitted model over the group's rows:
 
     classical fit:  (1/n) sum_i exp(-H_E(t; x_i, w_i))
     frailty fit:    (1/n) sum_i L(H_E(t; x_i, w_i))
 
-where L is the fitted frailty family's Laplace transform.  Uncertainty bands
-come from resampling the parameter vector from its asymptotic normal
-distribution on the transformed scale and recomputing the curve per draw.
+where L is the fitted frailty family's Laplace transform.  One function,
+:func:`net_survival_mc_ci`, builds the curves of any number of groups
+(row masks, the whole cohort included) from one evaluation of every
+subject's curve.  Uncertainty bands come from resampling the parameter
+vector from its asymptotic normal distribution on the transformed scale;
+each draw is evaluated once and shared by every group's band.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .model import FrailtySpec, GHParams, laplace
 __all__ = [
     "NetSurvivalCurve",
     "default_grid",
-    "population_net_survival",
-    "subgroup_net_survival",
     "net_survival_mc_ci",
 ]
 
@@ -78,28 +79,29 @@ def _validate_grid(data: Dataset, grid) -> np.ndarray:
     return grid
 
 
-def _as_mask(data: Dataset, selector) -> np.ndarray:
-    if selector is None:
-        return np.ones(data.n, dtype=bool)
-    mask = np.asarray(selector, dtype=bool)
-    if mask.shape != (data.n,):
-        raise ValueError("selector mask length does not match the dataset")
-    return mask
+def _group_masks(data: Dataset, groups):
+    """The labels of ``groups`` and their checked masks (``None``: every row)."""
+    labels, masks = [], []
+    for label, mask in groups:
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (data.n,):
+                raise ValueError(f"group {label!r}: mask has shape {mask.shape}, "
+                                 f"but the dataset has {data.n} rows")
+            if not mask.any():
+                raise ValueError(f"group {label!r} picks no rows")
+        labels.append(label)
+        masks.append(mask)
+    return labels, masks
 
 
-def _selected_rows(data: Dataset, grid, selector):
-    """The checked grid and the ``(x, w)`` rows that ``selector`` picks."""
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    grid = _validate_grid(data, grid)
-    mask = _as_mask(data, selector)
-    if not mask.any():
-        raise ValueError("selector picked an empty subgroup")
-    return grid, data.x[mask], data.w[mask]
+def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, masks=None) -> np.ndarray:
+    """Average net survival over the rows of (x, w) at each grid time.
 
-
-def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec) -> np.ndarray:
-    """Average net survival over the rows of (x, w) at each grid time."""
+    The (n, m) matrix of individual curves is built once.  Without ``masks``
+    the result is its row average; with them, one row average per mask
+    (``None`` averages every row), stacked into a (len(masks), m) array.
+    """
     fam = family_of_params(g.theta)
     eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
     eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
@@ -108,59 +110,56 @@ def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec) -> np.ndarray:
         he = fam.cum_hazard(s, g.theta) * np.exp(eta_x - eta_w)[:, None]
         # laplace takes the b -> 0 limit itself, but needs a frailty family
         individual = np.exp(-he) if fr.family == "none" else laplace(fr, he)
-    return individual.mean(axis=0)
+    if masks is None:
+        return individual.mean(axis=0)
+    return np.stack([individual.mean(axis=0) if mask is None
+                     else individual[mask].mean(axis=0) for mask in masks])
 
 
-def population_net_survival(data: Dataset, fit: FitResult, grid=None,
-                            label: str = "population") -> NetSurvivalCurve:
-    """Cohort-average net-survival curve under the fitted parameters."""
-    return subgroup_net_survival(data, fit, grid, label=label)
+def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
+                       level: float = 0.95, draws: int = 0,
+                       seed: int = 0) -> list[NetSurvivalCurve]:
+    """Net-survival curves for groups of rows, optionally with Monte-Carlo bands.
 
+    ``groups`` is a sequence of ``(label, mask)`` pairs, one curve each, in
+    order; a mask is a boolean array of length n (e.g. ``data.extras["stage"]
+    == "I"``) and ``None`` picks every row.  ``groups=None`` means
+    ``[("population", None)]``.
 
-def subgroup_net_survival(data: Dataset, fit: FitResult, grid=None, selector=None,
-                          label: str = "subgroup") -> NetSurvivalCurve:
-    """Average net survival restricted to the rows picked by ``selector``.
-
-    ``selector`` is a boolean mask of length n (e.g. ``data.extras["stage"]
-    == "I"``); ``None`` picks every row.
+    ``draws=0`` gives point curves.  ``draws >= 100`` adds pointwise bands:
+    parameter vectors are sampled from N(psi_hat, covariance) on the
+    transformed scale, every group's curve is recomputed from each draw in
+    one pass, and the bands are the empirical (1-level)/2 and (1+level)/2
+    quantiles per grid point.  A draw whose curve is non-finite for any
+    group is rejected for all of them, so every band rests on the same
+    draws; rejected draws are resampled, up to ten times the requested
+    count.
     """
-    grid, x, w = _selected_rows(data, grid, selector)
-    values = _curve_values(x, w, grid, fit.params, fit.frailty)
-    return NetSurvivalCurve(grid, values, label=label, model=fit.spec.label())
-
-
-def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, level: float = 0.95,
-                       draws: int = 1000, seed: int = 0, selector=None,
-                       label: str = "population") -> NetSurvivalCurve:
-    """Curve with pointwise Monte-Carlo confidence bands.
-
-    Parameter vectors are sampled from N(psi_hat, covariance) on the
-    transformed scale; each draw's curve is recomputed and the bands are the
-    empirical (1-level)/2 and (1+level)/2 quantiles per grid point.  Draws
-    producing non-finite curves are rejected and resampled, up to ten times
-    the requested count.  ``selector`` restricts the curve to a subgroup as
-    in :func:`subgroup_net_survival`.
-    """
-    if not fit.se_valid:
+    if draws != 0 and draws < 100:
+        raise ValueError(f"draws must be 0 (no bands) or at least 100, got {draws}")
+    if draws and not fit.se_valid:
         raise ValueError("fit has no valid covariance; Monte-Carlo bands unavailable")
-    if draws < 100:
-        raise ValueError("draws must be at least 100")
     if not (0.0 < level < 1.0):
         raise ValueError("level must be in (0, 1)")
-    grid, x, w = _selected_rows(data, grid, selector)
-    estimate = _curve_values(x, w, grid, fit.params, fit.frailty)
-
+    if data.n == 0:
+        raise ValueError("dataset is empty")
+    grid = _validate_grid(data, grid)
+    labels, masks = _group_masks(data, [("population", None)] if groups is None else groups)
+    estimates = _curve_values(data.x, data.w, grid, fit.params, fit.frailty, masks)
+    model = fit.spec.label()
+    if draws == 0:
+        return [NetSurvivalCurve(grid, est, label=label, model=model)
+                for label, est in zip(labels, estimates)]
     cov = 0.5 * (fit.covariance + fit.covariance.T)
     try:
         chol = linalg.cholesky(cov, lower=True)
     except linalg.LinAlgError:
         vals, vecs = linalg.eigh(cov)
         chol = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
     fam = get_family(fit.spec.baseline)
     p_t, p = len(fit.w_names), len(fit.x_names)
     rng = np.random.default_rng(seed)
-    kept = np.empty((draws, grid.shape[0]))
+    kept = np.empty((draws,) + estimates.shape)
     n_kept = 0
     attempted = 0
     cap = 10 * draws
@@ -176,15 +175,14 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, level: float = 
         attempted += batch
         for row in psis:
             g, fr = _unpack(row, fam, fit.spec.frailty, p_t, p)
-            curve = _curve_values(x, w, grid, g, fr)
-            if np.all(np.isfinite(curve)):
-                kept[n_kept] = curve
+            curves = _curve_values(data.x, data.w, grid, g, fr, masks)
+            if np.all(np.isfinite(curves)):
+                kept[n_kept] = curves
                 n_kept += 1
                 if n_kept == draws:
                     break
     tau = 1.0 - level
     lower = np.quantile(kept, tau / 2.0, axis=0)
     upper = np.quantile(kept, 1.0 - tau / 2.0, axis=0)
-    return NetSurvivalCurve(
-        grid, estimate, lower=lower, upper=upper, label=label, model=fit.spec.label()
-    )
+    return [NetSurvivalCurve(grid, est, lower=lo, upper=hi, label=label, model=model)
+            for label, est, lo, hi in zip(labels, estimates, lower, upper)]

@@ -312,14 +312,19 @@ def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
 def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
     """Covariates, raw ages, strata, and latent all-cause death times.
 
-    Follow-up must end inside the life table's coverage: past it the
+    Follow-up must start and end inside the life table's coverage: before
+    it the table's first rates would stand in silently, and past it the
     sampler has no other-cause rates and returns ``+inf``.  An all-zero
     table (background mortality off) has no deaths to lose and is exempt.
     """
-    top_age = max(hi for _, hi in s.age_mixture.bounds)
-    for name, start, (lo, hi) in (("year", s.year, table.year_range),
-                                  ("top [age] bound", top_age, table.age_range)):
-        if start + s.admin_censor > hi + 1 and table._grid.any():
+    bounds = s.age_mixture.bounds
+    edges = (("year", s.year, table.year_range),
+             ("top [age] bound", max(hi for _, hi in bounds), table.age_range),
+             ("bottom [age] bound", min(lo for lo, _ in bounds), table.age_range))
+    for name, start, (lo, hi) in edges if table._grid.any() else ():
+        if start < lo:
+            raise ValueError(f"{name} {start:g} precedes the life table's coverage {lo}-{hi + 1}")
+        if start + s.admin_censor > hi + 1:
             raise ValueError(f"{name} {start:g} + admin_censor {s.admin_censor:g} outlives "
                              f"the life table's coverage {lo}-{hi + 1}")
     x, age = _draw_covariates(s, rng, n)
@@ -745,16 +750,13 @@ def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
             return None
         curves = {}
         for (analysis, model, label), (d, res) in fits.items():
-            curves[(analysis, model, label)] = _curve_values(
-                d.x, d.w, grid, res.params, res.frailty
-            )
+            labels, masks = [label], [None]
             if analysis == "pooled":  # the pooled fit also gives each group's curve
                 group = s.group_of(d.x)
-                for g, glabel in enumerate(s.group_labels):
-                    mask = group == g
-                    curves[(analysis, model, glabel)] = _curve_values(
-                        d.x[mask], d.w[mask], grid, res.params, res.frailty
-                    )
+                labels += s.group_labels
+                masks += [group == g for g in range(len(s.group_labels))]
+            values = _curve_values(d.x, d.w, grid, res.params, res.frailty, masks)
+            curves.update({(analysis, model, lab): row for lab, row in zip(labels, values)})
         return curves
 
     rows, excluded = _replicates(s, table, options or OptimizerOptions(),

@@ -186,6 +186,19 @@ class TestNetsurv:
         assert cli.main(args + ["--out", str(b)]) == 0
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
 
+    @pytest.mark.parametrize("draws", ["-5", "50"])
+    def test_band_draws_out_of_range_are_an_input_error(self, inputs, tmp_path, capsys, draws):
+        # a negative count used to write unbanded curves and exit 0
+        code = cli.main([
+            "netsurv", "--data", str(inputs["data"]),
+            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+            "--draws", draws, "--seed", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert f"draws must be 0 (no bands) or at least 100, got {draws}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o" / "curves.csv").exists()
+
     def test_seed_required_for_bands(self, inputs, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([
@@ -302,13 +315,17 @@ class TestSimulate:
         assert "[scenario] is missing key 'n'" in capsys.readouterr().err
 
     def test_follow_up_past_the_life_table_is_an_input_error(self, tmp_path, capsys):
-        late = tmp_path / "late.ini"
-        sim.save_scenario(late, dataclasses.replace(sim.sc1_scenario(n=120, M=1), year=2018.0))
-        code = cli.main(["simulate", "--scenario", str(late), "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "year 2018 + admin_censor 5 outlives the life table's coverage 2010-2020" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "o" / "cohort.csv").exists()
+        for year, message in (
+            (2018.0, "year 2018 + admin_censor 5 outlives the life table's coverage 2010-2020"),
+            (2005.0, "year 2005 precedes the life table's coverage 2010-2020"),
+        ):
+            path = tmp_path / f"y{year:g}.ini"
+            sim.save_scenario(path, dataclasses.replace(sim.sc1_scenario(n=120, M=1),
+                                                        year=year))
+            code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+            assert code == 3
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "o" / "cohort.csv").exists()
 
     def test_retired_two_group_layout_is_an_input_error(self, tmp_path, capsys):
         old = tmp_path / "old.ini"

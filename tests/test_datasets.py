@@ -250,9 +250,8 @@ class TestStageSubgroupBands:
         res = fit(data, synth_table, spec)
         assert res.convergence.converged and res.se_valid
         grid = np.array([0.0, 1.0, 2.0])
-        curve = ns.net_survival_mc_ci(
-            data, res, grid, draws=400, seed=7,
-            selector=data.extras["stage"] == "I",
+        (curve,) = ns.net_survival_mc_ci(
+            data, res, grid, [("stage=I", data.extras["stage"] == "I")], draws=400, seed=7,
         )
         width = curve.upper - curve.lower
         assert width[0] == 0.0

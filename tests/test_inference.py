@@ -13,6 +13,10 @@ an independent construction.  Frozen scalar anchors:
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +447,15 @@ class TestWaldAndAic:
         notes = inf.wald_ci(near_zero).notes
         assert any("boundary" in n for n in notes)
         assert inf.wald_ci(gamma_fit).notes == ()
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        # wald_ci's normal quantile comes from scipy.special; scipy.stats
+        # would add most of a second to every CLI call
+        src = Path(inf.__file__).resolve().parents[1]
+        code = "import sys, exhaz; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_aic_definition(self, gamma_fit):
         assert gamma_fit.aic == pytest.approx(

@@ -30,24 +30,31 @@ def fit_gamma(cohort, zero_table):
     return inf.fit(cohort, zero_table, inf.ModelSpec("pgw", "gamma"))
 
 
+def one_curve(data, fit, grid=None, mask=None, label="population", **kw):
+    """The single curve of a one-group call."""
+    (curve,) = ns.net_survival_mc_ci(data, fit, grid, [(label, mask)], **kw)
+    return curve
+
+
 class TestPointCurves:
     def test_starts_at_one(self, cohort, fit_classical, fit_gamma):
         for fit in (fit_classical, fit_gamma):
-            curve = ns.population_net_survival(cohort, fit)
+            (curve,) = ns.net_survival_mc_ci(cohort, fit)
             assert curve.time[0] == 0.0
             assert curve.estimate[0] == 1.0
 
     def test_default_grid(self, cohort, fit_classical):
-        curve = ns.population_net_survival(cohort, fit_classical)
+        (curve,) = ns.net_survival_mc_ci(cohort, fit_classical)
         assert curve.time.shape == (101,)
         assert curve.time[-1] == 5.0
         assert curve.lower is None and curve.upper is None
+        assert curve.label == "population"
 
     def test_single_record_equals_individual_curve(self, cohort, fit_gamma):
         idx = int(np.argmax(cohort.time))  # full-follow-up record keeps the grid valid
         one = cohort.subset(np.arange(cohort.n) == idx)
         grid = np.linspace(0.0, 4.0, 21)
-        curve = ns.population_net_survival(one, fit_gamma, grid)
+        curve = one_curve(one, fit_gamma, grid)
         expected = mdl.marginal_net_survival(
             grid, one.x[0], one.w[0], fit_gamma.params, fit_gamma.frailty
         )
@@ -69,31 +76,40 @@ class TestPointCurves:
         )
         # unit exponential baseline (log sigma = log nu = log gamma = 0), beta = (5, 0)
         crafted = dataclasses.replace(fit_classical, psi=np.array([0.0, 0.0, 0.0, 5.0, 0.0]))
-        curve = ns.population_net_survival(data, crafted, np.array([0.0, 2.0, 4.0]))
+        curve = one_curve(data, crafted, np.array([0.0, 2.0, 4.0]))
         assert curve.estimate[0] == 1.0
         np.testing.assert_allclose(curve.estimate[1:], 0.5, atol=1e-6)
 
     def test_monotone_nonincreasing_exactly(self, cohort, fit_classical, fit_gamma):
         for fit in (fit_classical, fit_gamma):
-            curve = ns.population_net_survival(cohort, fit)
+            curve = one_curve(cohort, fit)
             assert np.all(np.diff(curve.estimate) <= 0.0)
             assert np.all((curve.estimate >= 0.0) & (curve.estimate <= 1.0))
 
     def test_partition_decomposition(self, cohort, fit_gamma):
         mask = cohort.x[:, 1] == 1.0
-        pop = ns.population_net_survival(cohort, fit_gamma)
-        c1 = ns.subgroup_net_survival(cohort, fit_gamma, selector=mask, label="g1")
-        c0 = ns.subgroup_net_survival(cohort, fit_gamma, selector=~mask, label="g0")
+        pop, c1, c0 = ns.net_survival_mc_ci(
+            cohort, fit_gamma, groups=[("population", None), ("g1", mask), ("g0", ~mask)]
+        )
+        assert (pop.label, c1.label, c0.label) == ("population", "g1", "g0")
         n1, n0 = int(mask.sum()), int((~mask).sum())
         combined = (n1 * c1.estimate + n0 * c0.estimate) / (n1 + n0)
         np.testing.assert_allclose(combined, pop.estimate, atol=1e-12)
 
     def test_all_selector_equals_population(self, cohort, fit_classical):
-        pop = ns.population_net_survival(cohort, fit_classical)
-        sub = ns.subgroup_net_survival(
-            cohort, fit_classical, selector=np.ones(cohort.n, dtype=bool)
-        )
+        pop = one_curve(cohort, fit_classical)
+        sub = one_curve(cohort, fit_classical, mask=np.ones(cohort.n, dtype=bool))
         np.testing.assert_array_equal(sub.estimate, pop.estimate)
+
+    def test_group_curve_equals_curve_of_its_rows(self, cohort, fit_gamma):
+        # a masked group averages the same per-subject values as a cohort of
+        # just its rows
+        mask = cohort.x[:, 1] == 0.0
+        _, masked = ns.net_survival_mc_ci(
+            cohort, fit_gamma, groups=[("population", None), ("women", mask)]
+        )
+        alone = one_curve(cohort.subset(mask), fit_gamma, label="women")
+        np.testing.assert_array_equal(masked.estimate, alone.estimate)
 
     def test_frailty_dominates_classical_at_fixed_parameters(self, cohort, fit_classical):
         # Jensen: for identical excess-hazard parameters, averaging over the
@@ -102,37 +118,38 @@ class TestPointCurves:
             fit_classical, spec=inf.ModelSpec("pgw", "gamma"),
             psi=np.append(fit_classical.psi, math.log(0.7)),
         )
-        base = ns.population_net_survival(cohort, fit_classical)
-        mixed = ns.population_net_survival(cohort, with_frailty)
+        base = one_curve(cohort, fit_classical)
+        mixed = one_curve(cohort, with_frailty)
         assert np.all(mixed.estimate - base.estimate >= -1e-12)
         assert np.all(mixed.estimate[1:] > base.estimate[1:])
 
     def test_model_tag_and_label(self, cohort, fit_gamma):
-        curve = ns.subgroup_net_survival(
-            cohort, fit_gamma, selector=cohort.x[:, 1] == 1.0, label="men"
-        )
+        curve = one_curve(cohort, fit_gamma, mask=cohort.x[:, 1] == 1.0, label="men")
         assert curve.model == "pgw+gamma"
         assert curve.label == "men"
 
     def test_errors(self, cohort, fit_classical):
         empty = cohort.subset(np.zeros(cohort.n, dtype=bool))
         with pytest.raises(ValueError, match="empty"):
-            ns.population_net_survival(empty, fit_classical)
-        with pytest.raises(ValueError, match="subgroup"):
-            ns.subgroup_net_survival(
-                cohort, fit_classical, selector=np.zeros(cohort.n, dtype=bool)
-            )
+            ns.net_survival_mc_ci(empty, fit_classical)
+        with pytest.raises(ValueError, match="group 'nobody' picks no rows"):
+            one_curve(cohort, fit_classical, mask=np.zeros(cohort.n, dtype=bool),
+                      label="nobody")
+        with pytest.raises(ValueError, match=r"group 'short': mask has shape \(599,\), "
+                                             r"but the dataset has 600 rows"):
+            ns.net_survival_mc_ci(cohort, fit_classical, groups=[
+                ("population", None), ("short", np.ones(cohort.n - 1, dtype=bool))])
         with pytest.raises(ValueError, match="beyond"):
-            ns.population_net_survival(cohort, fit_classical, np.array([0.0, 80.0]))
+            ns.net_survival_mc_ci(cohort, fit_classical, np.array([0.0, 80.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
-            ns.population_net_survival(cohort, fit_classical, np.array([2.0, 1.0]))
+            ns.net_survival_mc_ci(cohort, fit_classical, np.array([2.0, 1.0]))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ns.NetSurvivalCurve(np.array([0.0]), np.array([1.5]))
 
 
 class TestMonteCarloBands:
     def test_band_geometry(self, cohort, fit_gamma):
-        curve = ns.net_survival_mc_ci(cohort, fit_gamma, draws=300, seed=5)
+        (curve,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=300, seed=5)
         assert curve.lower is not None and curve.upper is not None
         assert np.all(curve.lower <= curve.upper)
         assert np.all((curve.lower >= 0.0) & (curve.upper <= 1.0))
@@ -144,38 +161,88 @@ class TestMonteCarloBands:
         assert np.all(np.diff(curve.upper) <= 1e-15)
 
     def test_deterministic_given_seed(self, cohort, fit_gamma):
-        a = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=9)
-        b = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=9)
+        (a,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=9)
+        (b,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=9)
         np.testing.assert_array_equal(a.lower, b.lower)
         np.testing.assert_array_equal(a.upper, b.upper)
-        c = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=10)
+        (c,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=10)
         assert not np.array_equal(a.lower, c.lower)
 
     def test_levels_nest_for_shared_draws(self, cohort, fit_gamma):
-        wide = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=11, level=0.9)
-        narrow = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=11, level=0.5)
+        (wide,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=11, level=0.9)
+        (narrow,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=200, seed=11, level=0.5)
         assert np.all(wide.lower <= narrow.lower + 1e-15)
         assert np.all(narrow.upper <= wide.upper + 1e-15)
 
     def test_degenerate_covariance_collapses_bands(self, cohort, fit_gamma):
         tiny = dataclasses.replace(fit_gamma, covariance=fit_gamma.covariance * 1e-12)
-        curve = ns.net_survival_mc_ci(cohort, tiny, draws=150, seed=12)
+        (curve,) = ns.net_survival_mc_ci(cohort, tiny, draws=150, seed=12)
         assert float(np.max(curve.upper - curve.lower)) < 1e-4
         assert float(np.max(np.abs(curve.estimate - curve.lower))) < 1e-4
 
     def test_subgroup_bands(self, cohort, fit_gamma):
-        curve = ns.net_survival_mc_ci(
-            cohort, fit_gamma, draws=150, seed=13,
-            selector=cohort.x[:, 1] == 0.0, label="women",
-        )
+        curve = one_curve(cohort, fit_gamma, mask=cohort.x[:, 1] == 0.0, label="women",
+                          draws=150, seed=13)
         assert curve.label == "women"
         assert np.all(curve.lower <= curve.upper)
 
+    def test_groups_share_the_population_draws(self, cohort, fit_gamma):
+        # adding groups to a call leaves its population curve and bands as
+        # they are, bit for bit
+        men = cohort.x[:, 1] == 1.0
+        (alone,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=150, seed=14)
+        pop, m, f = ns.net_survival_mc_ci(
+            cohort, fit_gamma, draws=150, seed=14,
+            groups=[("population", None), ("men", men), ("women", ~men)],
+        )
+        for field in ("time", "estimate", "lower", "upper"):
+            np.testing.assert_array_equal(getattr(pop, field), getattr(alone, field))
+        assert (m.label, f.label) == ("men", "women")
+        # each group's band is that group's quantile over the same draws
+        (m_alone,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=150, seed=14,
+                                            groups=[("men", men)])
+        np.testing.assert_array_equal(m.lower, m_alone.lower)
+        np.testing.assert_array_equal(m.upper, m_alone.upper)
+
+    def test_draw_poisoned_for_one_group_is_dropped_for_all(self, cohort, fit_gamma,
+                                                            monkeypatch):
+        # draws 3 and 7 (call 0 is the estimate) come back non-finite for the
+        # "men" group only; the population band must drop them too
+        men = cohort.x[:, 1] == 1.0
+        real = ns._curve_values
+        returned = []
+
+        def poison(*args, **kwargs):
+            values = real(*args, **kwargs)
+            if len(returned) in (3, 7):
+                values[1, -1] = np.nan
+            returned.append(values)
+            return values
+
+        monkeypatch.setattr(ns, "_curve_values", poison)
+        pop, m = ns.net_survival_mc_ci(cohort, fit_gamma, draws=100, seed=15,
+                                       groups=[("population", None), ("men", men)])
+        assert len(returned) == 1 + 102
+        assert np.all(np.isfinite(returned[3][0])) and np.all(np.isfinite(returned[7][0]))
+        kept = np.stack([v for i, v in enumerate(returned) if i not in (0, 3, 7)])
+        tail = (1.0 - 0.95) / 2.0  # as the function computes it, not the literal 0.025
+        for g, curve in enumerate((pop, m)):
+            np.testing.assert_array_equal(curve.lower, np.quantile(kept[:, g], tail, axis=0))
+            np.testing.assert_array_equal(curve.upper,
+                                          np.quantile(kept[:, g], 1.0 - tail, axis=0))
+        # keeping draws 3 and 7 for the population would have moved its band
+        with_all = np.stack([v[0] for v in returned[1:]])
+        assert not np.array_equal(pop.lower, np.quantile(with_all, tail, axis=0))
+
     def test_errors(self, cohort, fit_gamma):
-        with pytest.raises(ValueError, match="at least 100"):
-            ns.net_survival_mc_ci(cohort, fit_gamma, draws=50, seed=1)
+        for draws in (50, -5, 1):
+            with pytest.raises(ValueError, match=f"draws must be 0 .* at least 100, got {draws}"):
+                ns.net_survival_mc_ci(cohort, fit_gamma, draws=draws, seed=1)
         with pytest.raises(ValueError, match="level"):
-            ns.net_survival_mc_ci(cohort, fit_gamma, level=0.0, seed=1)
+            ns.net_survival_mc_ci(cohort, fit_gamma, level=0.0, draws=200, seed=1)
         broken = dataclasses.replace(fit_gamma, covariance=None)
         with pytest.raises(ValueError, match="covariance"):
-            ns.net_survival_mc_ci(cohort, broken, seed=1)
+            ns.net_survival_mc_ci(cohort, broken, draws=200, seed=1)
+        # point curves need no covariance
+        (curve,) = ns.net_survival_mc_ci(cohort, broken)
+        assert curve.lower is None

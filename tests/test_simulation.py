@@ -240,22 +240,29 @@ class TestCohorts:
         assert all(st == (str(int(v)),) for st, v in zip(d.strata, sex))
 
     @pytest.mark.parametrize(
-        "change, message",
+        "change, first_age, message",
         [
-            (dict(year=2018.0), r"year 2018 \+ admin_censor 5 outlives .* 2010-2020"),
+            (dict(year=2018.0), 0, r"year 2018 \+ admin_censor 5 outlives .* 2010-2020"),
             (dict(age_mixture=sim.AgeMixture(bounds=((30.0, 65.0), (65.0, 75.0), (75.0, 97.0)))),
-             r"top \[age\] bound 97 \+ admin_censor 5 outlives .* 0-100"),
+             0, r"top \[age\] bound 97 \+ admin_censor 5 outlives .* 0-100"),
+            (dict(year=2005.0), 0, r"year 2005 precedes .* 2010-2020"),
+            ({}, 40, r"bottom \[age\] bound 30 precedes .* 40-100"),
         ],
-        ids=["year", "age"],
+        ids=["year", "age", "year-before", "age-before"],
     )
-    def test_follow_up_past_the_life_table_is_refused(self, synth_table, change, message):
-        # past its coverage the table has no other-cause rates, so other-cause
-        # deaths would silently stop; calibration and cohorts both refuse
+    def test_follow_up_past_the_life_table_is_refused(self, synth_table, change, first_age,
+                                                      message):
+        # outside its coverage the table has no other-cause rates: past it
+        # other-cause deaths would silently stop, and before it the first
+        # rates would stand in; calibration and cohorts both refuse
+        table = synth_table if first_age == 0 else build_table(
+            lambda a, y, st: 0.01, range(first_age, 100), range(2010, 2020),
+            [("0",), ("1",)], ("sex",))
         s = dataclasses.replace(sim.sc1_scenario(n=200, M=1), **change)
         with pytest.raises(ValueError, match=message):
-            sim.generate_cohort(s, 0, synth_table)
+            sim.generate_cohort(s, 0, table)
         with pytest.raises(ValueError, match=message):
-            sim.calibrate_dropout(s, synth_table)
+            sim.calibrate_dropout(s, table)
         # follow-up ending exactly where the coverage ends is accepted
         edge = dataclasses.replace(sim.sc1_scenario(n=200, M=1), year=2015.0)
         assert sim.generate_cohort(edge, 0, synth_table).time.size == 200
