@@ -71,6 +71,9 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must be 'start:stop:count', got {text!r}") from None
+    for name, value in (("start", start), ("stop", stop)):
+        if not np.isfinite(value):
+            raise ValueError(f"grid {text!r}: {name} is {value}")
     if count < 2 or stop <= start or start < 0.0:
         raise ValueError(f"grid {text!r} must satisfy 0 <= start < stop, count >= 2")
     return np.linspace(start, stop, count)
@@ -229,6 +232,10 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
             groups += [(f"{args.by}={val:g}", values == val) for val in np.unique(values)]
     curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
                                    draws=args.draws, seed=args.seed)
+    rejected = curves[0].rejected_draws
+    if rejected:
+        print(f"rejected {rejected} of {args.draws + rejected} parameter draws",
+              file=sys.stderr)
 
     out = _out_dir(args)
     for curve in curves:

@@ -12,6 +12,12 @@ where L is the fitted frailty family's Laplace transform.  One function,
 subject's curve.  Uncertainty bands come from resampling the parameter
 vector from its asymptotic normal distribution on the transformed scale;
 each draw is evaluated once and shared by every group's band.
+
+Each call builds the (n, m) matrix of individual curves one block of about
+``_BLOCK`` elements at a time, so every temporary stays small enough for the
+allocator to reuse its memory, and a banded call writes every draw into one
+work array allocated once.  Each element sees the same operations as in a
+whole-matrix expression, so the curves are bit-identical to one.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ __all__ = [
     "net_survival_mc_ci",
 ]
 
+# Elements per block of individual curves: 2**14 floats, 128 KB per temporary.
+_BLOCK = 2**14
+
 
 def default_grid() -> np.ndarray:
     """101 equally spaced points on [0, 5] years."""
@@ -39,7 +48,11 @@ def default_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetSurvivalCurve:
-    """Averaged net-survival estimates on a time grid, with optional bands."""
+    """Averaged net-survival estimates on a time grid, with optional bands.
+
+    ``rejected_draws`` counts the Monte-Carlo parameter draws dropped from
+    the bands because some group's curve was non-finite.
+    """
 
     time: np.ndarray
     estimate: np.ndarray
@@ -47,6 +60,7 @@ class NetSurvivalCurve:
     upper: np.ndarray | None = None
     label: str = "population"
     model: str = ""
+    rejected_draws: int = 0
 
     def __post_init__(self):
         time = np.asarray(self.time, dtype=float)
@@ -67,6 +81,9 @@ def _validate_grid(data: Dataset, grid) -> np.ndarray:
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:
         raise ValueError("grid must be a non-empty 1-d array of times")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"grid time {bad[0]} is {grid[bad[0]]}")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be nondecreasing")
     if np.any(grid < 0.0):
@@ -95,21 +112,30 @@ def _group_masks(data: Dataset, groups):
     return labels, masks
 
 
-def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, masks=None) -> np.ndarray:
+def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, masks=None,
+                  out=None) -> np.ndarray:
     """Average net survival over the rows of (x, w) at each grid time.
 
-    The (n, m) matrix of individual curves is built once.  Without ``masks``
-    the result is its row average; with them, one row average per mask
-    (``None`` averages every row), stacked into a (len(masks), m) array.
+    The (n, m) matrix of individual curves is built in blocks of
+    ``max(1, _BLOCK // m)`` rows, into ``out`` when given (overwritten) or a
+    new array.  Without ``masks`` the result is its row average; with them,
+    one row average per mask (``None`` averages every row), stacked into a
+    (len(masks), m) array.  The result never shares memory with ``out``.
     """
     fam = family_of_params(g.theta)
     eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
     eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
+    individual = np.empty((x.shape[0], grid.shape[0])) if out is None else out
+    rows = max(1, _BLOCK // grid.shape[0])
     with np.errstate(all="ignore"):
-        s = grid[None, :] * np.exp(eta_w)[:, None]
-        he = fam.cum_hazard(s, g.theta) * np.exp(eta_x - eta_w)[:, None]
-        # laplace takes the b -> 0 limit itself, but needs a frailty family
-        individual = np.exp(-he) if fr.family == "none" else laplace(fr, he)
+        scale_w = np.exp(eta_w)[:, None]
+        scale_x = np.exp(eta_x - eta_w)[:, None]
+        for a in range(0, x.shape[0], rows):
+            b = a + rows
+            s = grid[None, :] * scale_w[a:b]
+            he = fam.cum_hazard(s, g.theta) * scale_x[a:b]
+            # laplace takes the b -> 0 limit itself, but needs a frailty family
+            individual[a:b] = np.exp(-he) if fr.family == "none" else laplace(fr, he)
     if masks is None:
         return individual.mean(axis=0)
     return np.stack([individual.mean(axis=0) if mask is None
@@ -133,7 +159,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     quantiles per grid point.  A draw whose curve is non-finite for any
     group is rejected for all of them, so every band rests on the same
     draws; rejected draws are resampled, up to ten times the requested
-    count.
+    count, and each banded curve's ``rejected_draws`` counts them.
     """
     if draws != 0 and draws < 100:
         raise ValueError(f"draws must be 0 (no bands) or at least 100, got {draws}")
@@ -160,10 +186,11 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     p_t, p = len(fit.w_names), len(fit.x_names)
     rng = np.random.default_rng(seed)
     kept = np.empty((draws,) + estimates.shape)
-    n_kept = 0
-    attempted = 0
+    work = np.empty((data.n, grid.shape[0]))
+    n_kept = rejected = 0
     cap = 10 * draws
     while n_kept < draws:
+        attempted = n_kept + rejected
         if attempted >= cap:
             raise RuntimeError(
                 f"rejected too many parameter draws ({attempted}); "
@@ -172,17 +199,17 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
         batch = min(draws - n_kept, cap - attempted)
         z = rng.standard_normal((batch, fit.psi.shape[0]))
         psis = fit.psi[None, :] + z @ chol.T
-        attempted += batch
         for row in psis:
             g, fr = _unpack(row, fam, fit.spec.frailty, p_t, p)
-            curves = _curve_values(data.x, data.w, grid, g, fr, masks)
+            curves = _curve_values(data.x, data.w, grid, g, fr, masks, work)
             if np.all(np.isfinite(curves)):
                 kept[n_kept] = curves
                 n_kept += 1
-                if n_kept == draws:
-                    break
+            else:
+                rejected += 1
     tau = 1.0 - level
     lower = np.quantile(kept, tau / 2.0, axis=0)
     upper = np.quantile(kept, 1.0 - tau / 2.0, axis=0)
-    return [NetSurvivalCurve(grid, est, lower=lo, upper=hi, label=label, model=model)
+    return [NetSurvivalCurve(grid, est, lower=lo, upper=hi, label=label, model=model,
+                             rejected_draws=rejected)
             for label, est, lo, hi in zip(labels, estimates, lower, upper)]

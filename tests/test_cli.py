@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from exhaz import cli, datasets
+from exhaz import netsurvival as ns
 from exhaz.inference import FitResult
 from exhaz import simulation as sim
 
@@ -259,12 +260,44 @@ class TestNetsurv:
         assert code == 3
         assert "grid" in capsys.readouterr().err
 
+    def test_non_finite_grid_is_schema_error(self, inputs, tmp_path, capsys):
+        # a nan start used to write nan rows to curves.csv and exit 0
+        code = cli.main([
+            "netsurv", "--data", str(inputs["data"]),
+            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+            "--grid", "nan:1:5", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert "grid 'nan:1:5': start is nan" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "curves.csv").exists()
+
+    def test_rejected_draws_reported_on_stderr(self, inputs, tmp_path, capsys, monkeypatch):
+        args = [
+            "netsurv", "--data", str(inputs["data"]),
+            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+            "--grid", "0:5:6", "--draws", "100", "--seed", "11",
+        ]
+        assert cli.main(args + ["--out", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        real = ns._curve_values
+        calls = []
+
+        def poison(*a, **kw):  # call 0 is the estimate, call 2 the second draw
+            values = real(*a, **kw)
+            calls.append(None)
+            return values * np.nan if len(calls) == 3 else values
+
+        monkeypatch.setattr(ns, "_curve_values", poison)
+        assert cli.main(args + ["--out", str(tmp_path / "poisoned")]) == 0
+        assert "rejected 1 of 101 parameter draws" in capsys.readouterr().err
+        assert (tmp_path / "poisoned" / "curves.csv").exists()
+
 
 class TestGridParsing:
     def test_accepts_start_stop_count(self):
         np.testing.assert_allclose(cli._parse_grid("0:5:11"), np.linspace(0, 5, 11))
 
-    @pytest.mark.parametrize("text", ["0:5", "a:b:c", "2:1:5", "-1:5:3", "0:5:1"])
+    @pytest.mark.parametrize("text", ["0:5", "a:b:c", "2:1:5", "-1:5:3", "0:5:1", "0:inf:5"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             cli._parse_grid(text)

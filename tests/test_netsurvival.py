@@ -9,7 +9,7 @@ import pytest
 from exhaz import inference as inf
 from exhaz import model as mdl
 from exhaz import netsurvival as ns
-from exhaz.baseline import PGWParams
+from exhaz.baseline import LogNormalParams, PGWParams, family_of_params
 
 from conftest import simulate_ph_cohort
 
@@ -146,6 +146,61 @@ class TestPointCurves:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ns.NetSurvivalCurve(np.array([0.0]), np.array([1.5]))
 
+    def test_non_finite_grid_time_is_named(self, cohort, fit_gamma):
+        # a nan time used to pass every comparison and, with bands, to be
+        # reported only after 10x the draws as an ill-conditioned covariance
+        for bad, name in ((math.nan, "nan"), (math.inf, "inf")):
+            with pytest.raises(ValueError, match=f"grid time 1 is {name}"):
+                ns.net_survival_mc_ci(cohort, fit_gamma, np.array([0.0, bad, 1.0]),
+                                      draws=100, seed=1)
+            with pytest.raises(ValueError, match=f"grid time 1 is {name}"):
+                ns.net_survival_mc_ci(cohort, fit_gamma, np.array([0.0, bad, 1.0]))
+
+
+def _whole_matrix(x, w, grid, g, fr):
+    """The individual curves as one (n, m) expression, as built before blocking."""
+    fam = family_of_params(g.theta)
+    eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
+    eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
+    with np.errstate(all="ignore"):
+        s = grid[None, :] * np.exp(eta_w)[:, None]
+        he = fam.cum_hazard(s, g.theta) * np.exp(eta_x - eta_w)[:, None]
+        return np.exp(-he) if fr.family == "none" else mdl.laplace(fr, he)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("theta", [PGWParams(1.5, 1.1, 1.3), LogNormalParams(0.2, 0.9)],
+                             ids=["pgw", "lognormal"])
+    @pytest.mark.parametrize("fr", [mdl.FrailtySpec("none"), mdl.FrailtySpec("gamma", 0.7),
+                                    mdl.FrailtySpec("ig", 0.7),
+                                    mdl.FrailtySpec("gamma", mdl.B_ZERO_THRESHOLD / 10)],
+                             ids=["none", "gamma", "ig", "gamma-b0"])
+    @pytest.mark.parametrize("m", [1, 101])
+    def test_blocks_equal_the_whole_matrix_bit_for_bit(self, theta, fr, m):
+        grid = np.array([2.5]) if m == 1 else np.linspace(0.0, 5.0, m)
+        rows = max(1, ns._BLOCK // m)
+        r = np.random.default_rng(m)
+        g = mdl.GHParams(theta, alpha=[0.4], beta=[0.5, -0.3, 0.8])
+        for n in (1, rows - 1, rows + 1, 3 * rows + 5):
+            x = r.normal(size=(n, 3))
+            w = x[:, :1].copy()
+            mask = r.random(n) < 0.5
+            mask[0] = True
+            whole = _whole_matrix(x, w, grid, g, fr)
+            out = np.full((n, m), np.nan)
+            np.testing.assert_array_equal(ns._curve_values(x, w, grid, g, fr), whole.mean(axis=0))
+            means = ns._curve_values(x, w, grid, g, fr, [None, mask], out)
+            np.testing.assert_array_equal(out, whole)
+            np.testing.assert_array_equal(means[0], whole.mean(axis=0))
+            np.testing.assert_array_equal(means[1], whole[mask].mean(axis=0))
+            # a second call overwrites the work array, never the first result
+            first = means.copy()
+            other = mdl.GHParams(theta, alpha=[-0.2], beta=[1.0, 0.1, -0.5])
+            again = ns._curve_values(x, w, grid, other, fr, [None, mask], out)
+            np.testing.assert_array_equal(means, first)
+            np.testing.assert_array_equal(out, _whole_matrix(x, w, grid, other, fr))
+            assert not np.shares_memory(means, out) and not np.shares_memory(again, out)
+
 
 class TestMonteCarloBands:
     def test_band_geometry(self, cohort, fit_gamma):
@@ -230,6 +285,7 @@ class TestMonteCarloBands:
             np.testing.assert_array_equal(curve.lower, np.quantile(kept[:, g], tail, axis=0))
             np.testing.assert_array_equal(curve.upper,
                                           np.quantile(kept[:, g], 1.0 - tail, axis=0))
+        assert pop.rejected_draws == m.rejected_draws == 2
         # keeping draws 3 and 7 for the population would have moved its band
         with_all = np.stack([v[0] for v in returned[1:]])
         assert not np.array_equal(pop.lower, np.quantile(with_all, tail, axis=0))
