@@ -52,15 +52,27 @@ def _cell(value) -> str:
 
 
 def _column_cells(column) -> list:
-    """Cells of one column; a numpy column is formatted by its dtype at once."""
+    """Cells of one column; a numeric numpy column formats each distinct value once."""
     if isinstance(column, np.ndarray):
-        values = column.tolist()
         if column.dtype.kind == "f":
-            return list(map(_float_cell, values))
+            # keyed on the bits: by value -0.0 == 0.0 (cells -0 and 0) and NaN payloads merge
+            keys = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            cells = list(map(_float_cell, distinct.view(np.float64).tolist()))
+            return np.array(cells, dtype=object)[inverse].tolist()
         if column.dtype.kind in "iu":
-            return list(map(str, values))
-        column = values
+            distinct, inverse = np.unique(column, return_inverse=True)
+            return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
+        column = column.tolist()
     return [_cell(v) for v in column]
+
+
+def _stratum_labels(columns, n: int) -> tuple:
+    """Per-row stratum tuples of ``n`` rows from numeric columns, one label a
+    value: ``str(int(round(v)))``, built a column at a time (``np.rint``
+    rounds half to even, as ``round`` does)."""
+    labels = [np.rint(col).astype(np.int64).astype(str).tolist() for col in columns]
+    return tuple(zip(*labels)) if labels else ((),) * n
 
 
 def write_csv(path, header, columns) -> None:
@@ -148,7 +160,7 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
     t_event = simulate_event_time(u, x, w, truth, lam)
 
     year = 2012.0
-    strata = tuple((str(int(s)),) for s in sex)
+    strata = _stratum_labels([sex], n)
     t_bg = lt.sample_other_cause_time(table, age, year, strata, rng.random(n))
     t_death = np.minimum(t_event, t_bg)
     censor = np.minimum(rng.exponential(1.0 / 0.03, size=n), 5.0)
@@ -269,10 +281,9 @@ def load_patient_csv(source) -> Dataset:
         if numeric_covs
         else np.empty((len(body), 0))
     )
-    strata = tuple(
-        tuple(fields[idx_age + 2 + j].strip() for j in range(len(stratum_names)))
-        for fields in body
-    )
+    labels = [[fields[idx].strip() for fields in body]
+              for idx in range(idx_age + 2, len(header))]
+    strata = tuple(zip(*labels)) if labels else ((),) * len(body)
     try:
         return Dataset(
             time=time,

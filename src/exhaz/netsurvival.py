@@ -63,18 +63,21 @@ class NetSurvivalCurve:
     rejected_draws: int = 0
 
     def __post_init__(self):
-        time = np.asarray(self.time, dtype=float)
-        est = np.asarray(self.estimate, dtype=float)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "estimate", est)
-        for name in ("lower", "upper"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
-        if time.shape != est.shape:
-            raise ValueError("time and estimate grids differ in length")
-        if np.any(est < 0.0) or np.any(est > 1.0):
-            raise ValueError("net survival estimates must lie in [0, 1]")
+        if (self.lower is None) != (self.upper is None):
+            raise ValueError("lower and upper bands must be given together")
+        names = ("time", "estimate") + (("lower", "upper") if self.lower is not None else ())
+        for name in names:
+            v = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, v)
+            if v.shape != self.time.shape:
+                raise ValueError(f"{name} has shape {v.shape}, but time has {self.time.shape}")
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError(f"{name} is not finite at index {bad[0]}")
+            if name != "time" and (np.any(v < 0.0) or np.any(v > 1.0)):
+                raise ValueError(f"net survival {name} must lie in [0, 1]")
+        if self.lower is not None and np.any(self.lower > self.upper):
+            raise ValueError("lower band exceeds upper band")
 
 
 def _validate_grid(data: Dataset, grid) -> np.ndarray:

@@ -27,7 +27,7 @@ from scipy import optimize as sp_optimize
 
 from . import lifetable as lt
 from .baseline import get_family
-from .datasets import write_csv
+from .datasets import _stratum_labels, write_csv
 from .inference import Dataset, ModelSpec, OptimizerOptions, _param_names, fit
 from .model import (B_ZERO_THRESHOLD, CovariateMapping, FrailtySpec, GHParams,
                     simulate_event_time)
@@ -281,8 +281,6 @@ def _draw_covariates(s, rng: np.random.Generator, n: int):
 
 def _strata_tuples(table: lt.LifeTable, names, x: np.ndarray, n: int) -> tuple:
     """Map life-table stratum columns onto same-named covariates (e.g. sex)."""
-    if not table.stratum_schema:
-        return ((),) * n
     cols = []
     for sname in table.stratum_schema:
         if sname not in names:
@@ -290,9 +288,7 @@ def _strata_tuples(table: lt.LifeTable, names, x: np.ndarray, n: int) -> tuple:
                 f"life-table stratum column {sname!r} has no matching covariate"
             )
         cols.append(x[:, names.index(sname)])
-    return tuple(
-        tuple(str(int(round(col[i]))) for col in cols) for i in range(n)
-    )
+    return _stratum_labels(cols, n)
 
 
 def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:

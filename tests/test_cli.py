@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism, ambiguity rules."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +331,15 @@ class TestSimulate:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert (a / "cohort.csv").read_bytes() == (b / "cohort.csv").read_bytes()
+
+    def test_bundled_scenario_cohort_bytes_are_pinned(self, tmp_path):
+        # pinned, so that no rewrite of the sampler, the stratum labels or
+        # the CSV writer can change a byte of a simulated cohort
+        scenario = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "sc1_small.ini"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--replicate", "0",
+                         "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest() == (
+            "a26dbe162bbf50f7d2aa1b2506e4dd7943da9acbd33a4c08612f5bfae3248d44")
 
     def test_replicate_out_of_range(self, scenario_file, tmp_path, capsys):
         code = cli.main([

@@ -199,6 +199,62 @@ class TestCsvWriter:
         assert [float(b) for _, b in rows] == values
 
 
+# Values that format to distinct cells although some compare equal (-0.0 and
+# 0.0) or unequal to themselves (two NaN payloads), plus infinities, a
+# subnormal and floats past 2**53.
+_CELL_POOL = (
+    -0.0, 0.0, np.nan, np.array([0x7FF8000000000001]).view(np.float64)[0],
+    np.inf, -np.inf, 5e-324, 1e16, 1e17, 0.1, 2012.0,
+)
+
+
+def _assert_cells_match_each_value(path, columns):
+    datasets.write_csv(path, [f"c{j}" for j in range(len(columns))], columns)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    for j, col in enumerate(columns):
+        cell = (lambda v: "%.17g" % float(v)) if col.dtype.kind == "f" else str
+        assert [row[j] for row in rows] == [cell(v) for v in col.tolist()], col.dtype
+
+
+class TestColumnCells:
+    """A numeric column formats each distinct value once; every cell must
+    still read exactly as that value formatted on its own."""
+
+    @pytest.mark.parametrize("value", _CELL_POOL, ids=repr)
+    def test_one_value_repeated(self, tmp_path, value):
+        col = np.full(4, value)
+        _assert_cells_match_each_value(tmp_path / "t.csv", [col, col.astype(np.float32)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, len(_CELL_POOL) - 1),
+                                    st.sampled_from([-128, -1, 0, 1, 127])), max_size=40))
+    def test_mixed_values(self, tmp_path_factory, picks):
+        x = np.zeros((len(picks), 3))
+        x[:, 1] = [_CELL_POOL[i] for i, _ in picks]
+        ints = np.array([k for _, k in picks], dtype=np.int8)
+        _assert_cells_match_each_value(tmp_path_factory.mktemp("csv") / "t.csv",
+                                       [x[:, 1], x[:, 1].astype(np.float32), ints,
+                                        ints.astype(np.uint64), x[:, 0]])
+
+
+class TestStratumLabels:
+    @pytest.mark.parametrize("columns", [
+        [np.array([0.0, 1.0, 1.0, 0.0, 1.0])],
+        [np.array([-3.0, 2.0, 7.0, 2.5, 3.5, -0.0, 0.9999999, 1e-9, 12.0])],
+        [np.array([0.0, 1.0, 1.0]), np.array([4.0, 2.0, 4.0])],
+        [np.array([1.0])],
+        [np.array([]), np.array([])],
+    ], ids=["binary", "integers", "two-columns", "one-row", "no-rows"])
+    def test_labels_equal_rounding_each_value(self, columns):
+        n = columns[0].size
+        expected = tuple(tuple(str(int(round(col[i]))) for col in columns)
+                         for i in range(n))
+        assert datasets._stratum_labels(columns, n) == expected
+
+    def test_no_stratum_columns(self):
+        assert datasets._stratum_labels([], 3) == ((), (), ())
+
+
 class TestBundledData:
     def test_writes_expected_files(self, tmp_path):
         written = datasets.write_bundled_data(tmp_path)

@@ -146,6 +146,28 @@ class TestPointCurves:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ns.NetSurvivalCurve(np.array([0.0]), np.array([1.5]))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(time=[0.0, math.nan]), "time is not finite at index 1"),
+        (dict(estimate=[math.nan, 0.5]), "estimate is not finite at index 0"),
+        (dict(estimate=[1.0, math.inf]), "estimate is not finite at index 1"),
+        (dict(lower=[0.9], upper=[1.0, 0.6]), r"lower has shape \(1,\), but time has \(2,\)"),
+        (dict(lower=[0.9, 0.4], upper=[1.0, 0.6, 0.7]), "upper has shape"),
+        (dict(lower=[0.9, -0.1], upper=[1.0, 0.6]), r"lower must lie in \[0, 1\]"),
+        (dict(lower=[0.9, 0.4], upper=[1.2, 0.6]), r"upper must lie in \[0, 1\]"),
+        (dict(lower=[0.9, math.nan], upper=[1.0, 0.6]), "lower is not finite at index 1"),
+        (dict(lower=[0.9, 0.7], upper=[1.0, 0.6]), "lower band exceeds upper band"),
+        (dict(lower=[0.9, 0.4]), "lower and upper bands must be given together"),
+        (dict(upper=[1.0, 0.6]), "lower and upper bands must be given together"),
+        (dict(time=[0.0, math.nan], estimate=[math.nan, 0.5], lower=[2.0], upper=[-1.0]),
+         "time is not finite"),
+    ], ids=["nan-time", "nan-estimate", "inf-estimate", "short-lower", "long-upper",
+            "negative-lower", "upper-above-one", "nan-lower", "crossed-bands",
+            "lower-alone", "upper-alone", "all-at-once"])
+    def test_invalid_curve_names_the_field(self, kwargs, match):
+        # every comparison with nan is false, so a range check alone let nan through
+        with pytest.raises(ValueError, match=match):
+            ns.NetSurvivalCurve(**{"time": [0.0, 1.0], "estimate": [1.0, 0.5], **kwargs})
+
     def test_non_finite_grid_time_is_named(self, cohort, fit_gamma):
         # a nan time used to pass every comparison and, with bands, to be
         # reported only after 10x the draws as an ill-conditioned covariance
