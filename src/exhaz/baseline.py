@@ -14,11 +14,17 @@ scale, where positive parameters are optimised on the log scale).
 Where each formula is written:
 
 * PGW h0: ``_pgw_hazard_terms``, read by ``pgw_hazard`` and ``haz_block``.
-* PGW H0: ``pgw_cum_hazard`` (curves and simulation) and ``cum_block``
-  (fits) keep one expression each, since merging them would change the
-  bytes of every curve or of every fit.
-* Log-Normal zeta and H0: ``_lognormal_terms``; the ratio phi/Phibar:
-  ``_mills_ratio``.  Both are read by the point functions and both blocks.
+* PGW H0 from z = (s/sigma)^nu: ``_pgw_cum_from_z``, read by
+  ``pgw_cum_hazard`` (point values and simulation) and by
+  ``cum_hazard_grid`` (net-survival curves).  ``cum_block`` (fits) keeps its
+  own expression, since merging it would change the bytes of every fit.
+* Log-Normal H0 from zeta = (log s - mu) / sd: ``_lognormal_cum_from_zeta``,
+  read by ``_lognormal_terms`` and ``cum_hazard_grid``.  ``_lognormal_terms``
+  (zeta and H0) and the ratio phi/Phibar, ``_mills_ratio``, are read by the
+  point functions and both blocks.
+* H0 on a grid of times for many subjects, H0(t_j e^{w_i'alpha}):
+  ``cum_hazard_grid`` of each family, from the log-time sum
+  log t_j + w_i'alpha, so no (subject, time) cell takes a ``pow``.
 * Quantiles: ``pgw_quantile`` and ``lognormal_quantile``.
 * A parameter block from natural values: ``from_natural`` of the family.
 """
@@ -86,10 +92,14 @@ def pgw_cum_hazard(t, p: PGWParams):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("cumulative hazard requires t >= 0")
-    z = (t / p.sigma) ** p.nu
+    return _pgw_cum_from_z((t / p.sigma) ** p.nu, p.gamma)
+
+
+def _pgw_cum_from_z(z, gamma):
+    """PGW H0 = (1 + z)^(1/gamma) - 1 from z = (s/sigma)^nu."""
     # expm1 keeps accuracy when the whole expression is close to zero
-    # cum_block keeps its own H0: one shared form would change curve or fit bytes
-    return np.expm1(np.log1p(z) / p.gamma)
+    # cum_block keeps its own H0: one shared form would change the fits' bytes
+    return np.expm1(np.log1p(z) / gamma)
 
 
 def pgw_quantile(q, p: PGWParams):
@@ -104,9 +114,14 @@ def pgw_quantile(q, p: PGWParams):
 
 
 def _lognormal_terms(s, mu, sd):
-    """zeta = (log s - mu) / sd and the cumulative hazard H0 = -log Phibar(zeta)."""
+    """zeta = (log s - mu) / sd and the cumulative hazard H0 at s."""
     zeta = (np.log(s) - mu) / sd
-    return zeta, -special.log_ndtr(-zeta)
+    return zeta, _lognormal_cum_from_zeta(zeta)
+
+
+def _lognormal_cum_from_zeta(zeta):
+    """Log-Normal H0 = -log Phibar(zeta) from zeta = (log s - mu) / sd."""
+    return -special.log_ndtr(-zeta)
 
 
 def _mills_ratio(zeta, H0):
@@ -141,6 +156,15 @@ def lognormal_quantile(q, p: LogNormalParams):
         z = np.where(q >= math.log(2.0), -special.ndtri(np.exp(-q)),
                      special.ndtri(-np.expm1(-q)))
     return np.exp(p.mu + p.sd * z)
+
+
+def _log_grid(grid):
+    """log of a 1-d array of times >= 0, with log 0 = -inf (where H0 is 0)."""
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid < 0.0):
+        raise ValueError("cumulative hazard requires t >= 0")
+    with np.errstate(divide="ignore"):
+        return np.log(grid)
 
 
 class _Family:
@@ -185,6 +209,17 @@ class _PGWFamily(_Family):
     @staticmethod
     def quantile(q, p):
         return pgw_quantile(q, p)
+
+    @staticmethod
+    def cum_hazard_grid(grid, eta_w, p):
+        """The (m, k) matrix H0(grid_j e^{eta_w_i}) for m grid times and k subjects.
+
+        log z = nu (log grid_j - log sigma) + nu eta_w_i is an outer sum taken
+        to z by one ``exp``; a product of two exponentiated factors would
+        overflow where z itself is finite.
+        """
+        log_z = (p.nu * (_log_grid(grid) - math.log(p.sigma)))[:, None] + p.nu * eta_w
+        return _pgw_cum_from_z(np.exp(log_z, out=log_z), p.gamma)
 
     @staticmethod
     def cum_block(s, psi):
@@ -260,6 +295,13 @@ class _LogNormalFamily(_Family):
     @staticmethod
     def quantile(q, p):
         return lognormal_quantile(q, p)
+
+    @staticmethod
+    def cum_hazard_grid(grid, eta_w, p):
+        """The (m, k) matrix H0(grid_j e^{eta_w_i}) for m grid times and k
+        subjects, from zeta = (log grid_j - mu + eta_w_i) / sd."""
+        zeta = ((_log_grid(grid) - p.mu)[:, None] + eta_w) / p.sd
+        return _lognormal_cum_from_zeta(zeta)
 
     @staticmethod
     def cum_block(s, psi):

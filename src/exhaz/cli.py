@@ -177,6 +177,27 @@ def _column_values(data, name: str) -> np.ndarray:
     raise datasets.DataFormatError(f"unknown subgroup column {name!r}")
 
 
+def _subgroups(data, by) -> list:
+    """The population group and, with ``--by``, one ``(label, mask)`` group per
+    value of the column; two labels that share a curve file name are refused."""
+    groups = [("population", None)]
+    if by:
+        values = _column_values(data, by)
+        if values.dtype == object:
+            as_str = np.array([str(v) for v in values])
+            groups += [(f"{by}={val}", as_str == val) for val in sorted(set(as_str))]
+        else:
+            groups += [(f"{by}={val:g}", values == val) for val in np.unique(values)]
+    files = {}
+    for label, _ in groups:
+        name = f"curve_{_slug(label)}.csv"
+        if name in files:
+            raise datasets.DataFormatError(
+                f"subgroups {files[name]!r} and {label!r} would both be written to {name}")
+        files[name] = label
+    return groups
+
+
 def _curve_csv(path: Path, curve: ns.NetSurvivalCurve) -> None:
     header, columns = ["time", "estimate"], [curve.time, curve.estimate]
     if curve.lower is not None:
@@ -212,7 +233,11 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
                   f"{res.data_fingerprint}, but {args.data} has fingerprint "
                   f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
     else:
-        data = full.with_covariates(args.x, args.w)
+        data, res = full.with_covariates(args.x, args.w), None
+
+    grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
+    groups = _subgroups(data, args.by)
+    if res is None:
         table = lt.load_life_table(args.lifetable)
         spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
         res = fit(data, table, spec, options=OptimizerOptions(args.maxiter, args.multistart))
@@ -220,16 +245,6 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
             print("error: model fit did not converge; curves not written",
                   file=sys.stderr)
             return EXIT_NOCONV
-
-    grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
-    groups = [("population", None)]
-    if args.by:
-        values = _column_values(data, args.by)
-        if values.dtype == object:
-            as_str = np.array([str(v) for v in values])
-            groups += [(f"{args.by}={val}", as_str == val) for val in sorted(set(as_str))]
-        else:
-            groups += [(f"{args.by}={val:g}", values == val) for val in np.unique(values)]
     curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
                                    draws=args.draws, seed=args.seed)
     rejected = curves[0].rejected_draws

@@ -196,6 +196,26 @@ def write_patient_csv(path, data: Dataset) -> None:
                *zip(*data.strata)])
 
 
+def _float_column(cells, name: str) -> np.ndarray:
+    """Data cells (the first on file row 2) parsed as float64.
+
+    numpy parses each str cell with ``float()``, so every value is the one
+    ``float()`` gives, bit for bit; the first cell it rejects is named with
+    its row.
+    """
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        for lineno, cell in enumerate(cells, start=2):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"row {lineno}: column {name!r} is not numeric: {cell!r}"
+                ) from None
+        raise
+
+
 def load_patient_csv(source) -> Dataset:
     """Parse a patient CSV; the layout is self-describing.
 
@@ -238,37 +258,27 @@ def load_patient_csv(source) -> Dataset:
                 f"row {lineno}: expected {len(header)} fields, got {len(fields)}"
             )
 
-    def numeric_column(idx: int, name: str) -> np.ndarray:
-        out = np.empty(len(body))
-        for lineno, fields in enumerate(body, start=2):
-            try:
-                out[lineno - 2] = float(fields[idx])
-            except ValueError:
-                raise DataFormatError(
-                    f"row {lineno}: column {name!r} is not numeric: {fields[idx]!r}"
-                ) from None
-        return out
+    columns = list(zip(*body))
 
     def require(name: str, ok: np.ndarray, rule: str) -> None:
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise DataFormatError(f"row {bad[0] + 2}: column {name!r} must be {rule}")
 
-    time = numeric_column(0, "time")
+    time = _float_column(columns[0], "time")
     require("time", np.isfinite(time) & (time > 0.0), "positive and finite")
-    status_f = numeric_column(1, "status")
+    status_f = _float_column(columns[1], "status")
     require("status", (status_f == 0.0) | (status_f == 1.0), "0 or 1")
-    age = numeric_column(idx_age, "age")
-    year = numeric_column(idx_age + 1, "year")
+    age = _float_column(columns[idx_age], "age")
+    year = _float_column(columns[idx_age + 1], "year")
     for name, col in (("age", age), ("year", year)):
         require(name, np.isfinite(col), "finite")
 
     numeric_covs, extras = [], {}
     for offset, name in enumerate(cov_names):
-        idx = 2 + offset
-        raw = [fields[idx] for fields in body]
+        raw = columns[2 + offset]
         try:
-            col = np.array([float(v) for v in raw])
+            col = np.array(raw, dtype=float)
         except ValueError:
             extras[name] = np.array([v.strip() for v in raw], dtype=object)
             continue
@@ -281,8 +291,7 @@ def load_patient_csv(source) -> Dataset:
         if numeric_covs
         else np.empty((len(body), 0))
     )
-    labels = [[fields[idx].strip() for fields in body]
-              for idx in range(idx_age + 2, len(header))]
+    labels = [[v.strip() for v in columns[idx]] for idx in range(idx_age + 2, len(header))]
     strata = tuple(zip(*labels)) if labels else ((),) * len(body)
     try:
         return Dataset(

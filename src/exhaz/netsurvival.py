@@ -13,10 +13,14 @@ subject's curve.  Uncertainty bands come from resampling the parameter
 vector from its asymptotic normal distribution on the transformed scale;
 each draw is evaluated once and shared by every group's band.
 
-Each call builds the (n, m) matrix of individual curves one block of about
-``_BLOCK`` elements at a time, so every temporary stays small enough for the
-allocator to reuse its memory, and a banded call writes every draw into one
-work array allocated once.  Each element sees the same operations as in a
+Each call builds the (m, n) matrix of individual curves, one row per grid
+time and one column per subject, a block of about ``_BLOCK`` elements at a
+time, so every temporary stays small enough for the allocator to reuse its
+memory; a banded call writes every draw into one work array allocated once.
+A block's cumulative hazards come from the baseline family's
+``cum_hazard_grid``: in log time, H_E(t) = H0(t e^{w'alpha}) e^{x'beta -
+w'alpha} is separable, log(t e^{w'alpha}) = log t + w'alpha, so no cell
+takes a ``pow``.  Each element sees the same operations as in a
 whole-matrix expression, so the curves are bit-identical to one.
 """
 
@@ -99,9 +103,10 @@ def _validate_grid(data: Dataset, grid) -> np.ndarray:
     return grid
 
 
-def _group_masks(data: Dataset, groups):
-    """The labels of ``groups`` and their checked masks (``None``: every row)."""
-    labels, masks = [], []
+def _group_rows(data: Dataset, groups):
+    """The labels of ``groups`` and the row indices of their checked masks
+    (``None``: every row)."""
+    labels, rows = [], []
     for label, mask in groups:
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
@@ -111,38 +116,41 @@ def _group_masks(data: Dataset, groups):
             if not mask.any():
                 raise ValueError(f"group {label!r} picks no rows")
         labels.append(label)
-        masks.append(mask)
-    return labels, masks
+        rows.append(None if mask is None else np.flatnonzero(mask))
+    return labels, rows
 
 
-def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, masks=None,
+def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, groups=None,
                   out=None) -> np.ndarray:
     """Average net survival over the rows of (x, w) at each grid time.
 
-    The (n, m) matrix of individual curves is built in blocks of
-    ``max(1, _BLOCK // m)`` rows, into ``out`` when given (overwritten) or a
-    new array.  Without ``masks`` the result is its row average; with them,
-    one row average per mask (``None`` averages every row), stacked into a
-    (len(masks), m) array.  The result never shares memory with ``out``.
+    The (m, n) matrix of individual curves, one row per grid time, is built
+    in blocks of ``max(1, _BLOCK // m)`` subjects, into ``out`` when given
+    (overwritten) or a new array.  Without ``groups`` the result is its row
+    mean; with them, one mean per group, an array of row indices (``None``:
+    every row), stacked into a (len(groups), m) array.  The result never
+    shares memory with ``out``.
     """
     fam = family_of_params(g.theta)
     eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
     eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
-    individual = np.empty((x.shape[0], grid.shape[0])) if out is None else out
-    rows = max(1, _BLOCK // grid.shape[0])
+    m, n = grid.shape[0], x.shape[0]
+    individual = np.empty((m, n)) if out is None else out
+    cols = max(1, _BLOCK // m)
     with np.errstate(all="ignore"):
-        scale_w = np.exp(eta_w)[:, None]
-        scale_x = np.exp(eta_x - eta_w)[:, None]
-        for a in range(0, x.shape[0], rows):
-            b = a + rows
-            s = grid[None, :] * scale_w[a:b]
-            he = fam.cum_hazard(s, g.theta) * scale_x[a:b]
+        scale_x = np.exp(eta_x - eta_w)
+        for a in range(0, n, cols):
+            b = a + cols
+            he = fam.cum_hazard_grid(grid, eta_w[a:b], g.theta) * scale_x[a:b]
             # laplace takes the b -> 0 limit itself, but needs a frailty family
-            individual[a:b] = np.exp(-he) if fr.family == "none" else laplace(fr, he)
-    if masks is None:
-        return individual.mean(axis=0)
-    return np.stack([individual.mean(axis=0) if mask is None
-                     else individual[mask].mean(axis=0) for mask in masks])
+            individual[:, a:b] = np.exp(-he) if fr.family == "none" else laplace(fr, he)
+    # take copies a group's columns C-contiguously, so its sums are those of a
+    # dataset holding only its rows, bit for bit; a boolean index gives F order
+    if groups is None:
+        return individual.sum(axis=1) / n
+    return np.stack([individual.sum(axis=1) / n if rows is None
+                     else individual.take(rows, axis=1).sum(axis=1) / rows.shape[0]
+                     for rows in groups])
 
 
 def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
@@ -173,8 +181,8 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     if data.n == 0:
         raise ValueError("dataset is empty")
     grid = _validate_grid(data, grid)
-    labels, masks = _group_masks(data, [("population", None)] if groups is None else groups)
-    estimates = _curve_values(data.x, data.w, grid, fit.params, fit.frailty, masks)
+    labels, rows = _group_rows(data, [("population", None)] if groups is None else groups)
+    estimates = _curve_values(data.x, data.w, grid, fit.params, fit.frailty, rows)
     model = fit.spec.label()
     if draws == 0:
         return [NetSurvivalCurve(grid, est, label=label, model=model)
@@ -189,7 +197,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     p_t, p = len(fit.w_names), len(fit.x_names)
     rng = np.random.default_rng(seed)
     kept = np.empty((draws,) + estimates.shape)
-    work = np.empty((data.n, grid.shape[0]))
+    work = np.empty((grid.shape[0], data.n))
     n_kept = rejected = 0
     cap = 10 * draws
     while n_kept < draws:
@@ -204,7 +212,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
         psis = fit.psi[None, :] + z @ chol.T
         for row in psis:
             g, fr = _unpack(row, fam, fit.spec.frailty, p_t, p)
-            curves = _curve_values(data.x, data.w, grid, g, fr, masks, work)
+            curves = _curve_values(data.x, data.w, grid, g, fr, rows, work)
             if np.all(np.isfinite(curves)):
                 kept[n_kept] = curves
                 n_kept += 1

@@ -746,12 +746,12 @@ def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
             return None
         curves = {}
         for (analysis, model, label), (d, res) in fits.items():
-            labels, masks = [label], [None]
+            labels, rows = [label], [None]
             if analysis == "pooled":  # the pooled fit also gives each group's curve
                 group = s.group_of(d.x)
                 labels += s.group_labels
-                masks += [group == g for g in range(len(s.group_labels))]
-            values = _curve_values(d.x, d.w, grid, res.params, res.frailty, masks)
+                rows += [np.flatnonzero(group == g) for g in range(len(s.group_labels))]
+            values = _curve_values(d.x, d.w, grid, res.params, res.frailty, rows)
             curves.update({(analysis, model, lab): row for lab, row in zip(labels, values)})
         return curves
 

@@ -162,6 +162,36 @@ class TestFamilyInterface:
         np.testing.assert_allclose(s_h0, s * fam.hazard(s, p), rtol=1e-12)
 
     @pytest.mark.parametrize("name", ["pgw", "lognormal"])
+    def test_grid_kernel_matches_point_function(self, name):
+        """cum_hazard_grid is H0(grid_j e^{eta_w_i}) laid out (m, k)."""
+        fam = bl.get_family(name)
+        rng = np.random.default_rng(10)
+        p = fam.from_transformed(rng.normal(scale=0.5, size=fam.n_params))
+        grid = np.linspace(0.0, 5.0, 11)  # 0 gives H0 = 0 exactly
+        eta_w = rng.normal(size=30)
+        grid_h0 = fam.cum_hazard_grid(grid, eta_w, p)
+        assert grid_h0.shape == (11, 30)
+        assert np.all(grid_h0[0] == 0.0)
+        point = fam.cum_hazard(grid[:, None] * np.exp(eta_w), p)
+        np.testing.assert_allclose(grid_h0, point, rtol=1e-13)
+        with pytest.raises(ValueError, match="t >= 0"):
+            fam.cum_hazard_grid(np.array([0.0, -1.0]), eta_w, p)
+
+    def test_pgw_grid_kernel_finite_where_its_factors_overflow(self):
+        # nu * eta_w = 800 > 709, so e^{nu eta_w} overflows and
+        # e^{nu (log t - log sigma)} underflows, yet z = (t e^{eta_w} / sigma)^nu
+        # is of order 1: a single exp of the log-time sum keeps it finite
+        p = bl.PGWParams(1e200, 2.0, 1.3)
+        eta_w = np.array([400.0])
+        assert p.nu * eta_w[0] > 709.0
+        grid = np.array([0.0, 1.0, 1e26, 2e26, 4e26])
+        grid_h0 = bl.PGW.cum_hazard_grid(grid, eta_w, p)
+        assert np.all(np.isfinite(grid_h0))
+        point = bl.pgw_cum_hazard(grid * np.exp(eta_w[0]), p)
+        assert np.all(np.isfinite(point)) and point[-1] > 1.0
+        np.testing.assert_allclose(grid_h0[:, 0], point, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["pgw", "lognormal"])
     def test_block_gradients_match_finite_differences(self, name):
         fam = bl.get_family(name)
         rng = np.random.default_rng(9)

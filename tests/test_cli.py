@@ -253,6 +253,23 @@ class TestNetsurv:
             label, model, t, est, lo, hi = line.split(",")
             assert lo == hi == "" and 0.0 <= float(est) <= 1.0
 
+    def test_subgroups_sharing_a_file_name_are_refused(self, inputs, tmp_path, capsys):
+        # "I I" and "I-I" both give curve_stage-I-I.csv: one curve used to
+        # overwrite the other, and the command exited 0
+        data = tmp_path / "slugs.csv"
+        data.write_text(inputs["data"].read_text().replace(",II,", ",I I,")
+                        .replace(",III,", ",I-I,"))
+        code = cli.main([
+            "netsurv", "--data", str(data),
+            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+            "--grid", "0:5:6", "--by", "stage", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("subgroups 'stage=I I' and 'stage=I-I' would both be written to "
+                "curve_stage-I-I.csv") in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_grid_is_schema_error(self, inputs, tmp_path, capsys):
         code = cli.main([
             "netsurv", "--data", str(inputs["data"]),

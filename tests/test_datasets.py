@@ -120,6 +120,36 @@ class TestPatientCsv:
             loaded = datasets.load_patient_csv(fh)
         assert loaded.n == lung.n
 
+    # whitespace, signed zero, digit separators, nan, overflow, underflow, a
+    # subnormal and non-ASCII digits, all of which float() accepts
+    EDGE_CELLS = (" 1.5", "-0", "1_000", "nan", "1e400", "-1e400", "1e-400",
+                  "4.9e-324", "0.1", "+2 ", "\u0661\u0662")
+
+    def test_columns_parse_as_float_bit_for_bit(self):
+        got = datasets._float_column(self.EDGE_CELLS, "z")
+        want = np.array([float(c) for c in self.EDGE_CELLS])
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_edge_cells_load_as_float_gives_them(self):
+        text = ("time,status,z,age,year\n 1.5,1,-0,1_000,2012\n"
+                "2,0,1e-400,61 ,+2013\n")
+        loaded = datasets.load_patient_csv(io.StringIO(text))
+        np.testing.assert_array_equal(loaded.time, [1.5, 2.0])
+        assert np.signbit(loaded.x[0, 0]) and not np.signbit(loaded.x[1, 0])
+        np.testing.assert_array_equal(loaded.age, [1000.0, 61.0])
+        np.testing.assert_array_equal(loaded.year, [2012.0, 2013.0])
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_unparsable_cell_is_named_with_its_row(self, column):
+        name = ("time", "status", "age", "year")[column]
+        cells = ["1", "1", "60", "2012"]
+        cells[column] = " 6o "
+        text = "time,status,age,year\n1,0,61,2012\n" + ",".join(cells) + "\n"
+        with pytest.raises(datasets.DataFormatError) as exc:
+            datasets.load_patient_csv(io.StringIO(text))
+        assert str(exc.value) == f"row 3: column {name!r} is not numeric: ' 6o '"
+
     def test_partially_numeric_column_becomes_labels(self):
         text = "time,status,z,age,year\n1.0,1,1.5,60,2012\n2.0,0,oops,61,2012\n"
         loaded = datasets.load_patient_csv(io.StringIO(text))
@@ -144,6 +174,8 @@ class TestPatientCsv:
             ("time,status,age,year\n-1,1,60,2012\n", "time"),
             ("time,status,age,year\n1,1,60,2012\n1,0,nan,2012\n", "row 3: column 'age'"),
             ("time,status,age,year\n1,1,60,inf\n", "row 2: column 'year' must be finite"),
+            ("time,status,age,year\n1,1,60,2012\n2,0,1e400,2012\n",
+             "row 3: column 'age' must be finite"),
             ("time,status,age,year\nnan,1,60,2012\n",
              "row 2: column 'time' must be positive and finite"),
             ("time,status,age,year\n1,1,60,2012\n-2,0,61,2012\n",

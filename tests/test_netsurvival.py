@@ -180,19 +180,21 @@ class TestPointCurves:
 
 
 def _whole_matrix(x, w, grid, g, fr):
-    """The individual curves as one (n, m) expression, as built before blocking."""
+    """The individual curves as one (m, n) expression, one row per grid time."""
     fam = family_of_params(g.theta)
     eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
     eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
-        s = grid[None, :] * np.exp(eta_w)[:, None]
-        he = fam.cum_hazard(s, g.theta) * np.exp(eta_x - eta_w)[:, None]
+        he = fam.cum_hazard_grid(grid, eta_w, g.theta) * np.exp(eta_x - eta_w)
         return np.exp(-he) if fr.family == "none" else mdl.laplace(fr, he)
 
 
+THETAS = pytest.mark.parametrize("theta", [PGWParams(1.5, 1.1, 1.3), LogNormalParams(0.2, 0.9)],
+                                 ids=["pgw", "lognormal"])
+
+
 class TestRowBlocks:
-    @pytest.mark.parametrize("theta", [PGWParams(1.5, 1.1, 1.3), LogNormalParams(0.2, 0.9)],
-                             ids=["pgw", "lognormal"])
+    @THETAS
     @pytest.mark.parametrize("fr", [mdl.FrailtySpec("none"), mdl.FrailtySpec("gamma", 0.7),
                                     mdl.FrailtySpec("ig", 0.7),
                                     mdl.FrailtySpec("gamma", mdl.B_ZERO_THRESHOLD / 10)],
@@ -200,28 +202,51 @@ class TestRowBlocks:
     @pytest.mark.parametrize("m", [1, 101])
     def test_blocks_equal_the_whole_matrix_bit_for_bit(self, theta, fr, m):
         grid = np.array([2.5]) if m == 1 else np.linspace(0.0, 5.0, m)
-        rows = max(1, ns._BLOCK // m)
+        cols = max(1, ns._BLOCK // m)
         r = np.random.default_rng(m)
         g = mdl.GHParams(theta, alpha=[0.4], beta=[0.5, -0.3, 0.8])
-        for n in (1, rows - 1, rows + 1, 3 * rows + 5):
+        for n in (1, cols - 1, cols + 1, 3 * cols + 5):
             x = r.normal(size=(n, 3))
             w = x[:, :1].copy()
             mask = r.random(n) < 0.5
             mask[0] = True
+            rows = np.flatnonzero(mask)
             whole = _whole_matrix(x, w, grid, g, fr)
-            out = np.full((n, m), np.nan)
-            np.testing.assert_array_equal(ns._curve_values(x, w, grid, g, fr), whole.mean(axis=0))
-            means = ns._curve_values(x, w, grid, g, fr, [None, mask], out)
+            out = np.full((m, n), np.nan)
+            np.testing.assert_array_equal(ns._curve_values(x, w, grid, g, fr),
+                                          whole.sum(axis=1) / n)
+            means = ns._curve_values(x, w, grid, g, fr, [None, rows], out)
             np.testing.assert_array_equal(out, whole)
-            np.testing.assert_array_equal(means[0], whole.mean(axis=0))
-            np.testing.assert_array_equal(means[1], whole[mask].mean(axis=0))
+            np.testing.assert_array_equal(means[0], whole.sum(axis=1) / n)
+            group = np.ascontiguousarray(whole[:, mask])
+            np.testing.assert_array_equal(means[1], group.sum(axis=1) / rows.shape[0])
             # a second call overwrites the work array, never the first result
             first = means.copy()
             other = mdl.GHParams(theta, alpha=[-0.2], beta=[1.0, 0.1, -0.5])
-            again = ns._curve_values(x, w, grid, other, fr, [None, mask], out)
+            again = ns._curve_values(x, w, grid, other, fr, [None, rows], out)
             np.testing.assert_array_equal(means, first)
             np.testing.assert_array_equal(out, _whole_matrix(x, w, grid, other, fr))
             assert not np.shares_memory(means, out) and not np.shares_memory(again, out)
+
+    @THETAS
+    @pytest.mark.parametrize("fr", [mdl.FrailtySpec("none"), mdl.FrailtySpec("gamma", 0.7),
+                                    mdl.FrailtySpec("ig", 0.7)], ids=["none", "gamma", "ig"])
+    def test_individual_curves_match_the_point_formulas(self, theta, fr):
+        # the log-time kernel against H0(t e^{w'alpha}) e^{x'beta - w'alpha}
+        # evaluated subject by subject
+        grid = np.linspace(0.0, 5.0, 26)
+        r = np.random.default_rng(17)
+        g = mdl.GHParams(theta, alpha=[0.4, -0.3], beta=[0.5, -0.3, 0.8])
+        n = ns._BLOCK // grid.shape[0] + 7  # two blocks
+        x = r.normal(size=(n, 3))
+        w = np.column_stack([x[:, 0], r.normal(size=n)])
+        out = np.empty((grid.shape[0], n))
+        ns._curve_values(x, w, grid, g, fr, out=out)
+        point = (mdl.conditional_net_survival if fr.family == "none"
+                 else lambda *a: mdl.marginal_net_survival(*a, fr))
+        expected = np.column_stack([point(grid, x[i], w[i], g) for i in range(n)])
+        assert np.all(out[0] == 1.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-13)
 
 
 class TestMonteCarloBands:
