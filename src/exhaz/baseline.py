@@ -24,7 +24,12 @@ Where each formula is written:
   point functions and both blocks.
 * H0 on a grid of times for many subjects, H0(t_j e^{w_i'alpha}):
   ``cum_hazard_grid`` of each family, from the log-time sum
-  log t_j + w_i'alpha, so no (subject, time) cell takes a ``pow``.
+  log t_j + w_i'alpha, so no (subject, time) cell takes a ``pow``.  With
+  ``out=`` it writes the matrix into a given (m, k) array, a column block of
+  a larger one included, through ``_pgw_cum_from_z`` and
+  ``_lognormal_cum_from_zeta`` with ``out=``; every element sees the same
+  operations in the same order, so it is bit-identical to the allocating
+  call.
 * Quantiles: ``pgw_quantile`` and ``lognormal_quantile``.
 * A parameter block from natural values: ``from_natural`` of the family.
 """
@@ -95,11 +100,11 @@ def pgw_cum_hazard(t, p: PGWParams):
     return _pgw_cum_from_z((t / p.sigma) ** p.nu, p.gamma)
 
 
-def _pgw_cum_from_z(z, gamma):
-    """PGW H0 = (1 + z)^(1/gamma) - 1 from z = (s/sigma)^nu."""
+def _pgw_cum_from_z(z, gamma, out=None):
+    """PGW H0 = (1 + z)^(1/gamma) - 1 from z = (s/sigma)^nu, into ``out`` if given."""
     # expm1 keeps accuracy when the whole expression is close to zero
     # cum_block keeps its own H0: one shared form would change the fits' bytes
-    return np.expm1(np.log1p(z) / gamma)
+    return np.expm1(np.divide(np.log1p(z, out=out), gamma, out=out), out=out)
 
 
 def pgw_quantile(q, p: PGWParams):
@@ -119,9 +124,10 @@ def _lognormal_terms(s, mu, sd):
     return zeta, _lognormal_cum_from_zeta(zeta)
 
 
-def _lognormal_cum_from_zeta(zeta):
-    """Log-Normal H0 = -log Phibar(zeta) from zeta = (log s - mu) / sd."""
-    return -special.log_ndtr(-zeta)
+def _lognormal_cum_from_zeta(zeta, out=None):
+    """Log-Normal H0 = -log Phibar(zeta) from zeta = (log s - mu) / sd, into
+    ``out`` if given."""
+    return np.negative(special.log_ndtr(np.negative(zeta, out=out), out=out), out=out)
 
 
 def _mills_ratio(zeta, H0):
@@ -211,15 +217,17 @@ class _PGWFamily(_Family):
         return pgw_quantile(q, p)
 
     @staticmethod
-    def cum_hazard_grid(grid, eta_w, p):
-        """The (m, k) matrix H0(grid_j e^{eta_w_i}) for m grid times and k subjects.
+    def cum_hazard_grid(grid, eta_w, p, out=None):
+        """The (m, k) matrix H0(grid_j e^{eta_w_i}) for m grid times and k
+        subjects, written into ``out`` if given.
 
         log z = nu (log grid_j - log sigma) + nu eta_w_i is an outer sum taken
         to z by one ``exp``; a product of two exponentiated factors would
         overflow where z itself is finite.
         """
-        log_z = (p.nu * (_log_grid(grid) - math.log(p.sigma)))[:, None] + p.nu * eta_w
-        return _pgw_cum_from_z(np.exp(log_z, out=log_z), p.gamma)
+        log_z = np.add((p.nu * (_log_grid(grid) - math.log(p.sigma)))[:, None],
+                       p.nu * eta_w, out=out)
+        return _pgw_cum_from_z(np.exp(log_z, out=log_z), p.gamma, out=log_z)
 
     @staticmethod
     def cum_block(s, psi):
@@ -297,11 +305,12 @@ class _LogNormalFamily(_Family):
         return lognormal_quantile(q, p)
 
     @staticmethod
-    def cum_hazard_grid(grid, eta_w, p):
+    def cum_hazard_grid(grid, eta_w, p, out=None):
         """The (m, k) matrix H0(grid_j e^{eta_w_i}) for m grid times and k
-        subjects, from zeta = (log grid_j - mu + eta_w_i) / sd."""
-        zeta = ((_log_grid(grid) - p.mu)[:, None] + eta_w) / p.sd
-        return _lognormal_cum_from_zeta(zeta)
+        subjects, from zeta = (log grid_j - mu + eta_w_i) / sd, written into
+        ``out`` if given."""
+        zeta = np.add((_log_grid(grid) - p.mu)[:, None], eta_w, out=out)
+        return _lognormal_cum_from_zeta(np.divide(zeta, p.sd, out=zeta), out=zeta)
 
     @staticmethod
     def cum_block(s, psi):

@@ -177,6 +177,13 @@ def _column_values(data, name: str) -> np.ndarray:
     raise datasets.DataFormatError(f"unknown subgroup column {name!r}")
 
 
+def _number_label(val) -> str:
+    """``val`` to 6 significant digits when that reads back as ``val``, else
+    every digit, so distinct values never share a label."""
+    short = f"{val:g}"
+    return short if float(short) == val else repr(float(val))
+
+
 def _subgroups(data, by) -> list:
     """The population group and, with ``--by``, one ``(label, mask)`` group per
     value of the column; two labels that share a curve file name are refused."""
@@ -187,7 +194,8 @@ def _subgroups(data, by) -> list:
             as_str = np.array([str(v) for v in values])
             groups += [(f"{by}={val}", as_str == val) for val in sorted(set(as_str))]
         else:
-            groups += [(f"{by}={val:g}", values == val) for val in np.unique(values)]
+            groups += [(f"{by}={_number_label(val)}", values == val)
+                       for val in np.unique(values)]
     files = {}
     for label, _ in groups:
         name = f"curve_{_slug(label)}.csv"

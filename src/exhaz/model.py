@@ -38,14 +38,16 @@ B_ZERO_THRESHOLD = 1e-8
 # Each family gives log L(s) and the conditional frailty mean -L'/L(s) (the
 # weight), written once here.  For the likelihood gradient, ``weight_derivs``
 # adds d weight/ds, d weight/d log b and d log L/d log b; d log L/ds is
-# -weight for every family.
+# -weight for every family.  ``log_laplace(b, s, out=)`` writes into ``out``,
+# which may be ``s`` itself, with the operations of the allocating call in
+# the same order, so its values are bit-identical to it.
 
 class _NoFrailty:
     """No frailty, and the exact limit of both families as b -> 0."""
 
     @staticmethod
-    def log_laplace(b, s):
-        return -s
+    def log_laplace(b, s, out=None):
+        return np.negative(s, out=out)
 
     @staticmethod
     def weight(b, s):
@@ -62,8 +64,9 @@ class _GammaFrailty:
     and -L'/L(s) = 1/(1 + b s)."""
 
     @staticmethod
-    def log_laplace(b, s):
-        return -np.log1p(b * s) / b
+    def log_laplace(b, s, out=None):
+        return np.divide(np.negative(np.log1p(np.multiply(b, s, out=out), out=out), out=out),
+                         b, out=out)
 
     @staticmethod
     def weight(b, s):
@@ -80,8 +83,11 @@ class _InverseGaussianFrailty:
     exp(-2s / (1 + sqrt(1 + 2bs))), and -L'/L(s) = 1/sqrt(1 + 2bs)."""
 
     @staticmethod
-    def log_laplace(b, s):
-        return -2.0 * s / (1.0 + np.sqrt(1.0 + 2.0 * b * s))
+    def log_laplace(b, s, out=None):
+        # the root is the one temporary: out may be s, which the root reads
+        root = np.multiply(2.0 * b, s, out=np.empty_like(s, dtype=float))
+        root = np.add(1.0, np.sqrt(np.add(1.0, root, out=root), out=root), out=root)
+        return np.divide(np.multiply(-2.0, s, out=out), root, out=out)
 
     @staticmethod
     def weight(b, s):

@@ -13,19 +13,34 @@ subject's curve.  Uncertainty bands come from resampling the parameter
 vector from its asymptotic normal distribution on the transformed scale;
 each draw is evaluated once and shared by every group's band.
 
-Each call builds the (m, n) matrix of individual curves, one row per grid
-time and one column per subject, a block of about ``_BLOCK`` elements at a
-time, so every temporary stays small enough for the allocator to reuse its
-memory; a banded call writes every draw into one work array allocated once.
-A block's cumulative hazards come from the baseline family's
-``cum_hazard_grid``: in log time, H_E(t) = H0(t e^{w'alpha}) e^{x'beta -
-w'alpha} is separable, log(t e^{w'alpha}) = log t + w'alpha, so no cell
-takes a ``pow``.  Each element sees the same operations as in a
+Each curve evaluation fills an (m, n) work array of individual curves, one
+row per grid time and one column per subject, a block of about ``_BLOCK``
+elements at a time.  A block is computed in place in its slice of the work
+array, with no (m, n)-sized temporary: the baseline family's
+``cum_hazard_grid(..., out=)`` writes H0, the covariate scale multiplies it,
+and the frailty form's ``log_laplace(..., out=)`` and ``exp`` turn it into
+L(H_E).  In log time, H_E(t) = H0(t e^{w'alpha}) e^{x'beta - w'alpha} is
+separable, log(t e^{w'alpha}) = log t + w'alpha, so no cell takes a
+``pow``.  Each element sees the same operations, in the same order, as in a
 whole-matrix expression, so the curves are bit-identical to one.
+
+A banded call draws each batch of parameter vectors in the calling thread,
+then splits the batch's draws between up to ``_MAX_WORKERS`` workers, one
+per CPU the process may run on: the calling thread and a pool of threads.
+numpy releases the GIL inside the block operations.  Each worker owns a
+work array and writes the group means of its draws, a disjoint set, into
+their own rows.  Non-finite draws are then rejected in draw order, so the
+kept draws, ``rejected_draws`` and every band are the same bytes for any
+number of workers.  Workers call only untraced helpers
+(``_individual_curves``, ``_group_means``), never ``_curve_values``: the
+benchmark's tracer wraps calls with one stack of open spans, which spans
+opened from several threads would corrupt.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +48,7 @@ from scipy import linalg
 
 from .baseline import family_of_params, get_family
 from .inference import Dataset, FitResult, _unpack
-from .model import FrailtySpec, GHParams, laplace
+from .model import FrailtySpec, GHParams, _frailty_form
 
 __all__ = [
     "NetSurvivalCurve",
@@ -41,8 +56,11 @@ __all__ = [
     "net_survival_mc_ci",
 ]
 
-# Elements per block of individual curves: 2**14 floats, 128 KB per temporary.
-_BLOCK = 2**14
+# Elements per block of individual curves: 2**17 floats, 1 MB, so a cohort of
+# a few thousand on a coarse grid is one block that stays in cache.
+_BLOCK = 2**17
+# Band workers at most: each holds its own (m, n) work array.
+_MAX_WORKERS = 4
 
 
 def default_grid() -> np.ndarray:
@@ -120,30 +138,31 @@ def _group_rows(data: Dataset, groups):
     return labels, rows
 
 
-def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, groups=None,
-                  out=None) -> np.ndarray:
-    """Average net survival over the rows of (x, w) at each grid time.
-
-    The (m, n) matrix of individual curves, one row per grid time, is built
-    in blocks of ``max(1, _BLOCK // m)`` subjects, into ``out`` when given
-    (overwritten) or a new array.  Without ``groups`` the result is its row
-    mean; with them, one mean per group, an array of row indices (``None``:
-    every row), stacked into a (len(groups), m) array.  The result never
-    shares memory with ``out``.
-    """
+def _individual_curves(x, w, grid, g: GHParams, fr: FrailtySpec, out) -> np.ndarray:
+    """Fill the (m, n) array ``out`` with the individual curves L(H_E(t_j; x_i,
+    w_i)), one row per grid time, in place, in blocks of ``max(1, _BLOCK //
+    m)`` subjects; returns ``out``."""
     fam = family_of_params(g.theta)
+    form = _frailty_form(fr.family, fr.b)
     eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
     eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
-    m, n = grid.shape[0], x.shape[0]
-    individual = np.empty((m, n)) if out is None else out
+    m, n = out.shape
     cols = max(1, _BLOCK // m)
     with np.errstate(all="ignore"):
         scale_x = np.exp(eta_x - eta_w)
         for a in range(0, n, cols):
-            b = a + cols
-            he = fam.cum_hazard_grid(grid, eta_w[a:b], g.theta) * scale_x[a:b]
-            # laplace takes the b -> 0 limit itself, but needs a frailty family
-            individual[:, a:b] = np.exp(-he) if fr.family == "none" else laplace(fr, he)
+            block = out[:, a:a + cols]
+            fam.cum_hazard_grid(grid, eta_w[a:a + cols], g.theta, out=block)
+            np.multiply(block, scale_x[a:a + cols], out=block)
+            np.exp(form.log_laplace(fr.b, block, out=block), out=block)
+    return out
+
+
+def _group_means(individual: np.ndarray, groups) -> np.ndarray:
+    """Row means of the individual curves: one, or with ``groups`` one per
+    group, an array of column indices (``None``: every column), stacked into
+    a (len(groups), m) array that never shares memory with ``individual``."""
+    n = individual.shape[1]
     # take copies a group's columns C-contiguously, so its sums are those of a
     # dataset holding only its rows, bit for bit; a boolean index gives F order
     if groups is None:
@@ -151,6 +170,41 @@ def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, groups=None,
     return np.stack([individual.sum(axis=1) / n if rows is None
                      else individual.take(rows, axis=1).sum(axis=1) / rows.shape[0]
                      for rows in groups])
+
+
+def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, groups=None,
+                  out=None) -> np.ndarray:
+    """Average net survival over the rows of (x, w) at each grid time.
+
+    The (m, n) matrix of individual curves is built into ``out`` when given
+    (overwritten) or a new array; the result is its :func:`_group_means`.
+    """
+    if out is None:
+        out = np.empty((grid.shape[0], x.shape[0]))
+    return _group_means(_individual_curves(x, w, grid, g, fr, out), groups)
+
+
+def _worker_count() -> int:
+    """Workers for a band: the CPUs this process may run on, at most
+    ``_MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _fill_draws(x, w, grid, rows, params, dest, work, draw_ids) -> None:
+    """Write the group means of draw ``params[k] = (g, fr)`` into ``dest[k]``
+    for each k in ``draw_ids``, building each draw's curves in ``work``.
+
+    One band worker's share of a batch: it calls no traced function, and
+    sets its own error state, since numpy's is per thread.
+    """
+    with np.errstate(all="ignore"):
+        for k in draw_ids:
+            g, fr = params[k]
+            dest[k] = _group_means(_individual_curves(x, w, grid, g, fr, work), rows)
 
 
 def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
@@ -197,27 +251,38 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     p_t, p = len(fit.w_names), len(fit.x_names)
     rng = np.random.default_rng(seed)
     kept = np.empty((draws,) + estimates.shape)
-    work = np.empty((grid.shape[0], data.n))
     n_kept = rejected = 0
     cap = 10 * draws
-    while n_kept < draws:
-        attempted = n_kept + rejected
-        if attempted >= cap:
-            raise RuntimeError(
-                f"rejected too many parameter draws ({attempted}); "
-                "covariance may be ill-conditioned"
-            )
-        batch = min(draws - n_kept, cap - attempted)
-        z = rng.standard_normal((batch, fit.psi.shape[0]))
-        psis = fit.psi[None, :] + z @ chol.T
-        for row in psis:
-            g, fr = _unpack(row, fam, fit.spec.frailty, p_t, p)
-            curves = _curve_values(data.x, data.w, grid, g, fr, rows, work)
-            if np.all(np.isfinite(curves)):
-                kept[n_kept] = curves
-                n_kept += 1
-            else:
-                rejected += 1
+    cpus = _worker_count()
+    works = [np.empty((grid.shape[0], data.n)) for _ in range(min(cpus, draws))]
+    # the calling thread is worker 0; the pool runs the others
+    with ThreadPoolExecutor(max_workers=max(1, cpus - 1)) as pool:
+        while n_kept < draws:
+            attempted = n_kept + rejected
+            if attempted >= cap:
+                raise RuntimeError(
+                    f"rejected too many parameter draws ({attempted}); "
+                    "covariance may be ill-conditioned"
+                )
+            batch = min(draws - n_kept, cap - attempted)
+            z = rng.standard_normal((batch, fit.psi.shape[0]))
+            psis = fit.psi[None, :] + z @ chol.T
+            params = [_unpack(row, fam, fit.spec.frailty, p_t, p) for row in psis]
+            # the batch fits in the rows not yet kept; its finite draws are
+            # moved up over the rejected ones, in draw order
+            dest = kept[n_kept:n_kept + batch]
+            workers = min(cpus, batch)
+            jobs = [pool.submit(_fill_draws, data.x, data.w, grid, rows, params, dest,
+                                works[i], range(i, batch, workers)) for i in range(1, workers)]
+            _fill_draws(data.x, data.w, grid, rows, params, dest, works[0],
+                        range(0, batch, workers))
+            for job in jobs:
+                job.result()
+            finite = np.isfinite(dest).all(axis=(1, 2))
+            good = int(finite.sum())
+            dest[:good] = dest[finite]
+            n_kept += good
+            rejected += batch - good
     tau = 1.0 - level
     lower = np.quantile(kept, tau / 2.0, axis=0)
     upper = np.quantile(kept, 1.0 - tau / 2.0, axis=0)

@@ -177,6 +177,26 @@ class TestFamilyInterface:
         with pytest.raises(ValueError, match="t >= 0"):
             fam.cum_hazard_grid(np.array([0.0, -1.0]), eta_w, p)
 
+    @pytest.mark.parametrize("name", ["pgw", "lognormal"])
+    def test_grid_kernel_out_is_bit_identical(self, name):
+        """With out= the kernel writes the allocating call's bits, into a new
+        array or into a column block of a larger one."""
+        fam = bl.get_family(name)
+        rng = np.random.default_rng(12)
+        p = fam.from_transformed(rng.normal(scale=0.5, size=fam.n_params))
+        grid = np.linspace(0.0, 5.0, 11)
+        eta_w = rng.normal(scale=3.0, size=30)
+        expected = fam.cum_hazard_grid(grid, eta_w, p)
+        fresh = np.full((11, 30), np.nan)
+        assert fam.cum_hazard_grid(grid, eta_w, p, out=fresh) is fresh
+        np.testing.assert_array_equal(fresh, expected)
+        big = np.full((11, 50), -1.0)
+        block = big[:, 7:37]
+        assert not block.flags.c_contiguous
+        fam.cum_hazard_grid(grid, eta_w, p, out=block)
+        np.testing.assert_array_equal(big[:, 7:37], expected)
+        assert np.all(big[:, :7] == -1.0) and np.all(big[:, 37:] == -1.0)
+
     def test_pgw_grid_kernel_finite_where_its_factors_overflow(self):
         # nu * eta_w = 800 > 709, so e^{nu eta_w} overflows and
         # e^{nu (log t - log sigma)} underflows, yet z = (t e^{eta_w} / sigma)^nu

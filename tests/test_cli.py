@@ -270,6 +270,32 @@ class TestNetsurv:
                 "curve_stage-I-I.csv") in err
         assert not (tmp_path / "o").exists()
 
+    def test_numeric_values_equal_to_six_digits_get_distinct_labels(self, inputs, tmp_path):
+        # both values print as 0.123456 with :g, so their curves used to share
+        # a label and a file name, and the command exited 3
+        lines = inputs["data"].read_text().splitlines()[:61]
+        col = lines[0].split(",").index("imd")
+        values = ("0.1234561", "0.1234564", "0.5")
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[col] = values[i % 3]
+            lines[i] = ",".join(cells)
+        data = tmp_path / "imd.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = cli.main([
+            "netsurv", "--data", str(data),
+            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+            "--grid", "0:1:3", "--by", "imd", "--out", str(out),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in out.glob("curve_*.csv")) == [
+            "curve_imd-0.1234561.csv", "curve_imd-0.1234564.csv", "curve_imd-0.5.csv",
+            "curve_population.csv"]
+        labels = [row.split(",")[0] for row in (out / "curves.csv").read_text().splitlines()]
+        assert sorted(set(labels[1:])) == ["imd=0.1234561", "imd=0.1234564", "imd=0.5",
+                                           "population"]
+
     def test_bad_grid_is_schema_error(self, inputs, tmp_path, capsys):
         code = cli.main([
             "netsurv", "--data", str(inputs["data"]),
@@ -298,15 +324,15 @@ class TestNetsurv:
         ]
         assert cli.main(args + ["--out", str(tmp_path / "clean")]) == 0
         assert capsys.readouterr().err == ""
-        real = ns._curve_values
-        calls = []
+        real = ns._fill_draws
 
-        def poison(*a, **kw):  # call 0 is the estimate, call 2 the second draw
-            values = real(*a, **kw)
-            calls.append(None)
-            return values * np.nan if len(calls) == 3 else values
+        def poison(x, w, grid, rows, params, dest, work, draw_ids):
+            # the second draw of the first batch, which holds all 100
+            real(x, w, grid, rows, params, dest, work, draw_ids)
+            if len(params) == 100 and 1 in draw_ids:
+                dest[1] = np.nan
 
-        monkeypatch.setattr(ns, "_curve_values", poison)
+        monkeypatch.setattr(ns, "_fill_draws", poison)
         assert cli.main(args + ["--out", str(tmp_path / "poisoned")]) == 0
         assert "rejected 1 of 101 parameter draws" in capsys.readouterr().err
         assert (tmp_path / "poisoned" / "curves.csv").exists()

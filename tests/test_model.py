@@ -217,6 +217,30 @@ class TestLaplace:
             f = mdl.FrailtySpec(family, b)
             assert np.all(mdl.laplace(f, s) > np.exp(-s))
 
+    @pytest.mark.parametrize("family", ["none", "gamma", "ig"])
+    def test_log_laplace_out_is_bit_identical(self, family):
+        # out= writes the allocating call's bits into a new array, into its
+        # own argument, and into a column block of a larger array
+        form = mdl._frailty_form(family, 0.7)
+        big = np.random.default_rng(21).exponential(2.0, size=(7, 40))
+        big[0, 11:16] = (0.0, 1e-300, 1e300, np.inf, np.nan)
+        s = big[:, 11:29]
+        assert not s.flags.c_contiguous
+        with np.errstate(all="ignore"):
+            expected = form.log_laplace(0.7, s.copy())
+            fresh = np.empty_like(expected)
+            assert form.log_laplace(0.7, s, out=fresh) is fresh
+            np.testing.assert_array_equal(fresh, expected)
+            own = s.copy()
+            form.log_laplace(0.7, own, out=own)
+            np.testing.assert_array_equal(own, expected)
+            whole = big.copy()
+            block = whole[:, 11:29]
+            form.log_laplace(0.7, block, out=block)
+        np.testing.assert_array_equal(whole[:, 11:29], expected)
+        np.testing.assert_array_equal(np.delete(whole, np.s_[11:29], axis=1),
+                                      np.delete(big, np.s_[11:29], axis=1))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mdl.laplace(mdl.FrailtySpec("gamma", 0.5), -0.1)

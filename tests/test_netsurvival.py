@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -308,33 +309,37 @@ class TestMonteCarloBands:
 
     def test_draw_poisoned_for_one_group_is_dropped_for_all(self, cohort, fit_gamma,
                                                             monkeypatch):
-        # draws 3 and 7 (call 0 is the estimate) come back non-finite for the
-        # "men" group only; the population band must drop them too
+        # draws 2 and 6 come back non-finite for the "men" group only; the
+        # population band must drop them too.  Draws are poisoned by index in
+        # their batch, which does not depend on which worker evaluates them:
+        # the first batch holds the 100 requested draws, the second the 2
+        # drawn again
         men = cohort.x[:, 1] == 1.0
-        real = ns._curve_values
-        returned = []
+        real = ns._fill_draws
+        returned = {}  # (batch size, index in the batch) -> the draw's group means
 
-        def poison(*args, **kwargs):
-            values = real(*args, **kwargs)
-            if len(returned) in (3, 7):
-                values[1, -1] = np.nan
-            returned.append(values)
-            return values
+        def poison(x, w, grid, rows, params, dest, work, draw_ids):
+            real(x, w, grid, rows, params, dest, work, draw_ids)
+            for k in draw_ids:
+                if len(params) == 100 and k in (2, 6):
+                    dest[k, 1, -1] = np.nan
+                returned[len(params), k] = dest[k].copy()
 
-        monkeypatch.setattr(ns, "_curve_values", poison)
+        monkeypatch.setattr(ns, "_fill_draws", poison)
         pop, m = ns.net_survival_mc_ci(cohort, fit_gamma, draws=100, seed=15,
                                        groups=[("population", None), ("men", men)])
-        assert len(returned) == 1 + 102
-        assert np.all(np.isfinite(returned[3][0])) and np.all(np.isfinite(returned[7][0]))
-        kept = np.stack([v for i, v in enumerate(returned) if i not in (0, 3, 7)])
+        poisoned = [(100, 2), (100, 6)]
+        assert set(returned) == {(100, k) for k in range(100)} | {(2, 0), (2, 1)}
+        assert all(np.all(np.isfinite(returned[key][0])) for key in poisoned)
+        kept = np.stack([v for key, v in returned.items() if key not in poisoned])
         tail = (1.0 - 0.95) / 2.0  # as the function computes it, not the literal 0.025
         for g, curve in enumerate((pop, m)):
             np.testing.assert_array_equal(curve.lower, np.quantile(kept[:, g], tail, axis=0))
             np.testing.assert_array_equal(curve.upper,
                                           np.quantile(kept[:, g], 1.0 - tail, axis=0))
         assert pop.rejected_draws == m.rejected_draws == 2
-        # keeping draws 3 and 7 for the population would have moved its band
-        with_all = np.stack([v[0] for v in returned[1:]])
+        # keeping draws 2 and 6 for the population would have moved its band
+        with_all = np.stack([v[0] for v in returned.values()])
         assert not np.array_equal(pop.lower, np.quantile(with_all, tail, axis=0))
 
     def test_errors(self, cohort, fit_gamma):
@@ -349,3 +354,67 @@ class TestMonteCarloBands:
         # point curves need no covariance
         (curve,) = ns.net_survival_mc_ci(cohort, broken)
         assert curve.lower is None
+
+
+def _wide_alpha_fit(template, theta, frailty):
+    """A fit of (x0, x1) with w = x0 at fixed parameters whose covariance
+    draws alpha with standard deviation 250: where alpha x0 < -709 for some
+    subject, e^{x'beta - w'alpha} overflows while H0 at t = 0 is 0, so the
+    draw's curves are nan and it is rejected."""
+    fam = family_of_params(theta)
+    b = [math.log(0.7)] if frailty != "none" else []
+    psi = np.concatenate([fam.to_transformed(theta), [0.3, 0.4, -0.6], b])
+    sd = np.concatenate([np.full(fam.n_params, 0.05), [250.0, 0.05, 0.05], [0.1] * len(b)])
+    return dataclasses.replace(template, spec=inf.ModelSpec(fam.name, frailty), psi=psi,
+                               covariance=np.diag(sd**2), w_names=("x0",))
+
+
+class TestBandWorkers:
+    @THETAS
+    @pytest.mark.parametrize("frailty", ["none", "gamma", "ig"])
+    def test_bands_do_not_depend_on_the_worker_count(self, cohort, fit_classical, theta,
+                                                     frailty, monkeypatch):
+        data = dataclasses.replace(cohort, w=cohort.x[:, :1], w_names=("x0",))
+        fit = _wide_alpha_fit(fit_classical, theta, frailty)
+        men = cohort.x[:, 1] == 1.0
+        groups = [("population", None), ("men", men), ("women", ~men)]
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(ns, "_worker_count", lambda workers=workers: workers)
+            runs.append(ns.net_survival_mc_ci(data, fit, np.linspace(0.0, 5.0, 11), groups,
+                                              draws=100, seed=16))
+        one, three = runs
+        assert one[0].rejected_draws > 0  # rejected draws were drawn again
+        for a, b in zip(one, three):
+            for field in ("estimate", "lower", "upper"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+            assert a.rejected_draws == b.rejected_draws
+
+    def test_more_workers_than_cpus_switching_often_match_one(self, cohort, fit_gamma,
+                                                              monkeypatch):
+        # 8 threads handing the interpreter over every few microseconds: a
+        # draw written to a shared row, or a row left unwritten, shows here
+        men = cohort.x[:, 1] == 1.0
+        runs = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 8):
+                monkeypatch.setattr(ns, "_worker_count", lambda workers=workers: workers)
+                runs.append(ns.net_survival_mc_ci(cohort, fit_gamma, draws=150, seed=17,
+                                                  groups=[("population", None), ("men", men)]))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a.lower, b.lower)
+            np.testing.assert_array_equal(a.upper, b.upper)
+
+    def test_worker_count_follows_the_cpus_up_to_the_cap(self, monkeypatch):
+        assert 1 <= ns._worker_count() <= ns._MAX_WORKERS
+        monkeypatch.setattr(ns.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ns._worker_count() == 1
+        monkeypatch.delattr(ns.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ns.os, "cpu_count", lambda: 16)
+        assert ns._worker_count() == ns._MAX_WORKERS
+        monkeypatch.setattr(ns.os, "cpu_count", lambda: None)
+        assert ns._worker_count() == 1
