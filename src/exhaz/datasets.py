@@ -8,7 +8,8 @@ comorbidity flags.  The writers and readers here round-trip those objects.
 
 Patient CSV layout: ``time,status,<covariates...>,age,year,<stratum cols>``.
 Covariate columns that fail numeric parsing become label columns (usable for
-subgrouping but not as model covariates).
+subgrouping but not as model covariates).  Patient files are read as life
+tables are, by ``lifetable._read_csv``, which skips blank and ``#`` lines.
 
 Every CSV the package writes goes through :func:`write_csv`: LF line
 endings, floats with 17 significant digits (an exact round trip), and an
@@ -97,14 +98,13 @@ def synthetic_life_table() -> lt.LifeTable:
     Rates rise log-linearly with age above 35 from a small floor, carry a
     constant between-sex factor, and improve mildly by calendar year.
     """
-    entries = {}
-    for a in range(0, 100):
-        base = 0.0004 + 0.00022 * math.exp(0.088 * max(a - 35, 0))
-        for y in range(2010, 2020):
-            trend = 1.0 - 0.004 * (y - 2010)
-            for sex, factor in (("0", 1.0), ("1", 1.28)):
-                entries[(a, y, (sex,))] = base * factor * trend
-    return lt.LifeTable.from_entries(entries, stratum_schema=("sex",))
+    # math.exp per age: np.exp can differ from it in the last bit
+    base = np.array([0.0004 + 0.00022 * math.exp(0.088 * max(a - 35, 0)) for a in range(100)])
+    trend = 1.0 - 0.004 * np.arange(10)
+    rates = base[:, None, None] * np.array([1.0, 1.28]) * trend[:, None]  # (age, year, sex)
+    ages, years, _ = np.indices(rates.shape).reshape(3, -1)
+    return lt.LifeTable.from_columns(ages, years + 2010, (("0",), ("1",)) * (len(ages) // 2),
+                                     rates.ravel(), stratum_schema=("sex",))
 
 
 def write_life_table_csv(path, table: lt.LifeTable) -> None:
@@ -196,46 +196,18 @@ def write_patient_csv(path, data: Dataset) -> None:
                *zip(*data.strata)])
 
 
-def _float_column(cells, name: str) -> np.ndarray:
-    """Data cells (the first on file row 2) parsed as float64.
-
-    numpy parses each str cell with ``float()``, so every value is the one
-    ``float()`` gives, bit for bit; the first cell it rejects is named with
-    its row.
-    """
-    try:
-        return np.array(cells, dtype=float)
-    except ValueError:
-        for lineno, cell in enumerate(cells, start=2):
-            try:
-                float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"row {lineno}: column {name!r} is not numeric: {cell!r}"
-                ) from None
-        raise
-
-
 def load_patient_csv(source) -> Dataset:
     """Parse a patient CSV; the layout is self-describing.
 
     The header must start ``time,status`` and contain adjacent ``age,year``
     columns; anything between is a covariate, anything after is a life-table
     stratum column.  Covariate columns that are not fully numeric become
-    label columns in ``extras``.  Malformed required fields raise
-    :class:`DataFormatError` naming the row and column.
+    label columns in ``extras``.  Blank and ``#`` lines are skipped; malformed
+    required fields raise :class:`DataFormatError` naming file line and column.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [str(l).rstrip("\n") for l in source]
-    rows = [line.split(",") for line in lines if line.strip()]
-    if not rows:
+    header, _, columns, lines = lt._read_csv(source, DataFormatError)
+    if not header:
         raise DataFormatError("patient file contains no rows")
-    header = [h.strip() for h in rows[0]]
     if header[:2] != ["time", "status"]:
         raise DataFormatError(
             f"header must start with 'time,status', got {','.join(header[:2])!r}"
@@ -248,35 +220,30 @@ def load_patient_csv(source) -> Dataset:
         raise DataFormatError("the 'year' column must directly follow 'age'")
     cov_names = header[2:idx_age]
     stratum_names = tuple(header[idx_age + 2 :])
-
-    body = rows[1:]
-    if not body:
+    n = len(lines)
+    if not n:
         raise DataFormatError("patient file contains no data rows")
-    for lineno, fields in enumerate(body, start=2):
-        if len(fields) != len(header):
-            raise DataFormatError(
-                f"row {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
 
-    columns = list(zip(*body))
+    def number(idx: int) -> np.ndarray:
+        return lt._parse_column(columns[idx], float, lambda i: DataFormatError(
+            f"row {lines[i]}: column {header[idx]!r} is not numeric: {columns[idx][i]!r}"))
 
     def require(name: str, ok: np.ndarray, rule: str) -> None:
         bad = np.flatnonzero(~ok)
         if bad.size:
-            raise DataFormatError(f"row {bad[0] + 2}: column {name!r} must be {rule}")
+            raise DataFormatError(f"row {lines[bad[0]]}: column {name!r} must be {rule}")
 
-    time = _float_column(columns[0], "time")
+    time = number(0)
     require("time", np.isfinite(time) & (time > 0.0), "positive and finite")
-    status_f = _float_column(columns[1], "status")
+    status_f = number(1)
     require("status", (status_f == 0.0) | (status_f == 1.0), "0 or 1")
-    age = _float_column(columns[idx_age], "age")
-    year = _float_column(columns[idx_age + 1], "year")
+    age = number(idx_age)
+    year = number(idx_age + 1)
     for name, col in (("age", age), ("year", year)):
         require(name, np.isfinite(col), "finite")
 
     numeric_covs, extras = [], {}
-    for offset, name in enumerate(cov_names):
-        raw = columns[2 + offset]
+    for name, raw in zip(cov_names, columns[2:idx_age]):
         try:
             col = np.array(raw, dtype=float)
         except ValueError:
@@ -286,19 +253,15 @@ def load_patient_csv(source) -> Dataset:
         numeric_covs.append((name, col))
 
     x_names = tuple(name for name, _ in numeric_covs)
-    x = (
-        np.column_stack([col for _, col in numeric_covs])
-        if numeric_covs
-        else np.empty((len(body), 0))
-    )
-    labels = [[v.strip() for v in columns[idx]] for idx in range(idx_age + 2, len(header))]
-    strata = tuple(zip(*labels)) if labels else ((),) * len(body)
+    x = np.column_stack([col for _, col in numeric_covs]) if numeric_covs else np.empty((n, 0))
+    labels = [[v.strip() for v in col] for col in columns[idx_age + 2 :]]
+    strata = tuple(zip(*labels)) if labels else ((),) * n
     try:
         return Dataset(
             time=time,
             status=status_f.astype(int),
             x=x,
-            w=np.empty((len(body), 0)),
+            w=np.empty((n, 0)),
             x_names=x_names,
             w_names=(),
             age=age,

@@ -10,11 +10,12 @@ cumulative hazards at once.  A draw past the table's declared coverage becomes
 ``+inf``; simulated cohorts refuse follow-up that outlives the coverage.
 
 CSV format: header ``age,year,<stratum columns...>,rate``; one row per grid
-cell; lines starting with ``#`` are comments.
+cell.  :func:`_read_csv`, which reads patient files too, skips blank and ``#`` lines.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,40 +60,55 @@ class LifeTable:
     _combo_index: dict = field(repr=False)
 
     @classmethod
-    def from_entries(cls, entries, stratum_schema=()):
-        """Build a table from an entries mapping, validating grid completeness."""
-        if not entries:
-            raise LifeTableError("life table has no entries")
+    def from_columns(cls, ages, years, strata, rates, stratum_schema=(), rows=None):
+        """Build a table from one entry per grid cell: integer ``ages`` and
+        ``years``, one ``stratum_schema``-long tuple of ``strata`` and one rate
+        each.  Errors name entry i as row ``rows[i]`` (by default i + 1)."""
         stratum_schema = tuple(stratum_schema)
-        ages = sorted({k[0] for k in entries})
-        years = sorted({k[1] for k in entries})
-        a0, a1 = ages[0], ages[-1]
-        y0, y1 = years[0], years[-1]
-        domains = [sorted({k[2][j] for k in entries}) for j in range(len(stratum_schema))]
-        combos = [()]
-        for dom in domains:
-            combos = [c + (v,) for c in combos for v in dom]
-        combo_index = {c: i for i, c in enumerate(combos)}
-        grid = np.empty((a1 - a0 + 1, y1 - y0 + 1, len(combos)))
-        grid.fill(np.nan)
-        for (a, y, strat), rate in entries.items():
-            if not (math.isfinite(rate) and rate >= 0.0):
-                raise LifeTableError(f"negative or non-finite rate for {(a, y, strat)}")
-            if len(strat) != len(stratum_schema):
-                raise LifeTableError(
-                    f"stratum {strat!r} does not match schema {stratum_schema}"
-                )
-            grid[a - a0, y - y0, combo_index[strat]] = rate
-        if np.isnan(grid).any():
-            a, y, c = [idx[0] for idx in np.nonzero(np.isnan(grid))]
-            missing = (int(a) + a0, int(y) + y0, combos[c])
-            raise LifeTableError(f"incomplete grid: missing cell {missing}")
+        ages, years = np.asarray(ages, dtype=np.int64), np.asarray(years, dtype=np.int64)
+        rates = np.asarray(rates, dtype=float)
+        n = len(rates)
+        if n == 0:
+            raise LifeTableError("life table has no entries")
+        rows = range(1, n + 1) if rows is None else rows
+        bad = np.flatnonzero(np.fromiter(map(len, strata), np.intp, n) != len(stratum_schema))
+        if bad.size:
+            raise LifeTableError(f"row {rows[bad[0]]}: stratum {tuple(strata[bad[0]])!r} does "
+                                 f"not match schema {stratum_schema}")
+        bad = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
+        if bad.size:
+            raise LifeTableError(f"row {rows[bad[0]]}: negative or non-finite rate {rates[bad[0]]}")
+        # codes number the product of each stratum column's sorted values
+        domains, code = [], np.zeros(n, dtype=np.int64)
+        for column in zip(*strata):
+            values, inverse = np.unique(np.array(column, dtype=object), return_inverse=True)
+            domains.append(values.tolist())
+            code = code * len(values) + inverse
+        n_codes = math.prod(map(len, domains))
+        age_values, age_rank = np.unique(ages, return_inverse=True)
+        year_values, year_rank = np.unique(years, return_inverse=True)
+        cells, first = np.unique((age_rank * len(year_values) + year_rank) * n_codes + code,
+                                 return_index=True)
+        if len(cells) < n:
+            i = np.setdiff1d(np.arange(n), first)[0]  # the first entry repeating a cell
+            raise LifeTableError(f"row {rows[i]}: duplicate cell "
+                                 f"{(int(ages[i]), int(years[i]), tuple(strata[i]))}")
+        (a0, a1), (y0, y1) = age_values[[0, -1]].tolist(), year_values[[0, -1]].tolist()
+        if n != (a1 - a0 + 1) * (y1 - y0 + 1) * n_codes:
+            # walk the grid beside the sorted cells to the first hole; product() would build
+            # the ranges, so the walk is a generator
+            have = zip(ages[first].tolist(), years[first].tolist(), code[first].tolist())
+            grid = ((a, y, c) for a in range(a0, a1 + 1) for y in range(y0, y1 + 1)
+                    for c in range(n_codes))
+            a, y, c = next(want for want, got in zip(grid, [*have, None]) if want != got)
+            combo = next(itertools.islice(itertools.product(*domains), c, None))
+            raise LifeTableError(f"incomplete grid: missing cell {(a, y, combo)}")
         return cls(
             age_range=(a0, a1),
             year_range=(y0, y1),
             stratum_schema=stratum_schema,
-            _grid=grid,
-            _combo_index=combo_index,
+            _grid=rates[first].reshape(a1 - a0 + 1, y1 - y0 + 1, n_codes),
+            _combo_index={c: i for i, c in enumerate(itertools.product(*domains))},
         )
 
     # -- lookups ----------------------------------------------------------
@@ -152,56 +168,73 @@ class LifeTable:
         return knots, cum, rates, count
 
 
+def _read_csv(source, error):
+    """Read a CSV (path, file object, or iterable of lines) into columns.
+
+    Skips blank lines and lines whose first non-space character is ``#``.
+    Returns the stripped header names (empty without a header), its file
+    line, one list of unstripped cells per column and each row's file line;
+    a row with the wrong field count raises ``error``."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8").splitlines()
+    elif hasattr(source, "read"):
+        text = source.read().splitlines()
+    else:
+        text = [str(line).rstrip("\n") for line in source]
+    kept = [i for i, line in enumerate(text, start=1)
+            if (stripped := line.lstrip()) and stripped[0] != "#"]
+    if not kept:
+        return [], 0, [], []
+    header = [name.strip() for name in text[kept[0] - 1].split(",")]
+    lines, body = kept[1:], [text[i - 1] for i in kept[1:]]
+    width = np.fromiter(map(str.count, body, itertools.repeat(",")), np.intp, len(body)) + 1
+    bad = np.flatnonzero(width != len(header))
+    if bad.size:
+        raise error(f"row {lines[bad[0]]}: expected {len(header)} fields, got {width[bad[0]]}")
+    # every row has len(header) cells, so column j is every len(header)-th cell
+    cells = ",".join(body).split(",") if body else []
+    return header, kept[0], [cells[j::len(header)] for j in range(len(header))], lines
+
+
+def _parse_column(cells, dtype, error):
+    """Cells as a ``dtype`` array; numpy parses each str cell with ``float()``
+    or ``int()``, bit for bit.  The first cell ``i`` it refuses (unparsable,
+    or an integer outside int64) raises ``error(i)``."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for i, cell in enumerate(cells):
+            try:
+                np.array(cell, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise error(i) from None
+        raise
+
+
 def load_life_table(source) -> LifeTable:
     """Parse a life-table CSV (path, file object, or iterable of lines).
 
-    Errors (malformed row, negative rate, duplicate key, grid hole) are
-    reported with the offending row number.
+    Errors (malformed row, negative rate, duplicate cell) name the file
+    line; a grid hole names the first missing cell.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = list(source)
-
-    header = None
-    entries = {}
-    stratum_schema = ()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if header is None:
-            header = fields
-            if len(header) < 3 or header[0] != "age" or header[1] != "year" or header[-1] != "rate":
-                raise LifeTableError(
-                    f"row {lineno}: header must be 'age,year,<stratum columns...>,rate', "
-                    f"got {line!r}"
-                )
-            stratum_schema = tuple(header[2:-1])
-            continue
-        if len(fields) != len(header):
-            raise LifeTableError(
-                f"row {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        try:
-            age = int(fields[0])
-            year = int(fields[1])
-            rate = float(fields[-1])
-        except ValueError:
-            raise LifeTableError(f"row {lineno}: malformed numeric field in {line!r}") from None
-        if not math.isfinite(rate) or rate < 0.0:
-            raise LifeTableError(f"row {lineno}: negative or non-finite rate {fields[-1]}")
-        key = (age, year, tuple(fields[2:-1]))
-        if key in entries:
-            raise LifeTableError(f"row {lineno}: duplicate cell {key}")
-        entries[key] = rate
-    if header is None or not entries:
+    header, header_line, columns, lines = _read_csv(source, LifeTableError)
+    if header and (len(header) < 3 or header[:2] != ["age", "year"] or header[-1] != "rate"):
+        raise LifeTableError(
+            f"row {header_line}: header must be 'age,year,<stratum columns...>,rate', "
+            f"got {','.join(header)!r}"
+        )
+    if not lines:
         raise LifeTableError("life-table file contains no data rows")
-    return LifeTable.from_entries(entries, stratum_schema)
+
+    def malformed(i):
+        row = ",".join(column[i] for column in columns).strip()
+        return LifeTableError(f"row {lines[i]}: malformed numeric field in {row!r}")
+
+    ages, years = (_parse_column(col, np.int64, malformed) for col in columns[:2])
+    rates = _parse_column(columns[-1], float, malformed)
+    labels = [[cell.strip() for cell in col] for col in columns[2:-1]]
+    strata = tuple(zip(*labels)) if labels else ((),) * len(lines)
+    return LifeTable.from_columns(ages, years, strata, rates, header[2:-1], rows=lines)
 
 
 def pop_hazard(table: LifeTable, key: LifeTableKey, t):

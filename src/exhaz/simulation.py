@@ -255,8 +255,9 @@ def resolve_life_table(ref: str) -> lt.LifeTable:
 
         return synthetic_life_table()
     if ref == "builtin:zero":
-        entries = {(a, y, ()): 0.0 for a in range(0, 120) for y in range(2000, 2080)}
-        return lt.LifeTable.from_entries(entries)
+        ages, years = np.indices((120, 80)).reshape(2, -1)
+        return lt.LifeTable.from_columns(ages, years + 2000, ((),) * len(ages),
+                                         np.zeros(len(ages)))
     return lt.load_life_table(ref)
 
 

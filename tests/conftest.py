@@ -9,12 +9,9 @@ from exhaz import lifetable as lt
 
 def build_table(rate_fn, ages, years, strata=(("",),), schema=()):
     """Construct a LifeTable from a rate function of (age, year, stratum)."""
-    entries = {}
-    for a in ages:
-        for y in years:
-            for s in strata:
-                entries[(a, y, tuple(s))] = rate_fn(a, y, tuple(s))
-    return lt.LifeTable.from_entries(entries, schema)
+    cells = [(a, y, tuple(s)) for a in ages for y in years for s in strata]
+    a, y, s = zip(*cells)
+    return lt.LifeTable.from_columns(a, y, s, [rate_fn(*cell) for cell in cells], schema)
 
 
 @pytest.fixture(scope="session")

@@ -85,6 +85,19 @@ class TestFit:
         assert "('region',) do not match the life table's stratum schema ('sex',)" in (
             capsys.readouterr().err)
 
+    def test_life_table_with_a_huge_age_span_is_an_input_error(self, inputs, tmp_path,
+                                                               capsys):
+        # the loader used to allocate the 7 PiB grid first: a MemoryError
+        # traceback instead of exit 3
+        table = tmp_path / "table.csv"
+        table.write_text("age,year,rate\n0,2010,0.01\n1000000000000000,2010,0.01\n")
+        code = cli.main([
+            "fit", "--data", str(inputs["data"]), "--lifetable", str(table),
+            "--x", "agec", "--w", "agec", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert "incomplete grid: missing cell (1, 2010, ())" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, inputs, tmp_path):
         args = [
             "fit", "--data", str(inputs["data"]), "--lifetable", str(inputs["table"]),

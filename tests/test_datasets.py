@@ -126,7 +126,7 @@ class TestPatientCsv:
                   "4.9e-324", "0.1", "+2 ", "\u0661\u0662")
 
     def test_columns_parse_as_float_bit_for_bit(self):
-        got = datasets._float_column(self.EDGE_CELLS, "z")
+        got = lt._parse_column(self.EDGE_CELLS, float, AssertionError)
         want = np.array([float(c) for c in self.EDGE_CELLS])
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -149,6 +149,28 @@ class TestPatientCsv:
         with pytest.raises(datasets.DataFormatError) as exc:
             datasets.load_patient_csv(io.StringIO(text))
         assert str(exc.value) == f"row 3: column {name!r} is not numeric: ' 6o '"
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,status,age,year\n1,1,60,2012\n\n2,0,nan,2012\n",
+         "row 4: column 'age' must be finite"),
+        ("time,status,age,year\n1,1,60,2012\n\n2,1,61\n", "row 4: expected 4 fields, got 3"),
+        ("# cohort extract\ntime,status,age,year\n1,1,60,2012\n  # a note\n2,0,6o,2012\n",
+         "row 5: column 'age' is not numeric: '6o'"),
+    ], ids=["blank-line", "blank-line-field-count", "comment-lines"])
+    def test_errors_name_the_file_line_past_blank_and_comment_lines(self, text, message):
+        with pytest.raises(datasets.DataFormatError) as exc:
+            datasets.load_patient_csv(io.StringIO(text))
+        assert str(exc.value) == message
+
+    def test_comment_lines_are_skipped(self):
+        plain = "time,status,age,year,sex\n1,1,60,2012,0\n2,0,61,2013,1\n"
+        commented = ("# cohort extract\ntime,status,age,year,sex\n1,1,60,2012,0\n"
+                     "   # a note\n2,0,61,2013,1\n#\n")
+        a = datasets.load_patient_csv(io.StringIO(plain))
+        b = datasets.load_patient_csv(io.StringIO(commented))
+        for name in ("time", "status", "age", "year"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.strata == b.strata == (("0",), ("1",))
 
     def test_partially_numeric_column_becomes_labels(self):
         text = "time,status,z,age,year\n1.0,1,1.5,60,2012\n2.0,0,oops,61,2012\n"

@@ -74,36 +74,149 @@ class TestLoader:
 
     def test_missing_cell_reports_key(self):
         text = "age,year,rate\n70,2010,0.01\n70,2011,0.02\n71,2010,0.03\n"
-        with pytest.raises(lt.LifeTableError, match=r"71, 2011"):
+        with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "incomplete grid: missing cell (71, 2011, ())"
 
     def test_negative_rate_reports_row(self):
         text = "age,year,rate\n70,2010,0.01\n70,2011,-0.01\n"
-        with pytest.raises(lt.LifeTableError, match="row 3"):
+        with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 3: negative or non-finite rate -0.01"
 
     def test_duplicate_key_reports_row(self):
         text = "age,year,rate\n70,2010,0.01\n70,2010,0.02\n"
-        with pytest.raises(lt.LifeTableError, match="row 3"):
+        with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 3: duplicate cell (70, 2010, ())"
 
     def test_malformed_row_reports_row(self):
         text = "age,year,rate\n70,2010,0.01\nseventy,2011,0.02\n"
-        with pytest.raises(lt.LifeTableError, match="row 3"):
+        with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 3: malformed numeric field in 'seventy,2011,0.02'"
 
     def test_wrong_field_count_reports_row(self):
         text = "age,year,rate\n70,2010,0.01,9\n"
-        with pytest.raises(lt.LifeTableError, match="row 2"):
+        with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 2: expected 3 fields, got 4"
 
     def test_bad_header(self):
-        with pytest.raises(lt.LifeTableError, match="header"):
+        with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO("age,rate\n70,0.01\n"))
+        assert str(exc.value) == (
+            "row 1: header must be 'age,year,<stratum columns...>,rate', got 'age,rate'")
 
     def test_empty_file(self):
-        with pytest.raises(lt.LifeTableError):
-            lt.load_life_table(io.StringIO("# nothing here\n"))
+        for text in ("# nothing here\n", "age,year,rate\n"):
+            with pytest.raises(lt.LifeTableError) as exc:
+                lt.load_life_table(io.StringIO(text))
+            assert str(exc.value) == "life-table file contains no data rows"
+
+    def test_blank_and_comment_lines_keep_file_line_numbers(self):
+        text = "# exported table\nage,year,rate\n70,2010,0.01\n\n  # a note\n71,2010,-0.5\n"
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 6: negative or non-finite rate -0.5"
+
+    # whitespace, a sign, a digit separator and non-ASCII digits, all of
+    # which int() and float() accept
+    EDGE_INTS = (" 70", "+71", "1_0", "\u0667\u0660")
+
+    def test_int_columns_parse_as_int_bit_for_bit(self):
+        got = lt._parse_column(self.EDGE_INTS, np.int64, AssertionError)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(c) for c in self.EDGE_INTS]
+
+    @pytest.mark.parametrize("cell", EDGE_INTS)
+    def test_edge_cells_load_as_int_and_float_give_them(self, cell):
+        table = lt.load_life_table(["age,year,rate\n", f"{cell},{cell},{cell}\n"])
+        assert table.age_range == table.year_range == (int(cell), int(cell))
+        assert table._grid.tobytes() == np.float64(float(cell)).tobytes()
+
+    def test_fractional_age_is_refused_naming_its_row(self):
+        text = "age,year,rate\n70,2010,0.01\n70.5,2011,0.02\n"
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 3: malformed numeric field in '70.5,2011,0.02'"
+
+    def test_padded_stratum_value_is_the_same_cell(self):
+        text = "age,year,sex,rate\n70,2010, 0 ,0.01\n70,2010,0,0.02\n"
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 3: duplicate cell (70, 2010, ('0',))"
+
+    def test_huge_age_span_names_the_missing_cell_without_allocating(self):
+        # the grid this would need (7 PiB) used to be allocated before the
+        # hole was found, so the loader raised MemoryError
+        text = "age,year,rate\n0,2010,0.01\n1000000000000000,2010,0.01\n"
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "incomplete grid: missing cell (1, 2010, ())"
+
+    def test_wide_age_span_allocates_no_grid(self):
+        import tracemalloc
+
+        text = "age,year,rate\n0,2010,0.01\n10000000,2010,0.01\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(lt.LifeTableError, match=r"missing cell \(1, 2010, \(\)\)"):
+                lt.load_life_table(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 10**7-band grid would take 80 MB
+
+    def test_first_missing_cell_in_grid_order(self):
+        # rows out of order; the hole is the first absent (age, year, stratum)
+        rows = [(a, y, s) for a in (71, 70) for y in (2011, 2010) for s in ("b", "a")]
+        rows.remove((71, 2010, "a"))
+        rows.remove((70, 2011, "b"))
+        text = "age,year,sex,rate\n" + "".join(f"{a},{y},{s},0.01\n" for a, y, s in rows)
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "incomplete grid: missing cell (70, 2011, ('b',))"
+
+    def test_from_columns_equals_the_table_loaded_from_its_csv(self):
+        # two stratum columns whose values come in unsorted order, and the
+        # rows shuffled: the codes still follow each column's sorted values
+        cells = [(a, y, (sex, region)) for a in (41, 40) for y in (2001, 2000, 2002)
+                 for sex in ("1", "0") for region in ("north", "east", "south")]
+        order = np.random.default_rng(3).permutation(len(cells))
+        cells = [cells[i] for i in order]
+        rates = [0.001 * (a - 39) + 1e-4 * (y - 2000) + 1e-5 * len(r[1]) + 1e-6 * int(r[0])
+                 for a, y, r in cells]
+        built = lt.LifeTable.from_columns(*zip(*cells), rates, ("sex", "region"))
+        text = "age,year,sex,region,rate\n" + "".join(
+            f"{a},{y},{s},{r},{rate!r}\n" for (a, y, (s, r)), rate in zip(cells, rates))
+        loaded = lt.load_life_table(io.StringIO(text))
+        for table in (built, loaded):
+            assert table.age_range == (40, 41) and table.year_range == (2000, 2002)
+            assert table.stratum_schema == ("sex", "region")
+            assert list(table._combo_index) == [(s, r) for s in ("0", "1")
+                                                for r in ("east", "north", "south")]
+        assert built._grid.tobytes() == loaded._grid.tobytes()
+        for (a, y, strat), rate in zip(cells, rates):
+            assert built.rates_at(a, y, built.stratum_code(strat)) == rate
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([], [], [], []), "life table has no entries"),
+            (([70, 71], [2010, 2010], [("0",), ("0", "x")], [0.01, 0.02]),
+             "row 2: stratum ('0', 'x') does not match schema ('sex',)"),
+            (([70, 71], [2010, 2010], [("0",), ("0",)], [0.01, -1.0]),
+             "row 2: negative or non-finite rate -1.0"),
+            (([70, 71, 70], [2010, 2010, 2010], [("0",)] * 3, [0.01, 0.02, 0.03]),
+             "row 3: duplicate cell (70, 2010, ('0',))"),
+        ],
+        ids=["empty", "stratum-width", "negative-rate", "duplicate"],
+    )
+    def test_from_columns_names_the_bad_entry(self, columns, message):
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.LifeTable.from_columns(*columns, stratum_schema=("sex",))
+        assert str(exc.value) == message
 
 
 class TestPopHazard:
