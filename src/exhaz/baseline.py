@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 def _require_positive(**named):
@@ -127,6 +126,7 @@ def _lognormal_terms(s, mu, sd):
 def _lognormal_cum_from_zeta(zeta, out=None):
     """Log-Normal H0 = -log Phibar(zeta) from zeta = (log s - mu) / sd, into
     ``out`` if given."""
+    from scipy import special
     return np.negative(special.log_ndtr(np.negative(zeta, out=out), out=out), out=out)
 
 
@@ -154,6 +154,7 @@ def lognormal_hazard(t, p: LogNormalParams):
 
 def lognormal_quantile(q, p: LogNormalParams):
     """Inverse of ``lognormal_cum_hazard``: t = exp(mu + sd * Phi^{-1}(1 - e^{-q}))."""
+    from scipy import special
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("quantile requires q >= 0")

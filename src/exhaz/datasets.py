@@ -202,8 +202,8 @@ def load_patient_csv(source) -> Dataset:
     The header must start ``time,status`` and contain adjacent ``age,year``
     columns; anything between is a covariate, anything after is a life-table
     stratum column.  Covariate columns that are not fully numeric become
-    label columns in ``extras``.  Blank and ``#`` lines are skipped; malformed
-    required fields raise :class:`DataFormatError` naming file line and column.
+    label columns in ``extras``.  Blank and ``#`` lines are skipped; a repeated
+    name or a malformed field raises :class:`DataFormatError` naming it.
     """
     header, _, columns, lines = lt._read_csv(source, DataFormatError)
     if not header:
@@ -220,6 +220,9 @@ def load_patient_csv(source) -> Dataset:
         raise DataFormatError("the 'year' column must directly follow 'age'")
     cov_names = header[2:idx_age]
     stratum_names = tuple(header[idx_age + 2 :])
+    for names in (header[: idx_age + 2], stratum_names):  # a covariate may name a stratum
+        if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise DataFormatError(f"header names column {repeated[0]!r} more than once")
     n = len(lines)
     if not n:
         raise DataFormatError("patient file contains no data rows")

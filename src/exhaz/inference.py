@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg, optimize, special
 
 from . import lifetable as lt
 from .baseline import family_of_params, get_family
@@ -500,6 +499,7 @@ def hessian_std_errors(grad, psi):
     non-positive-definite Hessian flags the result invalid instead of
     raising.
     """
+    from scipy import linalg
     psi = np.asarray(psi, dtype=float)
     k = psi.shape[0]
     h = np.maximum(1e-4, 1e-4 * np.abs(psi))
@@ -517,8 +517,7 @@ def hessian_std_errors(grad, psi):
         return None, None, False, "asymmetric Hessian"
     H = 0.5 * (H + H.T)
     try:
-        factor = linalg.cho_factor(H)
-        cov = linalg.cho_solve(factor, np.eye(k))
+        cov = linalg.cho_solve(linalg.cho_factor(H), np.eye(k))
     except linalg.LinAlgError:
         return None, None, False, "Hessian not positive definite"
     se = np.sqrt(np.diag(cov))
@@ -544,6 +543,7 @@ def wald_ci(result: FitResult, level: float = 0.95) -> WaldIntervals:
 
     Raises :class:`ValueError` when the fit's standard errors are invalid.
     """
+    from scipy import special
     if not result.se_valid:
         raise ValueError("fit has no valid standard errors; intervals unavailable")
     if not (0.0 < level < 1.0):
@@ -586,6 +586,7 @@ def aic_compare(fits) -> list:
 # -- fitting -------------------------------------------------------------------
 
 def _minimize(ctx: _FitContext, psi0, opts: OptimizerOptions):
+    from scipy import optimize  # minimize is looked up per call, so perfbench can wrap it
     return optimize.minimize(
         ctx.value_and_grad, psi0, jac=True, method="L-BFGS-B",
         options={"maxiter": opts.maxiter, "ftol": _FTOL, "gtol": _GTOL},

@@ -44,7 +44,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .baseline import family_of_params, get_family
 from .inference import Dataset, FitResult, _unpack
@@ -241,6 +240,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     if draws == 0:
         return [NetSurvivalCurve(grid, est, label=label, model=model)
                 for label, est in zip(labels, estimates)]
+    from scipy import linalg
     cov = 0.5 * (fit.covariance + fit.covariance.T)
     try:
         chol = linalg.cholesky(cov, lower=True)

@@ -17,13 +17,13 @@ compared with per-group stratified fits.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from . import lifetable as lt
 from .baseline import get_family
@@ -338,7 +338,8 @@ def calibrate_dropout(s, table: lt.LifeTable | None = None) -> float:
     share of subjects whose follow-up ends by drop-out; the ``"censoring"``
     share is ``1 - E[1{T <= admin} exp(-r T)]``, the overall censored share
     (``T`` is the latent all-cause death time).  Both use a deterministic
-    pilot cohort of ``_PILOT_N`` subjects and bisection in ``r``.
+    pilot cohort of ``_PILOT_N`` subjects and Brent's method in ``r`` on [1e-10, 1e4]
+    per year (``xtol = rtol = 1e-12``); a target out of its reach raises ValueError.
     """
     share, target = s.censoring_target
     if target <= 0.0:
@@ -361,7 +362,41 @@ def calibrate_dropout(s, table: lt.LifeTable | None = None) -> float:
 
     if gap(1e-10) >= 0.0:  # target already met without random censoring
         return 0.0
-    return float(sp_optimize.brentq(gap, 1e-10, 1e4, xtol=1e-12, rtol=1e-12))
+    if (miss := gap(1e4)) < 0.0:
+        raise ValueError(f"{share} target {target} is out of reach ({-miss:.2g} short at rate 1e4)")
+    return _brentq(gap, 1e-10, 1e4, xtol=1e-12, rtol=1e-12)
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Brent's (1973, ch. 4) root of f in [a, b]: scipy's ``brentq.c`` op for op, bit for bit."""
+    xpre, xcur, xblk, fblk, spre, scur = a, b, 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({a!r}) and f({b!r}) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with contextlib.suppress(ZeroDivisionError):  # C's x / 0 is inf or nan: bisect
+                if xpre == xblk:  # secant interpolation
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)  # a short step, or bisect
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps (last x {xcur!r})")
 
 
 @functools.lru_cache(maxsize=32)

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,20 @@ from exhaz import cli, datasets
 from exhaz import netsurvival as ns
 from exhaz.inference import FitResult
 from exhaz import simulation as sim
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+
+def _scipy_after(argv, cwd) -> str:
+    """``cli.main(argv)``'s exit code and the scipy modules it loaded, run in a
+    fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; from exhaz import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return out.stdout.strip().splitlines()[-1]
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +144,11 @@ class TestCompare:
         second = lines[2].split(",")
         assert float(first[6]) <= float(second[6])  # AIC ascending
         assert float(first[7]) == 0.0
+
+    def test_compare_loads_no_scipy(self, inputs, tmp_path):
+        fits = [str(inputs["fits"][name] / "fit.json") for name in ("classical", "frailty")]
+        assert _scipy_after(["compare", *fits, "--out", str(tmp_path / "cmp")],
+                            tmp_path) == "0 []"
 
     def test_mixed_datasets_rejected(self, inputs, tmp_path, capsys):
         other_csv = tmp_path / "other.csv"
@@ -396,6 +418,22 @@ class TestSimulate:
                          "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest() == (
             "a26dbe162bbf50f7d2aa1b2506e4dd7943da9acbd33a4c08612f5bfae3248d44")
+
+    @pytest.mark.parametrize("name", ["sc1", "two_group_1"])
+    def test_pgw_simulation_loads_no_scipy(self, name, tmp_path):
+        # the drop-out calibration's root finder is the package's own
+        args = ["simulate", "--scenario", str(SCENARIOS / f"{name}.ini"), "--replicate", "0",
+                "--out", str(tmp_path / "out")]
+        assert _scipy_after(args, tmp_path) == "0 []"
+
+    def test_unreachable_dropout_target_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "far.ini"
+        sim.save_scenario(path, dataclasses.replace(
+            sim.sc1_scenario(n=120, M=1), censoring_target=("dropout", 0.99999999999)))
+        code = cli.main(["simulate", "--scenario", str(path), "--replicate", "0",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "dropout target 0.99999999999 is out of reach" in capsys.readouterr().err
 
     def test_replicate_out_of_range(self, scenario_file, tmp_path, capsys):
         code = cli.main([

@@ -172,6 +172,26 @@ class TestPatientCsv:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.strata == b.strata == (("0",), ("1",))
 
+    @pytest.mark.parametrize("header, name", [
+        ("time,status,x,x,age,year", "x"),
+        ("time,status,lab,x,lab,age,year", "lab"),
+        ("time,status,age,year,sex,sex", "sex"),
+        ("time,status,time,age,year", "time"),
+    ], ids=["covariate", "label", "stratum", "required"])
+    def test_repeated_column_name_is_refused_at_the_header(self, header, name):
+        cell = {"time": "1", "status": "1", "age": "60", "year": "2012", "x": "0.5",
+                "lab": "a", "sex": "0"}
+        row = ",".join(cell[h] for h in header.split(","))
+        with pytest.raises(datasets.DataFormatError) as exc:
+            datasets.load_patient_csv(io.StringIO(f"{header}\n{row}\n{row}\n"))
+        assert str(exc.value) == f"header names column {name!r} more than once"
+
+    def test_covariate_may_share_its_name_with_a_stratum(self):
+        # simulated cohorts carry sex both as a covariate and as the table's stratum
+        text = "time,status,sex,age,year,sex\n1,1,1,60,2012,1\n2,0,0,61,2012,0\n"
+        loaded = datasets.load_patient_csv(io.StringIO(text))
+        assert loaded.x_names == ("sex",) and loaded.stratum_names == ("sex",)
+
     def test_partially_numeric_column_becomes_labels(self):
         text = "time,status,z,age,year\n1.0,1,1.5,60,2012\n2.0,0,oops,61,2012\n"
         loaded = datasets.load_patient_csv(io.StringIO(text))

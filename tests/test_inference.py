@@ -449,13 +449,15 @@ class TestWaldAndAic:
         assert inf.wald_ci(gamma_fit).notes == ()
 
     def test_package_import_leaves_scipy_stats_out(self):
-        # wald_ci's normal quantile comes from scipy.special; scipy.stats
-        # would add most of a second to every CLI call
+        # each scipy submodule is imported by the function that calls it, on
+        # first use; importing them all would add most of a second to every
+        # CLI call
         src = Path(inf.__file__).resolve().parents[1]
-        code = "import sys, exhaz; print('scipy.stats' in sys.modules)"
+        code = ("import sys, exhaz.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_aic_definition(self, gamma_fit):
         assert gamma_fit.aic == pytest.approx(

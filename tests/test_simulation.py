@@ -3,9 +3,11 @@
 import configparser
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from exhaz import datasets
 from exhaz import simulation as sim
@@ -367,6 +369,86 @@ class TestDropoutCalibration:
         assert with_deaths != without
         assert with_deaths == sim.calibrate_dropout(s, synth_table)
         assert without == sim.calibrate_dropout(s, zero_wide)
+
+    @pytest.mark.parametrize("share", ["dropout", "censoring"])
+    def test_unreachable_target_names_itself(self, synth_table, share):
+        s = dataclasses.replace(sim.sc1_scenario(), censoring_target=(share, 0.99999999999))
+        with pytest.raises(ValueError, match=rf"^{share} target 0\.99999999999 is out of "
+                                             r"reach \(6\.1e-08 short at rate 1e4\)$"):
+            sim.calibrate_dropout(s, synth_table)
+
+
+def _monotone_gaps(rng, count):
+    """(f, a, b) with f monotone on [a, b] and one sign change inside."""
+    shapes = [math.log, math.sqrt, math.atan, lambda x: x / (1.0 + x),
+              lambda x: -math.exp(-x), lambda x: x**3]
+    for _ in range(count):
+        if rng.random() < 0.3:  # the calibration's own form on a random pilot
+            t = rng.exponential(10.0 ** rng.uniform(-1.0, 1.0), size=int(rng.integers(5, 200)))
+            target = float(rng.uniform(0.01, 0.95))
+            yield (lambda r, t=t, c=target: float(np.mean(-np.expm1(-r * t))) - c), 1e-10, 1e4
+            continue
+        if rng.random() < 0.2:  # a clipped ramp: flat ends make brentq.c divide by zero
+            r, k, c = (10.0 ** rng.uniform(lo, hi) for lo, hi in ((-3, 3), (-2, 4), (-8, 0)))
+            yield (lambda x, r=r, k=k, c=c: max(min(k * (x - r), c), -c)), 1e-10, 1e4
+            continue
+        g = shapes[int(rng.integers(len(shapes)))]
+        root = 10.0 ** rng.uniform(-6.0, 3.0)
+        a = root * 10.0 ** -rng.uniform(0.0, 4.0) if rng.random() < 0.95 else root
+        b = root * 10.0 ** rng.uniform(0.01, 4.0)
+        k = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-3.0, 3.0)
+        yield (lambda x, g=g, r=root, k=k: k * (g(x) - g(r))), a, b
+
+
+class TestBrentPort:
+    """``simulation._brentq`` returns ``scipy.optimize.brentq``'s root bit for bit."""
+
+    TOLERANCES = [(1e-12, 1e-12), (2e-12, 4 * float(np.finfo(float).eps)), (1e-6, 1e-9)]
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.ini")),
+        ids=lambda p: p.stem)
+    def test_shipped_calibrations(self, path, monkeypatch):
+        port, roots = sim._brentq, []
+
+        def both(f, a, b, xtol, rtol, maxiter=100):
+            roots.append((port(f, a, b, xtol, rtol, maxiter).hex(),
+                          optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter).hex()))
+            return float.fromhex(roots[-1][0])
+
+        monkeypatch.setattr(sim, "_brentq", both)
+        s = dataclasses.replace(sim.load_scenario(path), dropout_rate=None)
+        assert sim.calibrate_dropout(s) > 0.0
+        assert len(roots) == 1 and roots[0][0] == roots[0][1]
+
+    def test_seeded_sweep_of_monotone_gaps(self):
+        rng = np.random.default_rng(73)
+        for i, (f, a, b) in enumerate(_monotone_gaps(rng, 1500)):
+            xtol, rtol = self.TOLERANCES[i % len(self.TOLERANCES)]
+            want = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+            assert sim._brentq(f, a, b, xtol, rtol).hex() == want.hex(), (i, a, b)
+
+    def test_same_sign_at_both_ends_is_refused(self):
+        for f, a, b in [(lambda x: x - 5.0, 0.0, 1.0), (lambda x: 5.0 - x, 0.0, 1.0)]:
+            with pytest.raises(ValueError, match="different signs"):
+                optimize.brentq(f, a, b)
+            with pytest.raises(ValueError, match="different signs"):
+                sim._brentq(f, a, b, 1e-12, 1e-12)
+
+    def test_step_budget_runs_out_where_scipys_does(self):
+        f = lambda x: math.atan(x - 0.3)  # noqa: E731
+        outcomes = []
+        for maxiter in range(1, 60):
+            try:
+                want = optimize.brentq(f, 0.0, 1e4, xtol=1e-12, rtol=1e-12, maxiter=maxiter)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match=f"in {maxiter} steps"):
+                    sim._brentq(f, 0.0, 1e4, 1e-12, 1e-12, maxiter)
+                outcomes.append("raised")
+                continue
+            assert sim._brentq(f, 0.0, 1e4, 1e-12, 1e-12, maxiter).hex() == want.hex()
+            outcomes.append("root")
+        assert outcomes[0] == "raised" and outcomes[-1] == "root"
 
 
 class TestTruthCurves:
