@@ -172,8 +172,7 @@ def _column_values(data, name: str) -> np.ndarray:
     if name in columns:
         return np.asarray(columns[name])
     if name in data.stratum_names:
-        j = list(data.stratum_names).index(name)
-        return np.array([s[j] for s in data.strata], dtype=object)
+        return data.strata[:, data.stratum_names.index(name)]
     raise datasets.DataFormatError(f"unknown subgroup column {name!r}")
 
 
@@ -190,7 +189,7 @@ def _subgroups(data, by) -> list:
     groups = [("population", None)]
     if by:
         values = _column_values(data, by)
-        if values.dtype == object:
+        if values.dtype.kind in "OU":
             as_str = np.array([str(v) for v in values])
             groups += [(f"{by}={val}", as_str == val) for val in sorted(set(as_str))]
         else:

@@ -68,12 +68,10 @@ def _column_cells(column) -> list:
     return [_cell(v) for v in column]
 
 
-def _stratum_labels(columns, n: int) -> tuple:
-    """Per-row stratum tuples of ``n`` rows from numeric columns, one label a
-    value: ``str(int(round(v)))``, built a column at a time (``np.rint``
-    rounds half to even, as ``round`` does)."""
-    labels = [np.rint(col).astype(np.int64).astype(str).tolist() for col in columns]
-    return tuple(zip(*labels)) if labels else ((),) * n
+def _stratum_labels(values: np.ndarray) -> np.ndarray:
+    """Stratum labels of an (n, k) numeric array, one a value: ``str(int(round(v)))``
+    (``np.rint`` rounds half to even, as ``round`` does)."""
+    return np.rint(values).astype(np.int64).astype(str)
 
 
 def write_csv(path, header, columns) -> None:
@@ -81,8 +79,11 @@ def write_csv(path, header, columns) -> None:
 
     Floats are written with 17 significant digits, integers with ``str``
     and strings as they are; ``None`` marks an unavailable value and gives
-    an empty cell.  Lines end in LF.
+    an empty cell.  Lines end in LF.  A header of another width than
+    ``columns`` raises ``ValueError``.
     """
+    if len(header) != len(columns):
+        raise ValueError(f"header names {len(header)} columns, got {len(columns)}")
     cells = [_column_cells(col) for col in columns]
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -102,19 +103,18 @@ def synthetic_life_table() -> lt.LifeTable:
     base = np.array([0.0004 + 0.00022 * math.exp(0.088 * max(a - 35, 0)) for a in range(100)])
     trend = 1.0 - 0.004 * np.arange(10)
     rates = base[:, None, None] * np.array([1.0, 1.28]) * trend[:, None]  # (age, year, sex)
-    ages, years, _ = np.indices(rates.shape).reshape(3, -1)
-    return lt.LifeTable.from_columns(ages, years + 2010, (("0",), ("1",)) * (len(ages) // 2),
+    ages, years, sex = np.indices(rates.shape).reshape(3, -1)
+    return lt.LifeTable.from_columns(ages, years + 2010, sex.astype(str)[:, None],
                                      rates.ravel(), stratum_schema=("sex",))
 
 
 def write_life_table_csv(path, table: lt.LifeTable) -> None:
     """Serialise a life table in the loader's ``age,year,...,rate`` layout,
     one row per grid cell in (age, year, stratum) order."""
-    combos = list(table._combo_index)
     ages, years, codes = (idx.ravel() for idx in np.indices(table._grid.shape))
     write_csv(path, ("age", "year") + table.stratum_schema + ("rate",),
               [ages + table.age_range[0], years + table.year_range[0],
-               *zip(*(combos[c] for c in codes)), table._grid.ravel()])
+               *table.stratum_labels(codes).T, table._grid.ravel()])
 
 
 # -- synthetic lung-style cohort -------------------------------------------------
@@ -160,7 +160,7 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
     t_event = simulate_event_time(u, x, w, truth, lam)
 
     year = 2012.0
-    strata = _stratum_labels([sex], n)
+    strata = _stratum_labels(sex[:, None])
     t_bg = lt.sample_other_cause_time(table, age, year, strata, rng.random(n))
     t_death = np.minimum(t_event, t_bg)
     censor = np.minimum(rng.exponential(1.0 / 0.03, size=n), 5.0)
@@ -193,7 +193,7 @@ def write_patient_csv(path, data: Dataset) -> None:
     pool = data.columns()
     write_csv(path, ["time", "status", *pool, "age", "year", *data.stratum_names],
               [data.time, data.status, *pool.values(), data.age, data.year,
-               *zip(*data.strata)])
+               *data.strata.T])
 
 
 def load_patient_csv(source) -> Dataset:
@@ -257,8 +257,6 @@ def load_patient_csv(source) -> Dataset:
 
     x_names = tuple(name for name, _ in numeric_covs)
     x = np.column_stack([col for _, col in numeric_covs]) if numeric_covs else np.empty((n, 0))
-    labels = [[v.strip() for v in col] for col in columns[idx_age + 2 :]]
-    strata = tuple(zip(*labels)) if labels else ((),) * n
     try:
         return Dataset(
             time=time,
@@ -269,7 +267,7 @@ def load_patient_csv(source) -> Dataset:
             w_names=(),
             age=age,
             year=year,
-            strata=strata,
+            strata=lt._stripped_labels(columns[idx_age + 2 :], n),
             stratum_names=stratum_names,
             extras=extras,
         )

@@ -53,8 +53,11 @@ class Dataset:
 
     ``x`` holds hazard-level covariates (columns ``x_names``), ``w`` the
     time-level covariates; ``age``/``year``/``strata`` form each subject's
-    life-table key.  ``extras`` may carry additional label columns (e.g. a
-    stage label) usable for subgrouping but not entering the model.
+    life-table key.  ``strata`` is an (n, k) array of str labels, one column
+    per name in ``stratum_names`` (n row tuples convert); the life table
+    codes each row as described in :class:`~exhaz.lifetable.LifeTable`.
+    ``extras`` may carry additional label columns (e.g. a stage label)
+    usable for subgrouping but not entering the model.
     """
 
     time: np.ndarray
@@ -65,7 +68,7 @@ class Dataset:
     w_names: tuple
     age: np.ndarray
     year: np.ndarray
-    strata: tuple
+    strata: np.ndarray
     stratum_names: tuple = ()
     extras: dict = field(default_factory=dict)
 
@@ -93,7 +96,6 @@ class Dataset:
         object.__setattr__(self, "w_names", tuple(self.w_names))
         object.__setattr__(self, "age", np.ascontiguousarray(self.age, dtype=float))
         object.__setattr__(self, "year", np.ascontiguousarray(self.year, dtype=float))
-        object.__setattr__(self, "strata", tuple(tuple(s) for s in self.strata))
         object.__setattr__(self, "stratum_names", tuple(self.stratum_names))
         if x.shape[1] != len(self.x_names) or w.shape[1] != len(self.w_names):
             raise ValueError("covariate name lists must match matrix widths")
@@ -104,8 +106,8 @@ class Dataset:
         for arr_name in ("status", "age", "year"):
             if getattr(self, arr_name).shape[0] != n:
                 raise ValueError(f"column {arr_name!r} has wrong length")
-        if len(self.strata) != n:
-            raise ValueError("strata tuple has wrong length")
+        object.__setattr__(self, "strata", lt._label_array(
+            self.strata, n, self.stratum_names, lambda i: f"record {i} (0-based)", ValueError))
         for arr_name in ("age", "year"):
             values = getattr(self, arr_name)
             _require_each(arr_name, np.isfinite(values), values, "finite")
@@ -124,7 +126,7 @@ class Dataset:
         return replace(
             self, time=self.time[idx], status=self.status[idx], x=self.x[idx],
             w=self.w[idx], age=self.age[idx], year=self.year[idx],
-            strata=tuple(self.strata[i] for i in idx),
+            strata=self.strata[idx],
             extras={k: v[idx] for k, v in self.extras.items()},
         )
 
@@ -159,7 +161,7 @@ class Dataset:
         h = hashlib.sha256()
         for arr in (self.time, self.status.astype(np.int8), self.age, self.year):
             h.update(np.ascontiguousarray(arr).tobytes())
-        h.update("|".join(",".join(s) for s in self.strata).encode())
+        h.update("|".join(map(",".join, self.strata.tolist())).encode())
         return h.hexdigest()[:16]
 
 

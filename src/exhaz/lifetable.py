@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,23 +47,27 @@ class LifeTable:
     age_range, year_range : tuple of int
         Inclusive band ranges covered by the grid.
     stratum_schema : tuple of str
-        Names of the stratum variables, in column order.
+        Names of the k stratum variables, in column order.
 
-    The rates live in ``_grid[age - age_range[0], year - year_range[0], code]``,
-    where ``_combo_index`` maps each stratum tuple to its code, in sorted order.
+    Strata are (n, k) arrays of str labels, one column per stratum variable.
+    A row's code reads its labels' positions in ``_domains`` (each column's
+    sorted labels) as one mixed-radix number, the first column most
+    significant; a leading digit of radix 1 codes every row 0 when k = 0.
+    The rates live in ``_grid[age - age_range[0], year - year_range[0], code]``.
     """
 
     age_range: tuple[int, int]
     year_range: tuple[int, int]
     stratum_schema: tuple[str, ...]
     _grid: np.ndarray = field(repr=False)
-    _combo_index: dict = field(repr=False)
+    _domains: tuple = field(repr=False)
 
     @classmethod
     def from_columns(cls, ages, years, strata, rates, stratum_schema=(), rows=None):
         """Build a table from one entry per grid cell: integer ``ages`` and
-        ``years``, one ``stratum_schema``-long tuple of ``strata`` and one rate
-        each.  Errors name entry i as row ``rows[i]`` (by default i + 1)."""
+        ``years``, an (n, k) array (or n row tuples) of ``strata`` labels with
+        k = ``len(stratum_schema)``, and one rate each.  Errors name entry i
+        as row ``rows[i]`` (by default i + 1)."""
         stratum_schema = tuple(stratum_schema)
         ages, years = np.asarray(ages, dtype=np.int64), np.asarray(years, dtype=np.int64)
         rates = np.asarray(rates, dtype=float)
@@ -71,20 +75,15 @@ class LifeTable:
         if n == 0:
             raise LifeTableError("life table has no entries")
         rows = range(1, n + 1) if rows is None else rows
-        bad = np.flatnonzero(np.fromiter(map(len, strata), np.intp, n) != len(stratum_schema))
-        if bad.size:
-            raise LifeTableError(f"row {rows[bad[0]]}: stratum {tuple(strata[bad[0]])!r} does "
-                                 f"not match schema {stratum_schema}")
+        strata = _label_array(strata, n, stratum_schema, lambda i: f"row {rows[i]}")
         bad = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
         if bad.size:
             raise LifeTableError(f"row {rows[bad[0]]}: negative or non-finite rate {rates[bad[0]]}")
-        # codes number the product of each stratum column's sorted values
-        domains, code = [], np.zeros(n, dtype=np.int64)
-        for column in zip(*strata):
-            values, inverse = np.unique(np.array(column, dtype=object), return_inverse=True)
-            domains.append(values.tolist())
-            code = code * len(values) + inverse
-        n_codes = math.prod(map(len, domains))
+        columns = [np.unique(col, return_inverse=True) for col in strata.T]
+        domains = tuple(values for values, _ in columns)
+        radix = (1, *map(len, domains))
+        code = np.ravel_multi_index((np.zeros(n, np.intp), *(i for _, i in columns)), radix)
+        n_codes = math.prod(radix)
         age_values, age_rank = np.unique(ages, return_inverse=True)
         year_values, year_rank = np.unique(years, return_inverse=True)
         cells, first = np.unique((age_rank * len(year_values) + year_rank) * n_codes + code,
@@ -92,8 +91,9 @@ class LifeTable:
         if len(cells) < n:
             i = np.setdiff1d(np.arange(n), first)[0]  # the first entry repeating a cell
             raise LifeTableError(f"row {rows[i]}: duplicate cell "
-                                 f"{(int(ages[i]), int(years[i]), tuple(strata[i]))}")
+                                 f"{(int(ages[i]), int(years[i]), tuple(strata[i].tolist()))}")
         (a0, a1), (y0, y1) = age_values[[0, -1]].tolist(), year_values[[0, -1]].tolist()
+        table = cls((a0, a1), (y0, y1), stratum_schema, rates[first], domains)
         if n != (a1 - a0 + 1) * (y1 - y0 + 1) * n_codes:
             # walk the grid beside the sorted cells to the first hole; product() would build
             # the ranges, so the walk is a generator
@@ -101,31 +101,33 @@ class LifeTable:
             grid = ((a, y, c) for a in range(a0, a1 + 1) for y in range(y0, y1 + 1)
                     for c in range(n_codes))
             a, y, c = next(want for want, got in zip(grid, [*have, None]) if want != got)
-            combo = next(itertools.islice(itertools.product(*domains), c, None))
-            raise LifeTableError(f"incomplete grid: missing cell {(a, y, combo)}")
-        return cls(
-            age_range=(a0, a1),
-            year_range=(y0, y1),
-            stratum_schema=stratum_schema,
-            _grid=rates[first].reshape(a1 - a0 + 1, y1 - y0 + 1, n_codes),
-            _combo_index={c: i for i, c in enumerate(itertools.product(*domains))},
-        )
+            labels = tuple(table.stratum_labels([c])[0].tolist())
+            raise LifeTableError(f"incomplete grid: missing cell {(a, y, labels)}")
+        return replace(table, _grid=table._grid.reshape(a1 - a0 + 1, y1 - y0 + 1, n_codes))
 
     # -- lookups ----------------------------------------------------------
 
-    def stratum_code(self, stratum) -> int:
-        """Integer code of one stratum tuple; raises for unknown values."""
-        try:
-            return self._combo_index[tuple(stratum)]
-        except KeyError:
-            raise LifeTableError(
-                f"stratum {tuple(stratum)!r} not present in life table "
-                f"(schema {self.stratum_schema})"
-            ) from None
-
     def stratum_codes(self, strata) -> np.ndarray:
-        """Vectorised :meth:`stratum_code` over a sequence of stratum tuples."""
-        return np.array([self.stratum_code(s) for s in strata], dtype=np.intp)
+        """Codes of an (n, k) array (or n row tuples) of stratum labels; an unknown
+        label raises naming its 0-based record, its column and the column's labels."""
+        strata = _label_array(strata, len(strata), self.stratum_schema,
+                              lambda i: f"record {i} (0-based)")
+        index = [np.searchsorted(d, col) for d, col in zip(self._domains, strata.T)]
+        unknown = [d[np.minimum(i, len(d) - 1)] != col
+                   for d, i, col in zip(self._domains, index, strata.T)]
+        if np.any(unknown):
+            i, j = np.argwhere(np.transpose(unknown))[0]  # the first record, then column
+            raise LifeTableError(
+                f"record {i} (0-based): {self.stratum_schema[j]} {strata[i, j].item()!r} is not "
+                f"a stratum label of the life table (labels {', '.join(self._domains[j])})")
+        return np.ravel_multi_index((np.zeros(len(strata), np.intp), *index),
+                                    (1, *map(len, self._domains)))
+
+    def stratum_labels(self, codes) -> np.ndarray:
+        """The (n, k) label array of ``codes``, inverting :meth:`stratum_codes`."""
+        index = np.unravel_index(codes, (1, *map(len, self._domains)))[1:]
+        labels = np.array([d[i] for d, i in zip(self._domains, index)], dtype=str)
+        return labels.reshape(len(self._domains), len(codes)).T
 
     def rates_at(self, ages, years, codes) -> np.ndarray:
         """Rates at ``(floor(age), floor(year), code)`` with edge clamping, vectorised."""
@@ -168,13 +170,33 @@ class LifeTable:
         return knots, cum, rates, count
 
 
+def _label_array(strata, n: int, schema, where, error=LifeTableError) -> np.ndarray:
+    """``strata`` as an (n, k) array of str labels, k = ``len(schema)``, from
+    such an array or n row tuples.  Ragged rows raise ``error`` naming the
+    first of another width as ``where(i)``; another shape names the expected one."""
+    try:
+        labels = np.asarray(strata, dtype=str)
+    except ValueError:  # ragged rows
+        for i, row in enumerate(strata):
+            if len(row) != len(schema):
+                raise error(f"{where(i)}: stratum {tuple(map(str, row))!r} does not match "
+                            f"schema {schema}") from None
+        raise
+    labels = labels.reshape(0, len(schema)) if labels.shape == (0,) else labels
+    if labels.shape != (n, len(schema)):
+        raise error(f"strata must be an (n, k) = ({n}, {len(schema)}) array of labels, one "
+                    f"per column of schema {schema}, got shape {labels.shape}")
+    return labels
+
+
 def _read_csv(source, error):
     """Read a CSV (path, file object, or iterable of lines) into columns.
 
     Skips blank lines and lines whose first non-space character is ``#``.
     Returns the stripped header names (empty without a header), its file
     line, one list of unstripped cells per column and each row's file line;
-    a row with the wrong field count raises ``error``."""
+    a row with the wrong field count raises ``error``, and so does a NUL
+    character, which numpy's str arrays would drop from the end of a label."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8").splitlines()
     elif hasattr(source, "read"):
@@ -191,8 +213,12 @@ def _read_csv(source, error):
     bad = np.flatnonzero(width != len(header))
     if bad.size:
         raise error(f"row {lines[bad[0]]}: expected {len(header)} fields, got {width[bad[0]]}")
+    joined = ",".join(body)
+    if "\x00" in joined:
+        i = next(i for i, row in zip(lines, body) if "\x00" in row)
+        raise error(f"row {i}: NUL character")
     # every row has len(header) cells, so column j is every len(header)-th cell
-    cells = ",".join(body).split(",") if body else []
+    cells = joined.split(",") if body else []
     return header, kept[0], [cells[j::len(header)] for j in range(len(header))], lines
 
 
@@ -209,6 +235,11 @@ def _parse_column(cells, dtype, error):
             except (ValueError, OverflowError):
                 raise error(i) from None
         raise
+
+
+def _stripped_labels(columns, n: int) -> np.ndarray:
+    """The (n, len(columns)) array of ``columns``' cells, stripped: stratum labels."""
+    return np.char.strip(np.array(columns, dtype=str).reshape(len(columns), n)).T
 
 
 def load_life_table(source) -> LifeTable:
@@ -232,9 +263,8 @@ def load_life_table(source) -> LifeTable:
 
     ages, years = (_parse_column(col, np.int64, malformed) for col in columns[:2])
     rates = _parse_column(columns[-1], float, malformed)
-    labels = [[cell.strip() for cell in col] for col in columns[2:-1]]
-    strata = tuple(zip(*labels)) if labels else ((),) * len(lines)
-    return LifeTable.from_columns(ages, years, strata, rates, header[2:-1], rows=lines)
+    return LifeTable.from_columns(ages, years, _stripped_labels(columns[2:-1], len(lines)),
+                                  rates, header[2:-1], rows=lines)
 
 
 def pop_hazard(table: LifeTable, key: LifeTableKey, t):
@@ -242,7 +272,7 @@ def pop_hazard(table: LifeTable, key: LifeTableKey, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("pop_hazard requires t >= 0")
-    code = table.stratum_code(key.stratum)
+    code = table.stratum_codes([key.stratum])[0]
     return table.rates_at(key.age + t, key.year + t, code)
 
 
@@ -251,7 +281,7 @@ def pop_cum_hazard(table: LifeTable, key: LifeTableKey, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("pop_cum_hazard requires t >= 0")
-    code = table.stratum_code(key.stratum)
+    code = table.stratum_codes([key.stratum])[0]
     knots, cum, _, count = table._segment_rows(np.array([key.age]), key.year, code, np.inf)
     knots, cum = knots[0, :count[0]], cum[0, :count[0]]
     out = np.interp(t, knots, cum)
@@ -264,6 +294,7 @@ def pop_cum_hazard(table: LifeTable, key: LifeTableKey, t):
 def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u) -> np.ndarray:
     """Other-cause death times of subjects diagnosed in calendar ``year``, one draw ``u`` each.
 
+    ``strata`` is an (n, k) array (or n row tuples) of the subjects' stratum labels.
     Each time solves ``pop_cum_hazard(t) = -log(1-u)`` exactly.  A draw that
     outlives the table's declared coverage (until age or year leaves its last
     band) becomes ``+inf``; simulated cohorts keep follow-up inside coverage.

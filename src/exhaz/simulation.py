@@ -280,18 +280,6 @@ def _draw_covariates(s, rng: np.random.Generator, n: int):
     return np.column_stack(cols), age
 
 
-def _strata_tuples(table: lt.LifeTable, names, x: np.ndarray, n: int) -> tuple:
-    """Map life-table stratum columns onto same-named covariates (e.g. sex)."""
-    cols = []
-    for sname in table.stratum_schema:
-        if sname not in names:
-            raise ValueError(
-                f"life-table stratum column {sname!r} has no matching covariate"
-            )
-        cols.append(x[:, names.index(sname)])
-    return _stratum_labels(cols, n)
-
-
 def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     """Latent excess-model event times, each subject under its group's truth."""
     n = x.shape[0]
@@ -326,7 +314,11 @@ def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
                              f"the life table's coverage {lo}-{hi + 1}")
     x, age = _draw_covariates(s, rng, n)
     tc = _event_times(s, rng, x)
-    strata = _strata_tuples(table, list(s.covariate_names), x, n)
+    names = list(s.covariate_names)  # each stratum column is the same-named covariate
+    for name in table.stratum_schema:
+        if name not in names:
+            raise ValueError(f"life-table stratum column {name!r} has no matching covariate")
+    strata = _stratum_labels(x[:, [names.index(name) for name in table.stratum_schema]])
     tp = lt.sample_other_cause_time(table, age, s.year, strata, rng.random(n))
     return x, age, strata, np.minimum(tc, tp)
 

@@ -102,6 +102,21 @@ class TestFit:
         assert "('region',) do not match the life table's stratum schema ('sex',)" in (
             capsys.readouterr().err)
 
+    def test_unknown_stratum_label_names_its_record(self, tmp_path, capsys):
+        bundled = Path(__file__).resolve().parents[1] / "demos" / "data"
+        lines = (bundled / "lung_synthetic.csv").read_text().splitlines(True)
+        assert lines[0].rstrip("\n").endswith(",sex") and lines[4].endswith(",0\n")
+        lines[4] = lines[4][:-2] + "2\n"  # record 3 (0-based)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("".join(lines))
+        code = cli.main([
+            "fit", "--data", str(cohort), "--lifetable", str(bundled / "lifetable_synthetic.csv"),
+            "--x", "agec", "--w", "agec", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: record 3 (0-based): sex '2' is not a stratum "
+                                           "label of the life table (labels 0, 1)\n")
+
     def test_life_table_with_a_huge_age_span_is_an_input_error(self, inputs, tmp_path,
                                                                capsys):
         # the loader used to allocate the 7 PiB grid first: a MemoryError

@@ -12,8 +12,11 @@ from exhaz import datasets
 from exhaz import lifetable as lt
 from exhaz import netsurvival as ns
 from exhaz import simulation as sim
-from exhaz.inference import ModelSpec, fit
+from exhaz.baseline import PGWParams
+from exhaz.inference import Dataset, ModelSpec, fit
 from exhaz.model import CovariateMapping
+
+from conftest import simulate_ph_cohort
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +30,7 @@ def lung(synth_table):
 
 
 def rate(table, age, year, sex):
-    return float(table.rates_at(age, year, table.stratum_code((sex,))))
+    return float(table.rates_at(age, year, table.stratum_codes([(sex,)])[0]))
 
 
 def csv_bytes(table, path):
@@ -39,8 +42,8 @@ class TestSyntheticLifeTable:
     def test_grid_is_complete(self, tmp_path, synth_table):
         assert len(csv_bytes(synth_table, tmp_path / "t.csv").splitlines()) == 1 + 100 * 10 * 2
         ages, years = (a.ravel() for a in np.meshgrid(np.arange(100), np.arange(2010, 2020)))
-        rates = np.concatenate([synth_table.rates_at(ages, years, synth_table.stratum_code((s,)))
-                                for s in ("0", "1")])
+        codes = synth_table.stratum_codes([("0",), ("1",)])
+        rates = np.concatenate([synth_table.rates_at(ages, years, c) for c in codes])
         assert synth_table.age_range == (0, 99)
         assert synth_table.year_range == (2010, 2019)
         assert synth_table.stratum_schema == ("sex",)
@@ -108,10 +111,44 @@ class TestPatientCsv:
         np.testing.assert_array_equal(loaded.x, lung.x)
         np.testing.assert_array_equal(loaded.age, lung.age)
         np.testing.assert_array_equal(loaded.year, lung.year)
-        assert loaded.strata == lung.strata
+        np.testing.assert_array_equal(loaded.strata, lung.strata)
         assert loaded.stratum_names == lung.stratum_names
         assert list(loaded.extras["stage"]) == list(lung.extras["stage"])
         assert loaded.w.shape == (lung.n, 0)
+
+    @pytest.mark.parametrize("names", [(), ("sex", "region")], ids=["none", "two"])
+    def test_stratum_columns_round_trip_byte_for_byte(self, tmp_path, names):
+        k = len(names)
+        combos = [("1", "south"), ("1", "north"), ("0", "south"), ("0", "north")][::1 if k else 4]
+        cells = [(a, y, combo[:k]) for a in (61, 60) for y in (2011, 2010) for combo in combos]
+        table = lt.LifeTable.from_columns(*zip(*cells), 1e-3 * np.arange(1, len(cells) + 1),
+                                          names)
+        n = 7
+        strata = np.array([["0", "north"], ["1", "south"], ["1", "north"], ["0", "south"],
+                           ["0", "north"], ["1", "north"], ["1", "south"]])[:, :k]
+        cohort = Dataset(time=np.linspace(0.5, 3.5, n), status=np.arange(n) % 2,
+                         x=np.linspace(-1.0, 1.0, n), w=np.empty((n, 0)), x_names=("z",),
+                         w_names=(), age=np.full(n, 60.5), year=np.full(n, 2010.25),
+                         strata=strata, stratum_names=names)
+        for write, load, obj in ((datasets.write_life_table_csv, lt.load_life_table, table),
+                                 (datasets.write_patient_csv, datasets.load_patient_csv, cohort)):
+            write(tmp_path / "a.csv", obj)
+            write(tmp_path / "b.csv", load(tmp_path / "a.csv"))
+            assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        header = (tmp_path / "b.csv").read_text().splitlines()[0]
+        assert header == ",".join(("time", "status", "z", "age", "year") + names)
+        loaded = datasets.load_patient_csv(tmp_path / "b.csv")
+        np.testing.assert_array_equal(loaded.strata, strata)
+        np.testing.assert_array_equal(table.stratum_codes(loaded.strata),
+                                      table.stratum_codes([tuple(row) for row in strata]))
+
+    def test_fingerprints_are_pinned(self):
+        # saved fit.json files carry the fingerprint of the cohort they were fitted on
+        bundled = Path(__file__).resolve().parents[1] / "demos" / "data" / "lung_synthetic.csv"
+        assert datasets.load_patient_csv(bundled).fingerprint() == "78bc681ded66bb46"
+        no_strata = simulate_ph_cohort(50, PGWParams(1, 1, 1), np.array([0.1, 0.2]), 0.5, 3)
+        assert no_strata.strata.shape == (50, 0)
+        assert no_strata.fingerprint() == "13a9859443c213a5"
 
     def test_stream_source(self, tmp_path, lung):
         path = tmp_path / "cohort.csv"
@@ -156,7 +193,10 @@ class TestPatientCsv:
         ("time,status,age,year\n1,1,60,2012\n\n2,1,61\n", "row 4: expected 4 fields, got 3"),
         ("# cohort extract\ntime,status,age,year\n1,1,60,2012\n  # a note\n2,0,6o,2012\n",
          "row 5: column 'age' is not numeric: '6o'"),
-    ], ids=["blank-line", "blank-line-field-count", "comment-lines"])
+        # a str array drops a trailing NUL, so sex '1\0' would read as '1'
+        ("time,status,age,year,sex\n1,1,60,2012,0\n\n2,0,61,2012,1\x00\n",
+         "row 4: NUL character"),
+    ], ids=["blank-line", "blank-line-field-count", "comment-lines", "nul-label"])
     def test_errors_name_the_file_line_past_blank_and_comment_lines(self, text, message):
         with pytest.raises(datasets.DataFormatError) as exc:
             datasets.load_patient_csv(io.StringIO(text))
@@ -170,7 +210,8 @@ class TestPatientCsv:
         b = datasets.load_patient_csv(io.StringIO(commented))
         for name in ("time", "status", "age", "year"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert a.strata == b.strata == (("0",), ("1",))
+        np.testing.assert_array_equal(a.strata, [["0"], ["1"]])
+        np.testing.assert_array_equal(b.strata, a.strata)
 
     @pytest.mark.parametrize("header, name", [
         ("time,status,x,x,age,year", "x"),
@@ -263,6 +304,14 @@ class TestCsvWriter:
         with pytest.raises(ValueError):
             datasets.write_csv(tmp_path / "t.csv", ("a", "b"), [[1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("header", [("a",), ("a", "b", "c")])
+    def test_header_of_another_width_is_refused(self, tmp_path, header):
+        # a file whose rows are wider or narrower than its header would not load
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"header names {len(header)} columns, got 2"):
+            datasets.write_csv(path, header, [[1.0], [2.0]])
+        assert not path.exists()
+
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
     def test_floats_round_trip_exactly(self, tmp_path_factory, values):
@@ -321,12 +370,13 @@ class TestStratumLabels:
     ], ids=["binary", "integers", "two-columns", "one-row", "no-rows"])
     def test_labels_equal_rounding_each_value(self, columns):
         n = columns[0].size
-        expected = tuple(tuple(str(int(round(col[i]))) for col in columns)
-                         for i in range(n))
-        assert datasets._stratum_labels(columns, n) == expected
+        expected = [[str(int(round(col[i]))) for col in columns] for i in range(n)]
+        labels = datasets._stratum_labels(np.column_stack(columns))
+        assert labels.shape == (n, len(columns))
+        assert labels.tolist() == expected
 
     def test_no_stratum_columns(self):
-        assert datasets._stratum_labels([], 3) == ((), (), ())
+        assert datasets._stratum_labels(np.empty((3, 0))).shape == (3, 0)
 
 
 class TestBundledData:

@@ -115,7 +115,7 @@ class TestLoglikOracles:
                 if data.status[i] == 1:
                     a_band = min(int(math.floor(data.age[i] + t)), 99)
                     y_band = min(int(math.floor(data.year[i] + t)), 2019)
-                    hp = rate(a_band, y_band, data.strata[i])
+                    hp = rate(a_band, y_band, tuple(data.strata[i]))
                     h0 = (
                         nu
                         / (gamma * sigma**nu)
@@ -183,7 +183,7 @@ class TestLoglikOracles:
             w_names=data.w_names,
             age=data.age[perm],
             year=data.year[perm],
-            strata=tuple(data.strata[i] for i in perm),
+            strata=data.strata[perm],
             stratum_names=data.stratum_names,
         )
         g = random_params(rng, baseline, 3, 2)
@@ -508,6 +508,44 @@ class TestDatasetUtilities:
         with_extra = dataclasses.replace(data, extras={"stage": stage})
         sub = with_extra.subset(stage == "II")
         assert list(sub.extras["stage"]) == ["II"] * 10
+
+    def test_strata_are_one_label_array(self):
+        data = random_dataset(6, p=1, p_t=0, seed=29)
+        assert data.strata.shape == (6, 1) and data.strata.dtype.kind == "U"
+        np.testing.assert_array_equal(data.subset([True, False] * 3).strata, data.strata[::2])
+        rows = inf.Dataset(**{**vars(data), "strata": [tuple(row) for row in data.strata]})
+        np.testing.assert_array_equal(rows.strata, data.strata)
+        assert rows.fingerprint() == data.fingerprint()
+
+    @pytest.mark.parametrize("strata, message", [
+        ([("0", "1"), ("1", "0")],
+         "strata must be an (n, k) = (2, 1) array of labels, one per column of schema "
+         "('sex',), got shape (2, 2)"),
+        ([("0", "1"), ("1", "0"), ("0",)],
+         "record 0 (0-based): stratum ('0', '1') does not match schema ('sex',)"),
+        ([("1",), ("0",), ()],
+         "record 2 (0-based): stratum () does not match schema ('sex',)"),
+        ([("1",)], "strata must be an (n, k) = (2, 1) array of labels, one per column of "
+                   "schema ('sex',), got shape (1, 1)"),
+    ], ids=["two-labels-a-row", "ragged", "ragged-late", "too-few-rows"])
+    def test_strata_of_another_shape_are_refused(self, strata, message):
+        # write_patient_csv would give such a cohort more or fewer cells a row than
+        # its header names, or drop labels: a file that its own reader refuses
+        n = max(len(strata), 2)
+        with pytest.raises(ValueError) as info:
+            inf.Dataset(time=np.ones(n), status=np.zeros(n, dtype=int), x=np.empty((n, 0)),
+                        w=np.empty((n, 0)), x_names=(), w_names=(), age=np.full(n, 60.0),
+                        year=np.full(n, 2012.0), strata=strata, stratum_names=("sex",))
+        assert str(info.value) == message
+
+    def test_empty_dataset_with_strata_reaches_the_fit(self, sex_table):
+        empty = inf.Dataset(time=np.empty(0), status=np.empty(0, dtype=int),
+                            x=np.empty((0, 0)), w=np.empty((0, 0)), x_names=(), w_names=(),
+                            age=np.empty(0), year=np.empty(0), strata=(),
+                            stratum_names=("sex",))
+        assert empty.strata.shape == (0, 1)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            inf.fit(empty, sex_table, inf.ModelSpec("pgw", "none"))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match=r"record 0 \(0-based\): time must be positive"):

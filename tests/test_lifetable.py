@@ -8,6 +8,7 @@ root-find on the forward function).
 """
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -54,7 +55,7 @@ class TestLoader:
         assert table.age_range == (70, 71)
         assert table.year_range == (2010, 2011)
         rates = table.rates_at(np.array([70, 70, 71, 71]), np.array([2010, 2011, 2010, 2011]),
-                               table.stratum_code(()))
+                               table.stratum_codes([()])[0])
         np.testing.assert_array_equal(rates, [0.01, 0.02, 0.03, 0.04])
 
     def test_stratified_parse_and_lookup(self):
@@ -101,6 +102,13 @@ class TestLoader:
         with pytest.raises(lt.LifeTableError) as exc:
             lt.load_life_table(io.StringIO(text))
         assert str(exc.value) == "row 2: expected 3 fields, got 4"
+
+    def test_nul_character_reports_row(self):
+        # a str array drops a trailing NUL, so sex '1\0' would read as '1'
+        text = "age,year,sex,rate\n70,2010,0,0.01\n70,2010,1\x00,0.02\n"
+        with pytest.raises(lt.LifeTableError) as exc:
+            lt.load_life_table(io.StringIO(text))
+        assert str(exc.value) == "row 3: NUL character"
 
     def test_bad_header(self):
         with pytest.raises(lt.LifeTableError) as exc:
@@ -194,11 +202,13 @@ class TestLoader:
         for table in (built, loaded):
             assert table.age_range == (40, 41) and table.year_range == (2000, 2002)
             assert table.stratum_schema == ("sex", "region")
-            assert list(table._combo_index) == [(s, r) for s in ("0", "1")
-                                                for r in ("east", "north", "south")]
+            codes = np.arange(6)
+            assert table.stratum_labels(codes).tolist() == [
+                [s, r] for s in ("0", "1") for r in ("east", "north", "south")]
+            np.testing.assert_array_equal(table.stratum_codes(table.stratum_labels(codes)), codes)
         assert built._grid.tobytes() == loaded._grid.tobytes()
         for (a, y, strat), rate in zip(cells, rates):
-            assert built.rates_at(a, y, built.stratum_code(strat)) == rate
+            assert built.rates_at(a, y, built.stratum_codes([strat])[0]) == rate
 
     @pytest.mark.parametrize(
         "columns, message",
@@ -217,6 +227,40 @@ class TestLoader:
         with pytest.raises(lt.LifeTableError) as exc:
             lt.LifeTable.from_columns(*columns, stratum_schema=("sex",))
         assert str(exc.value) == message
+
+
+class TestStratumCodes:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(0, 3))
+    def test_codes_follow_the_mixed_radix_rule(self, data, k):
+        label = st.text(alphabet="01ab _", min_size=1, max_size=3)
+        domains = [sorted(data.draw(st.sets(label, min_size=1, max_size=3))) for _ in range(k)]
+        combos = list(itertools.product(*domains))
+        cells = data.draw(st.permutations(combos))
+        table = lt.LifeTable.from_columns([70] * len(cells), [2010] * len(cells), cells,
+                                          [1e-3 * (1 + combos.index(c)) for c in cells],
+                                          [f"s{j}" for j in range(k)])
+        rows = data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=20))
+
+        def reference(row):  # sorted labels per column, the first column most significant
+            code = 0
+            for domain, value in zip(domains, row):
+                code = code * len(domain) + domain.index(value)
+            return code
+
+        codes = table.stratum_codes(rows)
+        assert codes.tolist() == [reference(row) for row in rows]
+        np.testing.assert_array_equal(table.stratum_codes(np.array(rows, dtype=str)
+                                                          .reshape(len(rows), k)), codes)
+        assert table.stratum_labels(codes).tolist() == [list(row) for row in rows]
+        assert table.rates_at(70, 2010, codes).tolist() == [1e-3 * (1 + c) for c in codes]
+        if k:
+            i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, k - 1))
+            rows[i] = rows[i][:j] + ("Z",) + rows[i][j + 1:]
+            with pytest.raises(lt.LifeTableError) as exc:
+                table.stratum_codes(rows)
+            assert str(exc.value) == (f"record {i} (0-based): s{j} 'Z' is not a stratum label "
+                                      f"of the life table (labels {', '.join(domains[j])})")
 
 
 class TestPopHazard:

@@ -222,7 +222,7 @@ class TestCohorts:
         assert np.array_equal(d1.status, d2.status)
         assert np.array_equal(d1.x, d2.x)
         assert np.array_equal(d1.age, d2.age)
-        assert d1.strata == d2.strata
+        np.testing.assert_array_equal(d1.strata, d2.strata)
         d3 = sim.generate_cohort(s, 8, synth_table)
         assert not np.array_equal(d1.time, d3.time)
 
@@ -239,7 +239,7 @@ class TestCohorts:
         assert d.stratum_names == ("sex",)
         # Life-table strata mirror the sex covariate.
         sex = d.x[:, 1]
-        assert all(st == (str(int(v)),) for st, v in zip(d.strata, sex))
+        assert d.strata.tolist() == [[str(int(v))] for v in sex]
 
     @pytest.mark.parametrize(
         "change, first_age, message",
