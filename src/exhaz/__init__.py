@@ -20,7 +20,6 @@ from .inference import (
     Dataset,
     FitResult,
     ModelSpec,
-    OptimizerOptions,
     WaldIntervals,
     aic_compare,
     fit,
@@ -85,7 +84,6 @@ __all__ = [
     "LogNormalParams",
     "ModelSpec",
     "NetSurvivalCurve",
-    "OptimizerOptions",
     "PGWParams",
     "PerformanceTable",
     "Scenario",

@@ -35,7 +35,6 @@ from . import simulation as sim
 from .inference import (
     FitResult,
     ModelSpec,
-    OptimizerOptions,
     aic_compare,
     fit,
     wald_ci,
@@ -146,8 +145,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = datasets.load_patient_csv(args.data).with_covariates(args.x, args.w)
     table = lt.load_life_table(args.lifetable)
     spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
-    res = fit(data, table, spec, options=OptimizerOptions(args.maxiter, args.multistart),
-              label=args.label)
+    res = fit(data, table, spec, label=args.label)
     out = _out_dir(args)
     _estimates_csv(out / "estimates.csv", res, args.level)
     _write_text(
@@ -247,7 +245,7 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
     if res is None:
         table = lt.load_life_table(args.lifetable)
         spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
-        res = fit(data, table, spec, options=OptimizerOptions(args.maxiter, args.multistart))
+        res = fit(data, table, spec)
         if not res.convergence.converged:
             print("error: model fit did not converge; curves not written",
                   file=sys.stderr)
@@ -386,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated hazard-level covariate columns")
         p.add_argument("--w", default=None,
                        help="comma-separated time-scale covariate columns")
-        p.add_argument("--maxiter", type=int, default=OptimizerOptions.maxiter)
-        p.add_argument("--multistart", type=int, default=OptimizerOptions.multistart)
 
     p_fit = sub.add_parser("fit", help="fit one excess-hazard model")
     add_model_flags(p_fit)

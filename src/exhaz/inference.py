@@ -121,8 +121,12 @@ class Dataset:
         return int(self.status.sum())
 
     def subset(self, mask) -> "Dataset":
-        """Row subset for a boolean mask (used for subgroup analyses)."""
-        idx = np.nonzero(np.asarray(mask, dtype=bool))[0]
+        """Row subset for a boolean mask of shape (n,) (used for subgroup analyses)."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.n,):
+            raise ValueError(f"subset mask must be a boolean array of shape ({self.n},), "
+                             f"got {mask.dtype} of shape {mask.shape}")
+        idx = np.nonzero(mask)[0]
         return replace(
             self, time=self.time[idx], status=self.status[idx], x=self.x[idx],
             w=self.w[idx], age=self.age[idx], year=self.year[idx],
@@ -187,17 +191,10 @@ class ModelSpec:
         return f"{self.baseline}+{self.frailty}"
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Quasi-Newton settings (L-BFGS-B with analytic gradients): the iteration
-    cap and the number of jittered restarts after a failed first attempt."""
-
-    maxiter: int = 2000
-    multistart: int = 5
-
-
 _GTOL = 1e-6  # L-BFGS-B projected-gradient tolerance
 _FTOL = 1e-12  # L-BFGS-B relative objective-change tolerance
+_MAXITER = 2000  # L-BFGS-B iteration cap
+_RESTARTS = 5  # jittered restarts at most, after a failed first attempt
 _JITTER_SD = 0.3  # sd of the normal jitter of each restart's start
 _JITTER_SEED = 0  # seed of the restart jitter, so fits are reproducible
 
@@ -587,65 +584,50 @@ def aic_compare(fits) -> list:
 
 # -- fitting -------------------------------------------------------------------
 
-def _minimize(ctx: _FitContext, psi0, opts: OptimizerOptions):
+def _minimize(ctx: _FitContext, psi0):
     from scipy import optimize  # minimize is looked up per call, so perfbench can wrap it
     return optimize.minimize(
         ctx.value_and_grad, psi0, jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.maxiter, "ftol": _FTOL, "gtol": _GTOL},
+        options={"maxiter": _MAXITER, "ftol": _FTOL, "gtol": _GTOL},
     )
 
 
-def _optimize_with_restarts(ctx, psi0, opts):
-    """First attempt from psi0; on failure, jittered restarts.
+def _clean(res) -> bool:
+    """Whether an attempt converged to a finite objective below the penalty."""
+    return bool(res.success and np.isfinite(res.fun) and res.fun < _PENALTY)
 
-    Keeps the lowest objective value seen, but prefers a cleanly converged
-    optimum whenever its objective is within a small margin of the best
-    abnormal termination (line searches often die on flat frailty ridges at
-    points statistically indistinguishable from the converged one).
+
+def _optimize_with_restarts(ctx, psi0):
+    """First attempt from psi0; while the last attempt is not clean, up to
+    ``_RESTARTS`` restarts from psi0 plus normal jitter.
+
+    Returns ``(best, attempts, messages)``.  ``best`` has the lowest finite
+    objective seen (``None`` if there is none), but a cleanly converged
+    optimum is preferred whenever its objective is within a small margin of
+    the best abnormal termination (line searches often die on flat frailty
+    ridges at points statistically indistinguishable from the converged one).
     """
-    messages = []
-    attempts = 0
-    best_any = None
-    best_ok = None
-
-    def consider(res):
-        nonlocal best_any, best_ok
-        if not np.isfinite(res.fun) or res.fun >= _PENALTY:
-            return
-        if best_any is None or res.fun < best_any.fun:
-            best_any = res
-        if res.success and (best_ok is None or res.fun < best_ok.fun):
-            best_ok = res
-
-    res = _minimize(ctx, psi0, opts)
-    attempts += 1
-    consider(res)
-    first_ok = res.success and np.isfinite(res.fun) and res.fun < _PENALTY
-    if not first_ok:
-        messages.append(f"initial optimisation failed: {res.message}")
-        rng = np.random.default_rng(_JITTER_SEED)
-        for _ in range(opts.multistart):
-            start = psi0 + rng.normal(scale=_JITTER_SD, size=psi0.shape[0])
-            res_j = _minimize(ctx, start, opts)
-            attempts += 1
-            consider(res_j)
-            if res_j.success and np.isfinite(res_j.fun) and res_j.fun < _PENALTY:
-                break
+    runs = [_minimize(ctx, psi0)]
+    rng = np.random.default_rng(_JITTER_SEED)
+    while not _clean(runs[-1]) and len(runs) <= _RESTARTS:
+        runs.append(_minimize(ctx, psi0 + rng.normal(scale=_JITTER_SD, size=psi0.shape[0])))
+    finite = [res for res in runs if np.isfinite(res.fun) and res.fun < _PENALTY]
+    best = min(finite, key=lambda res: res.fun, default=None)
+    best_ok = min((res for res in finite if res.success), key=lambda res: res.fun, default=None)
     # Prefer a cleanly converged point unless the abnormal one is better by
     # more than a quarter likelihood unit (flat-ridge drift is smaller).
-    if best_ok is not None and best_any is not None and best_ok is not best_any:
-        if best_ok.fun <= best_any.fun + 0.25:
-            best_any = best_ok
-    if not first_ok and best_any is not None:
-        if best_any.success:
-            messages.append("multistart recovered a converged optimum")
-        else:
-            messages.append("multistart kept the best non-converged optimum")
-    return best_any, attempts, messages
+    if best_ok is not None and best_ok.fun <= best.fun + 0.25:
+        best = best_ok
+    messages = []
+    if not _clean(runs[0]):
+        messages.append(f"initial optimisation failed: {runs[0].message}")
+        if best is not None:
+            messages.append("multistart recovered a converged optimum" if best.success
+                            else "multistart kept the best non-converged optimum")
+    return best, len(runs), messages
 
 
-def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
-        options: OptimizerOptions | None = None, label: str = "") -> FitResult:
+def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec, label: str = "") -> FitResult:
     """Maximum-likelihood fit of a classical or frailty excess-hazard model.
 
     Parameters
@@ -654,11 +636,13 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
     spec : ModelSpec
         Baseline family, frailty family, optional covariate mapping (must
         match the dataset's x/w columns when given).
-    options : OptimizerOptions
     label : free-text tag carried into reports.
 
-    Non-convergence and invalid standard errors are reported through the
-    result's ``convergence`` and ``se_valid`` fields rather than raised.
+    The optimiser is L-BFGS-B with analytic gradients, capped at
+    ``_MAXITER`` iterations, with up to ``_RESTARTS`` jittered restarts
+    after a failed first attempt.  Non-convergence and invalid standard
+    errors are reported through the result's ``convergence`` and
+    ``se_valid`` fields rather than raised.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -669,7 +653,6 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
             spec.mapping.w_names
         ) != data.w_names:
             raise ValueError("spec covariate mapping does not match dataset columns")
-    opts = options or OptimizerOptions()
     fam = get_family(spec.baseline)
     ctx = _FitContext(data, table, spec.baseline, spec.frailty)
     messages: list[str] = []
@@ -681,7 +664,7 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
         ph_ctx = _FitContext(
             data.with_covariates(data.x_names, ()), table, spec.baseline, "none"
         )
-        ph_best, _, ph_msgs = _optimize_with_restarts(ph_ctx, ph0, opts)
+        ph_best, _, ph_msgs = _optimize_with_restarts(ph_ctx, ph0)
         messages.extend(ph_msgs)
         if ph_best is None:
             theta_beta = ph0
@@ -700,7 +683,7 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec,
         # the requested model *is* the PH submodel; one stage suffices
         psi0 = ph0
 
-    best, attempts, opt_msgs = _optimize_with_restarts(ctx, psi0, opts)
+    best, attempts, opt_msgs = _optimize_with_restarts(ctx, psi0)
     messages.extend(opt_msgs)
 
     if best is None:

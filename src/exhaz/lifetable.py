@@ -173,7 +173,9 @@ class LifeTable:
 def _label_array(strata, n: int, schema, where, error=LifeTableError) -> np.ndarray:
     """``strata`` as an (n, k) array of str labels, k = ``len(schema)``, from
     such an array or n row tuples.  Ragged rows raise ``error`` naming the
-    first of another width as ``where(i)``; another shape names the expected one."""
+    first of another width as ``where(i)``; another shape names the expected one.
+    Labels that arrive as Python objects may not hold a NUL character, which
+    numpy's str dtype would drop from the end; a str array has none left to find."""
     try:
         labels = np.asarray(strata, dtype=str)
     except ValueError:  # ragged rows
@@ -186,6 +188,11 @@ def _label_array(strata, n: int, schema, where, error=LifeTableError) -> np.ndar
     if labels.shape != (n, len(schema)):
         raise error(f"strata must be an (n, k) = ({n}, {len(schema)}) array of labels, one "
                     f"per column of schema {schema}, got shape {labels.shape}")
+    if not (isinstance(strata, np.ndarray) and strata.dtype.kind == "U"):
+        for i, row in enumerate(strata):
+            for name, label in zip(schema, row):
+                if "\x00" in str(label):
+                    raise error(f"{where(i)}: {name} label {str(label)!r} has a NUL character")
     return labels
 
 

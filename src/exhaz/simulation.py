@@ -28,7 +28,7 @@ import numpy as np
 from . import lifetable as lt
 from .baseline import get_family
 from .datasets import _stratum_labels, write_csv
-from .inference import Dataset, ModelSpec, OptimizerOptions, _param_names, fit
+from .inference import Dataset, ModelSpec, _param_names, fit
 from .model import (B_ZERO_THRESHOLD, CovariateMapping, FrailtySpec, GHParams,
                     simulate_event_time)
 from .netsurvival import NetSurvivalCurve, _curve_values, default_grid
@@ -494,8 +494,7 @@ def two_group_true_curves(s: Scenario, grid=None, draws: int = 100000,
 
 # -- the replicate loop both studies share ---------------------------------------
 
-def _replicates(s: Scenario, table: lt.LifeTable, opts: OptimizerOptions,
-                designs, analyse, progress: bool):
+def _replicates(s: Scenario, table: lt.LifeTable, designs, analyse, progress: bool):
     """Simulate and fit the scenario's ``M`` replicates; returns the kept
     ``analyse`` results and the excluded count.
 
@@ -510,8 +509,7 @@ def _replicates(s: Scenario, table: lt.LifeTable, opts: OptimizerOptions,
     for m, child in enumerate(np.random.SeedSequence(s.seed).spawn(s.M)):
         plan = designs(generate_cohort(s, child, table))
         try:
-            fits = {key: (d, fit(d, table, spec, options=opts))
-                    for key, (d, spec) in plan.items()}
+            fits = {key: (d, fit(d, table, spec)) for key, (d, spec) in plan.items()}
         except ValueError:
             fits = None
         row = None if fits is None else analyse(fits)
@@ -602,9 +600,7 @@ def _true_vectors(s: Scenario):
 
 
 def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
-             fit_both: bool = False, reference_grid=None,
-             options: OptimizerOptions | None = None,
-             progress: bool = False) -> Aim1Result:
+             fit_both: bool = False, reference_grid=None, progress: bool = False) -> Aim1Result:
     """Repeatedly simulate and refit the correctly specified model.
 
     Produces a :class:`PerformanceTable` (bias, coverage at 95%, SE
@@ -648,8 +644,7 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
                else _curve_values(zero, zero, grid, res.params, res.frailty))
         return est, se_nat, hit, aics, ref
 
-    rows, excluded = _replicates(s, table, options or OptimizerOptions(),
-                                 designs, analyse, progress)
+    rows, excluded = _replicates(s, table, designs, analyse, progress)
     est, ses, hits = (np.vstack([row[i] for row in rows]) for i in range(3))
     aics = [row[3] for row in rows if row[3] is not None]
     ref_rows = [row[4] for row in rows if row[4] is not None]
@@ -732,9 +727,7 @@ class Aim2Result:
 
 
 def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
-             grid=None, truth_draws: int = 100000,
-             options: OptimizerOptions | None = None,
-             progress: bool = False) -> Aim2Result:
+             grid=None, truth_draws: int = 100000, progress: bool = False) -> Aim2Result:
     """Quantify subgroup net-survival bias from pooling two populations.
 
     Each replicate is fitted six ways, always omitting the binaries after
@@ -783,8 +776,7 @@ def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
             curves.update({(analysis, model, lab): row for lab, row in zip(labels, values)})
         return curves
 
-    rows, excluded = _replicates(s, table, options or OptimizerOptions(),
-                                 designs, analyse, progress)
+    rows, excluded = _replicates(s, table, designs, analyse, progress)
     n = len(rows)
     return Aim2Result(
         scenario=s,

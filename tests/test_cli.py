@@ -130,6 +130,16 @@ class TestFit:
         assert code == 3
         assert "incomplete grid: missing cell (1, 2010, ())" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "netsurv"])
+    @pytest.mark.parametrize("flag", [("--multistart", "3"), ("--maxiter", "5")])
+    def test_optimiser_flags_are_gone(self, inputs, tmp_path, capsys, command, flag):
+        # the optimiser's iteration cap and restart count are fixed
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--data", str(inputs["data"]), "--lifetable",
+                      str(inputs["table"]), *flag, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, inputs, tmp_path):
         args = [
             "fit", "--data", str(inputs["data"]), "--lifetable", str(inputs["table"]),

@@ -348,6 +348,83 @@ class TestFit:
                 assert getattr(back, name) is None
 
 
+class TestRestartRule:
+    """``fit``'s optimiser policy, driven by scripted L-BFGS-B results: each
+    attempt ends at the same point with a scripted objective and status."""
+
+    @pytest.fixture(scope="class")
+    def setting(self, zero_table):
+        data = simulate_ph_cohort(300, PGWParams(1.5, 1.1, 1.3), np.array([0.4, -0.6]),
+                                  b=0.0, seed=21)
+        return data, zero_table, inf.fit(data, zero_table, inf.ModelSpec("pgw", "none")).psi
+
+    @staticmethod
+    def run(monkeypatch, setting, script):
+        from scipy.optimize import OptimizeResult
+        data, table, psi_hat = setting
+        starts = []
+
+        def scripted(ctx, psi0, *args):
+            starts.append(np.array(psi0))
+            fun, success = script[len(starts) - 1] if len(starts) <= len(script) else (
+                math.nan, False)
+            return OptimizeResult(x=psi_hat.copy(), fun=fun, success=success,
+                                  message=f"attempt {len(starts)}", nit=len(starts),
+                                  jac=np.zeros_like(psi_hat))
+
+        monkeypatch.setattr(inf, "_minimize", scripted)
+        return inf.fit(data, table, inf.ModelSpec("pgw", "none")), starts
+
+    RECOVERED = "multistart recovered a converged optimum"
+    KEPT = "multistart kept the best non-converged optimum"
+
+    @pytest.mark.parametrize("script, fun, converged, notes", [
+        ([(10.0, True)], 10.0, True, ()),
+        ([(12.0, False), (11.0, True)], 11.0, True, (RECOVERED,)),
+        # an abnormal point better by at most 0.25 loses to the converged one
+        ([(9.75, False), (10.0, True)], 10.0, True, (RECOVERED,)),
+        ([(9.5, False), (10.0, True)], 9.5, False, (KEPT,)),
+        # a penalty or non-finite objective is never kept, even when flagged a success
+        ([(inf._PENALTY, True), (-math.inf, False), (math.nan, True), (12.0, False),
+          (math.inf, True), (2 * inf._PENALTY, False)], 12.0, False, (KEPT,)),
+    ], ids=["first-success", "rescue", "converged-within-margin", "abnormal-beyond-margin",
+            "penalty-and-non-finite"])
+    def test_kept_attempt(self, monkeypatch, setting, script, fun, converged, notes):
+        res, starts = self.run(monkeypatch, setting, script)
+        assert res.convergence.attempts == len(starts) == len(script)
+        assert res.loglik == -fun and res.convergence.converged is converged
+        first = () if len(script) == 1 else ("initial optimisation failed: attempt 1",)
+        assert res.convergence.messages == first + notes
+
+    def test_every_attempt_failing_returns_the_start(self, monkeypatch, setting):
+        res, starts = self.run(monkeypatch, setting, [])
+        # five jittered restarts at most, each from the first start plus N(0, 0.3^2)
+        # noise drawn from one stream seeded 0
+        assert res.convergence.attempts == len(starts) == 6
+        rng = np.random.default_rng(0)
+        for start in starts[1:]:
+            np.testing.assert_array_equal(start, starts[0] + rng.normal(scale=0.3,
+                                                                        size=len(start)))
+        assert not res.convergence.converged and res.convergence.iterations == 0
+        np.testing.assert_array_equal(res.psi, starts[0])
+        assert res.convergence.messages[:2] == (
+            "initial optimisation failed: attempt 1",
+            "optimisation failed from every start; returning start values")
+
+    def test_simulated_replicate_is_rescued_by_one_restart(self):
+        from exhaz import datasets
+        from exhaz import simulation as sim
+        table = datasets.synthetic_life_table()
+        s = sim.resolve_dropout(sim.sc1_scenario(n=500, M=40, seed=20121), table)
+        data = sim.generate_cohort(s, np.random.SeedSequence(s.seed).spawn(s.M)[19], table)
+        names = s.covariate_names
+        res = inf.fit(data, table, inf.ModelSpec("pgw", "gamma",
+                                                 mdl.CovariateMapping(names, names)))
+        assert res.convergence.attempts == 2 and res.convergence.converged
+        assert res.convergence.messages[0].startswith("initial optimisation failed: ")
+        assert res.convergence.messages[1] == self.RECOVERED
+
+
 class TestHessian:
     def test_quadratic_oracle_both_modes(self):
         # gradient of 0.5 p'Ap is Ap, whose Hessian is A
@@ -493,6 +570,19 @@ class TestDatasetUtilities:
         np.testing.assert_array_equal(sub.time, data.time[mask])
         assert sub.fingerprint() != data.fingerprint()
 
+    @pytest.mark.parametrize("mask, message", [
+        ([True, False], "got bool of shape (2,)"),
+        ([0, 2, 3], "got int64 of shape (3,)"),
+        (np.ones((3, 1), dtype=bool), "got bool of shape (3, 1)"),
+    ], ids=["too-short", "integers", "two-dimensional"])
+    def test_subset_refuses_a_mask_that_is_not_n_booleans(self, mask, message):
+        # a short mask used to keep its leading rows, and integers were cast to bool
+        data = random_dataset(3, p=1, p_t=0, seed=25)
+        with pytest.raises(ValueError) as info:
+            data.subset(mask)
+        assert str(info.value) == ("subset mask must be a boolean array of shape (3,), "
+                                   + message)
+
     def test_with_covariates_reselects_from_pool(self):
         data = random_dataset(30, p=3, p_t=2, seed=26)
         out = data.with_covariates(("x2", "x0"), ("x1",))
@@ -537,6 +627,14 @@ class TestDatasetUtilities:
                         w=np.empty((n, 0)), x_names=(), w_names=(), age=np.full(n, 60.0),
                         year=np.full(n, 2012.0), strata=strata, stratum_names=("sex",))
         assert str(info.value) == message
+
+    def test_nul_in_a_label_is_refused(self):
+        # numpy's str dtype would drop the trailing NUL and store sex '1'
+        with pytest.raises(ValueError) as info:
+            inf.Dataset(time=[1.0], status=[1], x=np.empty((1, 0)), w=np.empty((1, 0)),
+                        x_names=(), w_names=(), age=[60.0], year=[2012.0],
+                        strata=[("1\x00",)], stratum_names=("sex",))
+        assert str(info.value) == "record 0 (0-based): sex label '1\\x00' has a NUL character"
 
     def test_empty_dataset_with_strata_reaches_the_fit(self, sex_table):
         empty = inf.Dataset(time=np.empty(0), status=np.empty(0, dtype=int),

@@ -220,8 +220,11 @@ class TestLoader:
              "row 2: negative or non-finite rate -1.0"),
             (([70, 71, 70], [2010, 2010, 2010], [("0",)] * 3, [0.01, 0.02, 0.03]),
              "row 3: duplicate cell (70, 2010, ('0',))"),
+            # numpy's str dtype drops a trailing NUL, which made 'a\0' a duplicate of 'a'
+            (([70, 70], [2010, 2010], [("a",), ("a\x00",)], [0.01, 0.02]),
+             "row 2: sex label 'a\\x00' has a NUL character"),
         ],
-        ids=["empty", "stratum-width", "negative-rate", "duplicate"],
+        ids=["empty", "stratum-width", "negative-rate", "duplicate", "nul-label"],
     )
     def test_from_columns_names_the_bad_entry(self, columns, message):
         with pytest.raises(lt.LifeTableError) as exc:
@@ -261,6 +264,13 @@ class TestStratumCodes:
                 table.stratum_codes(rows)
             assert str(exc.value) == (f"record {i} (0-based): s{j} 'Z' is not a stratum label "
                                       f"of the life table (labels {', '.join(domains[j])})")
+
+
+    def test_nul_in_a_label_is_refused(self, sex_table):
+        # numpy's str dtype would drop the trailing NUL and code sex '1'
+        with pytest.raises(lt.LifeTableError) as exc:
+            sex_table.stratum_codes([("0",), ("1\x00",)])
+        assert str(exc.value) == "record 1 (0-based): sex label '1\\x00' has a NUL character"
 
 
 class TestPopHazard:

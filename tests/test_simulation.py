@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from exhaz import datasets
+from exhaz import datasets, inference
 from exhaz import simulation as sim
 from exhaz.baseline import PGWParams, pgw_cum_hazard, pgw_quantile
-from exhaz.inference import ModelSpec, OptimizerOptions, fit
+from exhaz.inference import ModelSpec, fit
 from exhaz.model import CovariateMapping
 
 from conftest import build_table
@@ -540,11 +540,13 @@ class TestRecoveryStudy:
         assert np.all(r.reference_curves[:, 0] == 1.0)
         assert np.all(np.diff(r.reference_curves, axis=1) <= 1e-12)
 
-    def test_all_excluded_raises(self, synth_table):
+    def test_all_excluded_raises(self, synth_table, monkeypatch):
+        # one iteration and one restart leave every fit unconverged
+        monkeypatch.setattr(inference, "_MAXITER", 1)
+        monkeypatch.setattr(inference, "_RESTARTS", 1)
         s = sim.sc1_scenario(n=200, M=2, seed=4)
-        opts = OptimizerOptions(maxiter=1, multistart=1)
         with pytest.raises(RuntimeError, match="excluded"):
-            sim.run_aim1(s, synth_table, options=opts)
+            sim.run_aim1(s, synth_table)
 
     def test_metrics_csv_round_trip(self, synth_table, tmp_path):
         s = sim.sc1_scenario(n=300, M=2, seed=55)
