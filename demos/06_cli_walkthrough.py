@@ -49,7 +49,7 @@ run("compare", OUT / "classical" / "fit.json", OUT / "frailty" / "fit.json",
     "--out", OUT / "compare")
 print((OUT / "compare" / "compare.csv").read_text())
 
-# 3 - net survival by stage, reusing the saved fit (no refitting);
+# 3 - net survival by stage, from the saved fit;
 #     --draws and --seed switch on Monte-Carlo confidence bands
 run("netsurv", "--data", DATA / "lung_synthetic.csv",
     "--fit", OUT / "frailty" / "fit.json",

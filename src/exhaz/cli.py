@@ -4,8 +4,8 @@ Commands
 --------
 fit       maximum-likelihood excess-hazard fit; writes ``estimates.csv``,
           ``fit.json`` and ``summary.txt``
-netsurv   population / subgroup net-survival curves, optionally with
-          Monte-Carlo confidence bands
+netsurv   population / subgroup net-survival curves from a saved fit,
+          optionally with Monte-Carlo confidence bands
 simulate  write one simulated cohort from a scenario file
 bench     run a scenario's replicate study and write its report tables
 compare   rank saved fits of the same dataset by AIC
@@ -226,30 +226,28 @@ def _combined_csv(path: Path, curves) -> None:
                        columns)
 
 
-def cmd_netsurv(args: argparse.Namespace) -> int:
-    full = datasets.load_patient_csv(args.data)
-    if args.fit_path:
-        payload = json.loads(Path(args.fit_path).read_text(encoding="utf-8"))
-        res = FitResult.from_json_dict(payload)
-        data = full.with_covariates(res.x_names, res.w_names)
-        if res.data_fingerprint != data.fingerprint():
-            # applying a fit to another cohort is a legitimate standardisation
-            print(f"warning: {args.fit_path} was fitted on data with fingerprint "
-                  f"{res.data_fingerprint}, but {args.data} has fingerprint "
-                  f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
-    else:
-        data, res = full.with_covariates(args.x, args.w), None
+def _load_fit(path) -> FitResult:
+    """A saved ``fit.json``; a malformed one is an input error naming ``path``."""
+    try:
+        return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # includes json.JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
 
+
+def cmd_netsurv(args: argparse.Namespace) -> int:
+    res = _load_fit(args.fit_path)
+    if not res.convergence.converged:
+        print(f"error: {args.fit_path}: saved fit did not converge; curves not written",
+              file=sys.stderr)
+        return EXIT_NOCONV
+    data = datasets.load_patient_csv(args.data).with_covariates(res.x_names, res.w_names)
+    if res.data_fingerprint != data.fingerprint():
+        # applying a fit to another cohort is a legitimate standardisation
+        print(f"warning: {args.fit_path} was fitted on data with fingerprint "
+              f"{res.data_fingerprint}, but {args.data} has fingerprint "
+              f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
     grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
     groups = _subgroups(data, args.by)
-    if res is None:
-        table = lt.load_life_table(args.lifetable)
-        spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
-        res = fit(data, table, spec)
-        if not res.convergence.converged:
-            print("error: model fit did not converge; curves not written",
-                  file=sys.stderr)
-            return EXIT_NOCONV
     curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
                                    draws=args.draws, seed=args.seed)
     rejected = curves[0].rejected_draws
@@ -342,11 +340,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # -- model comparison ----------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    results = []
-    for path in args.fits:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        results.append(FitResult.from_json_dict(payload))
-    ranked = aic_compare(results)
+    ranked = aic_compare([_load_fit(path) for path in args.fits])
     best = ranked[0].aic
     labels = [r.label or r.spec.label() for r in ranked]
     datasets.write_csv(
@@ -372,29 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p, required_data=True):
-        p.add_argument("--data", required=required_data,
-                       help="patient CSV (time,status,<covariates>,age,year,<strata>)")
-        p.add_argument("--lifetable", help="life-table CSV (age,year,<strata>,rate)")
-        p.add_argument("--baseline", choices=tuple(_FAMILIES), default=None,
-                       help="baseline hazard family (default pgw)")
-        p.add_argument("--frailty", choices=FRAILTY_FAMILIES, default=None,
-                       help="heterogeneity family (default none)")
-        p.add_argument("--x", default=None,
-                       help="comma-separated hazard-level covariate columns")
-        p.add_argument("--w", default=None,
-                       help="comma-separated time-scale covariate columns")
-
     p_fit = sub.add_parser("fit", help="fit one excess-hazard model")
-    add_model_flags(p_fit)
+    p_fit.add_argument("--data", required=True,
+                       help="patient CSV (time,status,<covariates>,age,year,<strata>)")
+    p_fit.add_argument("--lifetable", required=True,
+                       help="life-table CSV (age,year,<strata>,rate)")
+    p_fit.add_argument("--baseline", choices=tuple(_FAMILIES), default="pgw",
+                       help="baseline hazard family (default pgw)")
+    p_fit.add_argument("--frailty", choices=FRAILTY_FAMILIES, default="none",
+                       help="heterogeneity family (default none)")
+    p_fit.add_argument("--x", type=_parse_columns, default=(),
+                       help="comma-separated hazard-level covariate columns")
+    p_fit.add_argument("--w", type=_parse_columns, default=(),
+                       help="comma-separated time-scale covariate columns")
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--level", type=float, default=0.95)
     p_fit.add_argument("--label", default="")
 
-    p_net = sub.add_parser("netsurv", help="net-survival curves for a cohort")
-    add_model_flags(p_net)
-    p_net.add_argument("--fit", dest="fit_path", default=None,
-                       help="reuse a saved fit.json instead of refitting")
+    p_net = sub.add_parser("netsurv", help="net-survival curves from a saved fit")
+    p_net.add_argument("--data", required=True,
+                       help="patient CSV whose subjects the curves average over")
+    p_net.add_argument("--fit", dest="fit_path", required=True,
+                       help="fit.json written by 'exhaz fit'")
     p_net.add_argument("--out", required=True)
     p_net.add_argument("--grid", default=None, help="time grid start:stop:count")
     p_net.add_argument("--draws", type=int, default=0,
@@ -425,24 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _runconfig(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Check flag conflicts and fill the model defaults of ``fit``/``netsurv``."""
-    if args.command in ("fit", "netsurv"):
-        model_flags = [name for name in ("baseline", "frailty", "x", "w")
-                       if getattr(args, name) is not None]
-        if args.command == "netsurv" and args.fit_path:
-            # The saved fit defines the model; duplicating it is ambiguous.
-            if model_flags or args.lifetable:
-                parser.error(
-                    "--fit conflicts with --baseline/--frailty/--x/--w/--lifetable: "
-                    "the saved fit already defines the model"
-                )
-        else:
-            if args.lifetable is None:
-                parser.error("--lifetable is required when fitting")
-            args.baseline = args.baseline or "pgw"
-            args.frailty = args.frailty or "none"
-            args.x = _parse_columns(args.x or "")
-            args.w = _parse_columns(args.w or "")
+    """Reject flag combinations that argparse cannot express."""
     if args.command == "netsurv" and args.draws > 0 and args.seed is None:
         parser.error("--seed is required when --draws requests Monte-Carlo bands")
     return args

@@ -201,6 +201,9 @@ _JITTER_SEED = 0  # seed of the restart jitter, so fits are reproducible
 
 @dataclass(frozen=True)
 class Convergence:
+    """The final stage's outcome and L-BFGS-B ``attempts``; ``messages`` also
+    holds the PH start stage's, prefixed ``PH start: ``."""
+
     converged: bool
     iterations: int
     gradient_norm: float
@@ -300,11 +303,19 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FitResult":
+        """Inverse of ``to_json_dict``; a ``ValueError`` names a bad field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"saved fit must be a JSON object, got {type(d).__name__}")
+        missing = [key for key in _JSON_KEYS if key not in d]
+        if missing:
+            raise ValueError(f"saved fit lacks field(s) {', '.join(missing)}")
+        spec = ModelSpec(baseline=d["baseline"], frailty=d["frailty"])
+        k = len(_param_names(spec, d["w_names"], d["x_names"])[0])
         return cls(
-            spec=ModelSpec(baseline=d["baseline"], frailty=d["frailty"]),
-            psi=np.array(d["psi"], dtype=float),
+            spec=spec,
+            psi=_float_field(d, "psi", (k,)),
             covariance=None if d["covariance"] is None
-            else np.array(d["covariance"], dtype=float),
+            else _float_field(d, "covariance", (k, k)),
             loglik=d["loglik"],
             convergence=Convergence(
                 converged=d["converged"],
@@ -320,6 +331,25 @@ class FitResult:
             w_names=tuple(d["w_names"]),
             label=d.get("label", ""),
         )
+
+
+# fields that ``FitResult.from_json_dict`` reads; "label" is optional
+_JSON_KEYS = ("baseline", "frailty", "x_names", "w_names", "psi", "loglik", "covariance",
+              "converged", "iterations", "gradient_norm", "messages", "attempts", "n",
+              "n_events", "data_fingerprint")
+
+
+def _float_field(d: dict, key: str, shape: tuple) -> np.ndarray:
+    """``d[key]`` as a float array of ``shape``, the shape the model implies."""
+    try:
+        arr = np.array(d[key], dtype=float)
+        if arr.shape == shape:
+            return arr
+        got = f"shape {arr.shape}"
+    except (TypeError, ValueError):  # ragged, or not numbers
+        got = "a value that is not an array of numbers"
+    raise ValueError(f"saved fit field {key!r} must have shape {shape} for its "
+                     f"model and covariates, got {got}")
 
 
 # -- parameter packing -------------------------------------------------------
@@ -665,7 +695,7 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec, label: str = "") ->
             data.with_covariates(data.x_names, ()), table, spec.baseline, "none"
         )
         ph_best, _, ph_msgs = _optimize_with_restarts(ph_ctx, ph0)
-        messages.extend(ph_msgs)
+        messages.extend(f"PH start: {msg}" for msg in ph_msgs)
         if ph_best is None:
             theta_beta = ph0
             messages.append("PH initialisation failed; falling back to default start")

@@ -1,5 +1,6 @@
-"""Command-line interface: outputs, exit codes, determinism, ambiguity rules."""
+"""Command-line interface: outputs, exit codes, determinism, usage rules."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -54,6 +55,15 @@ def inputs(tmp_path_factory):
         assert code == 0
         fits[name] = out
     return {"data": data_csv, "table": table_csv, "fits": fits, "root": root}
+
+
+@pytest.fixture(scope="module")
+def agec_fit(inputs):
+    """A classical fit with x = w = agec: 5 parameters."""
+    out = inputs["root"] / "fit-agec"
+    assert cli.main(["fit", "--data", str(inputs["data"]), "--lifetable", str(inputs["table"]),
+                     "--x", "agec", "--w", "agec", "--out", str(out)]) == 0
+    return out
 
 
 class TestFit:
@@ -134,11 +144,28 @@ class TestFit:
     @pytest.mark.parametrize("flag", [("--multistart", "3"), ("--maxiter", "5")])
     def test_optimiser_flags_are_gone(self, inputs, tmp_path, capsys, command, flag):
         # the optimiser's iteration cap and restart count are fixed
+        model = (["--lifetable", str(inputs["table"])] if command == "fit"
+                 else ["--fit", str(inputs["fits"]["frailty"] / "fit.json")])
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--data", str(inputs["data"]), "--lifetable",
-                      str(inputs["table"]), *flag, "--out", str(tmp_path / "o")])
+            cli.main([command, "--data", str(inputs["data"]), *model, *flag,
+                      "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_model_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["fit", "--data", "d.csv", "--lifetable", "t.csv", "--out", "o"])
+        assert (args.baseline, args.frailty, args.x, args.w) == ("pgw", "none", (), ())
+        args = cli.build_parser().parse_args(
+            ["fit", "--data", "d.csv", "--lifetable", "t.csv", "--out", "o",
+             "--x", "agec, imd", "--w", "none"])
+        assert (args.x, args.w) == (("agec", "imd"), ())
+
+    def test_lifetable_is_required(self, inputs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--data", str(inputs["data"]), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "required: --lifetable" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, inputs, tmp_path):
         args = [
@@ -196,23 +223,6 @@ class TestCompare:
 
 
 class TestNetsurv:
-    def test_reuse_matches_refit(self, inputs, tmp_path):
-        reuse, refit = tmp_path / "reuse", tmp_path / "refit"
-        assert cli.main([
-            "netsurv", "--data", str(inputs["data"]),
-            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
-            "--grid", "0:5:11", "--out", str(reuse),
-        ]) == 0
-        assert cli.main([
-            "netsurv", "--data", str(inputs["data"]), "--lifetable", str(inputs["table"]),
-            "--frailty", "gamma",
-            "--x", "agec,imd,stage2,stage3,stage4,cvd,copd", "--w", "agec",
-            "--grid", "0:5:11", "--out", str(refit),
-        ]) == 0
-        assert (reuse / "curve_population.csv").read_bytes() == (
-            refit / "curve_population.csv"
-        ).read_bytes()
-
     def test_subgroups_and_bands(self, inputs, tmp_path):
         out = tmp_path / "bands"
         code = cli.main([
@@ -271,14 +281,80 @@ class TestNetsurv:
             ])
         assert exc.value.code == 2
 
-    def test_fit_flag_conflicts_with_model_flags(self, inputs, tmp_path):
+    @pytest.mark.parametrize("flag", [("--lifetable", "table.csv"), ("--baseline", "pgw"),
+                                      ("--frailty", "gamma"), ("--x", "agec"), ("--w", "agec")],
+                             ids=lambda flag: flag[0][2:])
+    def test_model_flags_are_gone(self, inputs, tmp_path, capsys, flag):
+        # curves come from a saved fit only; netsurv has no model to define
         with pytest.raises(SystemExit) as exc:
             cli.main([
                 "netsurv", "--data", str(inputs["data"]),
                 "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
-                "--baseline", "pgw", "--out", str(tmp_path / "o"),
+                *flag, "--out", str(tmp_path / "o"),
             ])
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_fit_is_required(self, inputs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["netsurv", "--data", str(inputs["data"]), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "required: --fit" in capsys.readouterr().err
+
+    def test_unbanded_curves_load_no_scipy(self, inputs, tmp_path):
+        args = ["netsurv", "--data", str(inputs["data"]),
+                "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+                "--grid", "0:5:6", "--out", str(tmp_path / "o")]
+        assert _scipy_after(args, tmp_path) == "0 []"
+
+    def test_bands_load_linalg_but_never_optimize(self, inputs, tmp_path):
+        args = ["netsurv", "--data", str(inputs["data"]),
+                "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+                "--grid", "0:5:6", "--draws", "100", "--seed", "1", "--out", str(tmp_path / "o")]
+        code, modules = _scipy_after(args, tmp_path).split(" ", 1)
+        modules = ast.literal_eval(modules)
+        assert code == "0" and "scipy.linalg" in modules
+        assert not [m for m in modules if m.startswith("scipy.optimize")]
+
+    def test_unconverged_saved_fit_is_refused(self, inputs, tmp_path, capsys):
+        # exhaz fit writes fit.json even when it exits 4; its curves used to
+        # be drawn and the command exited 0
+        payload = json.loads((inputs["fits"]["frailty"] / "fit.json").read_text())
+        saved = tmp_path / "fit.json"
+        saved.write_text(json.dumps({**payload, "converged": False}))
+        code = cli.main(["netsurv", "--data", str(inputs["data"]), "--fit", str(saved),
+                         "--grid", "0:5:6", "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: {saved}: saved fit did not converge; curves not written\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["netsurv", "compare"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: [p], "saved fit must be a JSON object, got list"),
+        (lambda p: {k: v for k, v in p.items() if k != "loglik"},
+         "saved fit lacks field(s) loglik"),
+        (lambda p: {**p, "psi": p["psi"][:-1]},
+         "saved fit field 'psi' must have shape (5,) for its model and covariates, "
+         "got shape (4,)"),
+        (lambda p: {**p, "covariance": p["covariance"][:-1]},
+         "saved fit field 'covariance' must have shape (5, 5) for its model and "
+         "covariates, got shape (4, 5)"),
+        (lambda p: {**p, "covariance": [[1.0], "a"]},
+         "saved fit field 'covariance' must have shape (5, 5) for its model and "
+         "covariates, got a value that is not an array of numbers"),
+    ], ids=["list", "missing-key", "short-psi", "short-covariance", "ragged-covariance"])
+    def test_malformed_saved_fit_is_an_input_error(self, inputs, agec_fit, tmp_path, capsys,
+                                                   command, edit, message):
+        # a missing key and a JSON list used to raise tracebacks; a psi one
+        # entry short drew curves with an empty beta and exited 0
+        saved = tmp_path / "fit.json"
+        saved.write_text(json.dumps(edit(json.loads((agec_fit / "fit.json").read_text()))))
+        argv = (["netsurv", "--data", str(inputs["data"]), "--fit", str(saved)]
+                if command == "netsurv" else ["compare", str(saved)])
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {saved}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_saved_fit_on_another_cohort_warns(self, inputs, tmp_path, capsys):
         other = tmp_path / "other.csv"

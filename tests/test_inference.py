@@ -411,6 +411,29 @@ class TestRestartRule:
             "initial optimisation failed: attempt 1",
             "optimisation failed from every start; returning start values")
 
+    def test_ph_start_messages_are_labelled(self, monkeypatch, setting):
+        # a frailty fit starts from the PH submodel's fit; that stage's restart
+        # messages used to read like the final stage's, while attempts counted
+        # only the final stage
+        from scipy.optimize import OptimizeResult
+        data, table, _ = setting
+        stages = []
+
+        def scripted(ctx, psi0):
+            stages.append(ctx.frailty)
+            return OptimizeResult(x=np.array(psi0), fun=10.0, success=len(stages) > 1,
+                                  message=f"attempt {len(stages)}", nit=1,
+                                  jac=np.zeros_like(psi0))
+
+        monkeypatch.setattr(inf, "_minimize", scripted)
+        res = inf.fit(data, table, inf.ModelSpec("pgw", "gamma"))
+        assert stages == ["none", "none", "gamma"]
+        assert res.convergence.attempts == 1 and res.convergence.converged
+        assert res.convergence.messages[:2] == (
+            "PH start: initial optimisation failed: attempt 1",
+            f"PH start: {self.RECOVERED}")
+        assert not any("optimisation failed" in m for m in res.convergence.messages[2:])
+
     def test_simulated_replicate_is_rescued_by_one_restart(self):
         from exhaz import datasets
         from exhaz import simulation as sim
