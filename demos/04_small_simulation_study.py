@@ -16,14 +16,18 @@ from exhaz import (
     sc1_scenario,
     true_net_survival_curve,
 )
+from exhaz.simulation import resolve_dropout
 
 scenario = sc1_scenario(n=400, M=12, seed=909)
 table = resolve_life_table(scenario.life_table)
 print(f"scenario {scenario.name}: n={scenario.n}, M={scenario.M}, "
       f"true b={scenario.frailty_b}")
 
-# 1 - one simulated cohort, to show what the study iterates over
-cohort = generate_cohort(scenario, 0, table)
+# 1 - one simulated cohort, to show what the study iterates over; the
+#     drop-out rate is calibrated once on the life table, then any number
+#     of replicates can be drawn
+resolved = resolve_dropout(scenario, table)
+cohort = generate_cohort(resolved, 0, table)
 events = int(cohort.status.sum())
 print(f"one cohort: {events}/{cohort.n} excess-hazard or background deaths "
       f"({1 - events / cohort.n:.0%} censored)")

@@ -9,7 +9,7 @@ structural bias.  This study quantifies the trade-off on simulated data.
 
 from pathlib import Path
 
-from exhaz import run_aim2, two_group_scenario
+from exhaz import resolve_life_table, run_aim2, two_group_scenario
 
 scenario = two_group_scenario(2, n=1200, M=3, seed=515)
 print(f"scenario {scenario.name}: n={scenario.n}, M={scenario.M}")
@@ -17,7 +17,7 @@ p_x1_sex0, p_x1_sex1 = dict(scenario.binary_probs)["x1"]
 print("the omitted covariate has prevalence "
       f"{p_x1_sex1:.0%} in group 1 vs {p_x1_sex0:.0%} in group 0")
 
-result = run_aim2(scenario)
+result = run_aim2(scenario, resolve_life_table(scenario.life_table))
 print(f"\nanalysed {result.analysed} replicates (excluded {result.excluded})")
 
 # mean over replicates of sup |fitted group curve - true group curve|

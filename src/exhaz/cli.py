@@ -278,8 +278,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"replicate index {args.replicate} outside 0..{s.M - 1} "
             f"(scenario has M = {s.M})"
         )
-    child = np.random.SeedSequence(s.seed).spawn(s.M)[args.replicate]
-    cohort = sim.generate_cohort(s, child, table)
+    cohort = sim.generate_cohort(s, sim.replicate_seed(s, args.replicate), table)
     out = _out_dir(args)
     datasets.write_patient_csv(out / "cohort.csv", cohort)
     events = int(cohort.status.sum())

@@ -309,6 +309,11 @@ class FitResult:
         missing = [key for key in _JSON_KEYS if key not in d]
         if missing:
             raise ValueError(f"saved fit lacks field(s) {', '.join(missing)}")
+        for keys, kind, is_kind in _JSON_TYPES:
+            for key in keys:
+                if key in d and not is_kind(d[key]):
+                    raise ValueError(f"saved fit field {key!r} must be {kind}, "
+                                     f"got {type(d[key]).__name__}")
         spec = ModelSpec(baseline=d["baseline"], frailty=d["frailty"])
         k = len(_param_names(spec, d["w_names"], d["x_names"])[0])
         return cls(
@@ -337,6 +342,19 @@ class FitResult:
 _JSON_KEYS = ("baseline", "frailty", "x_names", "w_names", "psi", "loglik", "covariance",
               "converged", "iterations", "gradient_norm", "messages", "attempts", "n",
               "n_events", "data_fingerprint")
+
+# the JSON type of each field besides psi and covariance: (fields, type, test)
+_JSON_TYPES = (
+    (("baseline", "frailty", "data_fingerprint", "label"), "a string",
+     lambda v: isinstance(v, str)),
+    (("x_names", "w_names", "messages"), "a list of strings",
+     lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v)),
+    (("loglik", "gradient_norm"), "a number",
+     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    (("converged",), "a boolean", lambda v: isinstance(v, bool)),
+    (("iterations", "attempts", "n", "n_events"), "an integer",
+     lambda v: isinstance(v, int) and not isinstance(v, bool)),
+)
 
 
 def _float_field(d: dict, key: str, shape: tuple) -> np.ndarray:

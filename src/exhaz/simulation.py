@@ -19,7 +19,6 @@ from __future__ import annotations
 import configparser
 import contextlib
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +49,7 @@ __all__ = [
     "generate_cohort",
     "calibrate_dropout",
     "resolve_dropout",
+    "replicate_seed",
     "run_aim1",
     "run_aim2",
     "true_net_survival_curve",
@@ -261,10 +261,6 @@ def resolve_life_table(ref: str) -> lt.LifeTable:
     return lt.load_life_table(ref)
 
 
-def _resolve_table(s, table: lt.LifeTable | None) -> lt.LifeTable:
-    return table if table is not None else resolve_life_table(s.life_table)
-
-
 def _draw_covariates(s, rng: np.random.Generator, n: int):
     """Sample the covariate matrix (ordered as ``s.covariate_names``) and raw age.
 
@@ -323,7 +319,7 @@ def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
     return x, age, strata, np.minimum(tc, tp)
 
 
-def calibrate_dropout(s, table: lt.LifeTable | None = None) -> float:
+def calibrate_dropout(s, table: lt.LifeTable) -> float:
     """Exponential censoring rate matching the scenario's censoring target.
 
     The ``"dropout"`` share is ``E[1 - exp(-r * min(T, admin))]``, the
@@ -336,7 +332,6 @@ def calibrate_dropout(s, table: lt.LifeTable | None = None) -> float:
     share, target = s.censoring_target
     if target <= 0.0:
         return 0.0
-    table = _resolve_table(s, table)
     rng = np.random.default_rng(np.random.SeedSequence([int(s.seed), 0xD407]))
     _, _, _, t_death = _all_cause_latent(s, rng, _PILOT_N, table)
     if share == "dropout":
@@ -391,31 +386,29 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Brent's method did not converge in {maxiter} steps (last x {xcur!r})")
 
 
-@functools.lru_cache(maxsize=32)
-def _calibrated_rate(s: Scenario, table: lt.LifeTable | None) -> float:
-    # LifeTable hashes by identity; holding it here keeps its id from being
-    # reused by another table while the entry lives.
-    return calibrate_dropout(s, table)
-
-
-def resolve_dropout(s, table: lt.LifeTable | None = None):
-    """Return the scenario with ``dropout_rate`` filled in (memoised per
-    scenario and table object)."""
+def resolve_dropout(s, table: lt.LifeTable):
+    """The scenario with ``dropout_rate`` set, calibrated on ``table`` if it was None."""
     if s.dropout_rate is not None:
         return s
-    return dataclasses.replace(s, dropout_rate=_calibrated_rate(s, table))
+    return dataclasses.replace(s, dropout_rate=calibrate_dropout(s, table))
 
 
-def generate_cohort(s, replicate_seed, table: lt.LifeTable | None = None) -> Dataset:
-    """Simulate one cohort under the scenario's truth.
+def replicate_seed(s, r: int) -> np.random.SeedSequence:
+    """Seed of replicate ``r``: the ``r``-th ``SeedSequence`` child of the
+    scenario seed, as ``SeedSequence(s.seed).spawn(s.M)[r]`` would give."""
+    return np.random.SeedSequence(s.seed, spawn_key=(r,))
 
-    ``replicate_seed`` may be an integer or a ``SeedSequence`` child, so
-    replicates can use independent splittable streams.  The observed time is
-    ``min(event, other-cause, drop-out, admin)`` and the status flag is the
-    all-cause death indicator.
+
+def generate_cohort(s, replicate_seed, table: lt.LifeTable) -> Dataset:
+    """Simulate one cohort under a resolved scenario's truth.
+
+    Call ``resolve_dropout(s, table)`` once, then draw any number of
+    replicates.  ``replicate_seed`` may be an integer or a ``SeedSequence``
+    child.  The observed time is ``min(event, other-cause, drop-out, admin)``
+    and the status flag is the all-cause death indicator.
     """
-    table = _resolve_table(s, table)
-    s = resolve_dropout(s, table)
+    if s.dropout_rate is None:
+        raise ValueError("dropout_rate is unresolved: call resolve_dropout(s, table) first")
     rng = np.random.default_rng(replicate_seed)
     x, age, strata, t_death = _all_cause_latent(s, rng, s.n, table)
     if s.dropout_rate > 0.0:
@@ -506,8 +499,8 @@ def _replicates(s: Scenario, table: lt.LifeTable, designs, analyse, progress: bo
     be instrumented.
     """
     rows, excluded = [], 0
-    for m, child in enumerate(np.random.SeedSequence(s.seed).spawn(s.M)):
-        plan = designs(generate_cohort(s, child, table))
+    for m in range(s.M):
+        plan = designs(generate_cohort(s, replicate_seed(s, m), table))
         try:
             fits = {key: (d, fit(d, table, spec)) for key, (d, spec) in plan.items()}
         except ValueError:
@@ -599,7 +592,7 @@ def _true_vectors(s: Scenario):
     return nat, np.concatenate([theta, truth.alpha, truth.beta, log_b])
 
 
-def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
+def run_aim1(s: Scenario, table: lt.LifeTable, *,
              fit_both: bool = False, reference_grid=None, progress: bool = False) -> Aim1Result:
     """Repeatedly simulate and refit the correctly specified model.
 
@@ -610,7 +603,6 @@ def run_aim1(s: Scenario, table: lt.LifeTable | None = None, *,
     """
     if len(s.groups) != 1:
         raise ValueError("the recovery study needs a scenario with one truth group")
-    table = _resolve_table(s, table)
     s = resolve_dropout(s, table)
     names = s.covariate_names
     mapping = CovariateMapping(names, names)
@@ -726,7 +718,7 @@ class Aim2Result:
         return "\n".join(lines)
 
 
-def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
+def run_aim2(s: Scenario, table: lt.LifeTable, *,
              grid=None, truth_draws: int = 100000, progress: bool = False) -> Aim2Result:
     """Quantify subgroup net-survival bias from pooling two populations.
 
@@ -738,7 +730,6 @@ def run_aim2(s: Scenario, table: lt.LifeTable | None = None, *,
     """
     if len(s.groups) != 2:
         raise ValueError("the two-group study needs a scenario with two truth groups")
-    table = _resolve_table(s, table)
     s = resolve_dropout(s, table)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     truth = {

@@ -343,7 +343,19 @@ class TestNetsurv:
         (lambda p: {**p, "covariance": [[1.0], "a"]},
          "saved fit field 'covariance' must have shape (5, 5) for its model and "
          "covariates, got a value that is not an array of numbers"),
-    ], ids=["list", "missing-key", "short-psi", "short-covariance", "ragged-covariance"])
+        (lambda p: {**p, "baseline": ["pgw"]},
+         "saved fit field 'baseline' must be a string, got list"),
+        (lambda p: {**p, "messages": 5},
+         "saved fit field 'messages' must be a list of strings, got int"),
+        (lambda p: {**p, "loglik": "x"}, "saved fit field 'loglik' must be a number, got str"),
+        (lambda p: {**p, "x_names": "agec"},
+         "saved fit field 'x_names' must be a list of strings, got str"),
+        (lambda p: {**p, "n": "4000"}, "saved fit field 'n' must be an integer, got str"),
+        (lambda p: {**p, "converged": "yes"},
+         "saved fit field 'converged' must be a boolean, got str"),
+    ], ids=["list", "missing-key", "short-psi", "short-covariance", "ragged-covariance",
+            "list-baseline", "number-messages", "string-loglik", "string-x-names",
+            "string-n", "string-converged"])
     def test_malformed_saved_fit_is_an_input_error(self, inputs, agec_fit, tmp_path, capsys,
                                                    command, edit, message):
         # a missing key and a JSON list used to raise tracebacks; a psi one

@@ -439,7 +439,7 @@ class TestRestartRule:
         from exhaz import simulation as sim
         table = datasets.synthetic_life_table()
         s = sim.resolve_dropout(sim.sc1_scenario(n=500, M=40, seed=20121), table)
-        data = sim.generate_cohort(s, np.random.SeedSequence(s.seed).spawn(s.M)[19], table)
+        data = sim.generate_cohort(s, sim.replicate_seed(s, 19), table)
         names = s.covariate_names
         res = inf.fit(data, table, inf.ModelSpec("pgw", "gamma",
                                                  mdl.CovariateMapping(names, names)))

@@ -214,8 +214,33 @@ class TestScenarioFiles:
 
 
 class TestCohorts:
+    def test_unresolved_scenario_is_refused(self, synth_table):
+        # the drop-out rate is calibrated once, by resolve_dropout, not per cohort
+        with pytest.raises(ValueError, match=r"call resolve_dropout\(s, table\) first"):
+            sim.generate_cohort(sim.sc1_scenario(n=50), 0, synth_table)
+
+    @pytest.mark.parametrize("name, args", [
+        ("calibrate_dropout", ()), ("resolve_dropout", ()), ("generate_cohort", (0,)),
+        ("run_aim1", ()), ("run_aim2", ()),
+    ])
+    def test_life_table_is_required(self, name, args):
+        # no function loads s.life_table behind the caller's back
+        with pytest.raises(TypeError, match="required positional argument: 'table'"):
+            getattr(sim, name)(sim.sc1_scenario(n=50, M=1), *args)
+
+    @pytest.mark.parametrize("seed", [20120, 20121])
+    @pytest.mark.parametrize("M", [8, 1000])
+    def test_replicate_seed_is_the_spawned_child(self, seed, M):
+        s = sim.sc1_scenario(M=M, seed=seed)
+        children = np.random.SeedSequence(seed).spawn(M)
+        for r in (0, 3, M - 1):
+            want, got = children[r], sim.replicate_seed(s, r)
+            assert got.generate_state(8).tolist() == want.generate_state(8).tolist()
+            assert (np.random.default_rng(got).random(16).tolist()
+                    == np.random.default_rng(want).random(16).tolist())
+
     def test_deterministic_given_seed(self, synth_table):
-        s = sim.sc1_scenario(n=500)
+        s = sim.resolve_dropout(sim.sc1_scenario(n=500), synth_table)
         d1 = sim.generate_cohort(s, 7, synth_table)
         d2 = sim.generate_cohort(s, 7, synth_table)
         assert np.array_equal(d1.time, d2.time)
@@ -227,7 +252,7 @@ class TestCohorts:
         assert not np.array_equal(d1.time, d3.time)
 
     def test_accounting_and_bounds(self, synth_table):
-        s = sim.sc1_scenario(n=1000)
+        s = sim.resolve_dropout(sim.sc1_scenario(n=1000), synth_table)
         d = sim.generate_cohort(s, 3, synth_table)
         assert set(np.unique(d.status)) <= {0, 1}
         events = int((d.status == 1).sum())
@@ -262,15 +287,16 @@ class TestCohorts:
             [("0",), ("1",)], ("sex",))
         s = dataclasses.replace(sim.sc1_scenario(n=200, M=1), **change)
         with pytest.raises(ValueError, match=message):
-            sim.generate_cohort(s, 0, table)
+            sim.generate_cohort(dataclasses.replace(s, dropout_rate=0.05), 0, table)
         with pytest.raises(ValueError, match=message):
             sim.calibrate_dropout(s, table)
         # follow-up ending exactly where the coverage ends is accepted
         edge = dataclasses.replace(sim.sc1_scenario(n=200, M=1), year=2015.0)
+        edge = sim.resolve_dropout(edge, synth_table)
         assert sim.generate_cohort(edge, 0, synth_table).time.size == 200
 
     def test_recovery_scenario_censoring_share(self, synth_table):
-        s = sim.sc1_scenario(n=4000)
+        s = sim.resolve_dropout(sim.sc1_scenario(n=4000), synth_table)
         d = sim.generate_cohort(s, 11, synth_table)
         censored = 1.0 - d.status.mean()
         assert 0.35 <= censored <= 0.50
@@ -279,12 +305,12 @@ class TestCohorts:
         s = dataclasses.replace(sim.sc1_scenario(), n=20_000)
         resolved = sim.resolve_dropout(s, synth_table)
         assert resolved.dropout_rate > 0.0
-        d = sim.generate_cohort(s, 5, synth_table)
+        d = sim.generate_cohort(resolved, 5, synth_table)
         dropout = float(np.mean((d.status == 0) & (d.time < s.admin_censor - 1e-9)))
         assert abs(dropout - s.censoring_target[1]) < 0.012
 
     def test_two_group_censoring_share(self, synth_table):
-        s = sim.two_group_scenario(2, n=5000)
+        s = sim.resolve_dropout(sim.two_group_scenario(2, n=5000), synth_table)
         d = sim.generate_cohort(s, 13, synth_table)
         assert abs((1.0 - d.status.mean()) - s.censoring_target[1]) < 0.03
 
@@ -318,7 +344,7 @@ class TestCohorts:
             name="ks", n=n, M=1, life_table="builtin:zero",
             censoring_target=("dropout", 0.0), admin_censor=1e9, seed=314,
         )
-        d = sim.generate_cohort(s, 42, zero_wide)
+        d = sim.generate_cohort(sim.resolve_dropout(s, zero_wide), 42, zero_wide)
         # The net-time law has a polynomial upper tail, so a handful of draws
         # can outlive even this horizon; they sit above every event time and
         # drop out of the comparison below without disturbing it.
@@ -418,7 +444,7 @@ class TestBrentPort:
 
         monkeypatch.setattr(sim, "_brentq", both)
         s = dataclasses.replace(sim.load_scenario(path), dropout_rate=None)
-        assert sim.calibrate_dropout(s) > 0.0
+        assert sim.calibrate_dropout(s, sim.resolve_life_table(s.life_table)) > 0.0
         assert len(roots) == 1 and roots[0][0] == roots[0][1]
 
     def test_seeded_sweep_of_monotone_gaps(self):
