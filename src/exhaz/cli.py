@@ -21,7 +21,6 @@ codes: 0 success, 2 usage error, 3 input/schema error, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -46,11 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own convention
 EXIT_DATA = 3
 EXIT_NOCONV = 4
-
-FULL_GRID_SIZES = (500, 1000, 2000, 5000)
-FULL_REPLICATES = 1000
-# desk-scale seconds per subject and replicate, by the number of truth groups
-FULL_SECONDS_PER_SUBJECT = {1: 9e-5, 2: 1.7e-4}
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -248,8 +242,12 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
               f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
     grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
     groups = _subgroups(data, args.by)
-    curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
-                                   draws=args.draws, seed=args.seed)
+    try:
+        curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
+                                       draws=args.draws, seed=args.seed)
+    except np.linalg.LinAlgError as exc:  # raised only by the bands' Cholesky factor
+        raise ValueError(f"{args.fit_path}: covariance has no Cholesky factor ({exc}); "
+                         "Monte-Carlo bands unavailable") from None
     rejected = curves[0].rejected_draws
     if rejected:
         print(f"rejected {rejected} of {args.draws + rejected} parameter draws",
@@ -289,48 +287,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_aic_csv(path: Path, result: sim.Aim1Result) -> None:
-    datasets.write_csv(path, ("aic_frailty", "aic_classical"),
-                       [result.aic_frailty, result.aic_classical])
-
-
-def _run_study(s, table, args: argparse.Namespace, out: Path, suffix: str) -> str:
-    """Run the scenario's study and write its tables; returns its summary.
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Run the scenario's study and write its tables and summary.
 
     One truth group runs the recovery study, two the pooled-versus-stratified
     study.
     """
-    if len(s.groups) == 1:
-        r = sim.run_aim1(s, table, fit_both=args.fit_both, progress=args.full)
-        r.table.write_csv(out / f"metrics{suffix}.csv")
-        if args.fit_both:
-            _write_aic_csv(out / f"aic{suffix}.csv", r)
-        return r.table.summary()
-    r = sim.run_aim2(s, table, progress=args.full)
-    r.write_summary_csv(out / f"aim2_summary{suffix}.csv")
-    r.write_curves_csv(out / f"aim2_curves{suffix}.csv")
-    return r.summary()
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
     s, table = _load_scenario_inputs(args)
+    if args.fit_both and len(s.groups) != 1:
+        raise ValueError(f"--fit-both needs a one-group scenario, but {args.scenario} "
+                         "has two truth groups")
     out = _out_dir(args)
-    runs = [s]
-    if args.full:
-        sizes = FULL_GRID_SIZES if len(s.groups) == 1 else (s.n,)
-        runs = [dataclasses.replace(s, n=n, M=FULL_REPLICATES) for n in sizes]
-        seconds = sum(FULL_SECONDS_PER_SUBJECT[len(s.groups)] * r.n * r.M for r in runs)
-        print(
-            f"warning: --full runs {len(runs)} cohort size(s) x M={FULL_REPLICATES}; "
-            f"estimated runtime ~{seconds / 60.0:.0f} min",
-            file=sys.stderr,
-        )
-    summaries = []
-    for r in runs:
-        suffix = f"_n{r.n}" if len(runs) > 1 else ""
-        summary = _run_study(r, table, args, out, suffix)
-        summaries.append(f"n = {r.n}\n{summary}" if suffix else summary)
-    text = "\n\n".join(summaries)
+    if len(s.groups) == 1:
+        r = sim.run_aim1(s, table, fit_both=args.fit_both)
+        r.table.write_csv(out / "metrics.csv")
+        if args.fit_both:
+            datasets.write_csv(out / "aic.csv", ("aic_frailty", "aic_classical"),
+                               [r.aic_frailty, r.aic_classical])
+        text = r.table.summary()
+    else:
+        r = sim.run_aim2(s, table)
+        r.write_summary_csv(out / "aim2_summary.csv")
+        r.write_curves_csv(out / "aim2_curves.csv")
+        text = r.summary()
     _write_text(out / "summary.txt", text + "\n")
     print(text)
     return EXIT_OK
@@ -405,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scenario", required=True)
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--fit-both", dest="fit_both", action="store_true",
-                         help="also fit the no-heterogeneity model (AIC table)")
-    p_bench.add_argument("--full", action="store_true",
-                         help="publication-scale grid (slow; prints an estimate)")
+                         help="also fit the no-heterogeneity model (AIC table; "
+                              "one-group scenarios only)")
 
     p_cmp = sub.add_parser("compare", help="rank saved fits by AIC")
     p_cmp.add_argument("fits", nargs="+", help="fit.json files from the same data")
@@ -437,10 +415,7 @@ def main(argv=None) -> int:
     args = _runconfig(parser.parse_args(argv), parser)
     try:
         return _HANDLERS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:  # includes DataFormatError
+    except (ValueError, OSError) as exc:  # includes DataFormatError, FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RuntimeError as exc:

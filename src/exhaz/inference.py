@@ -358,16 +358,20 @@ _JSON_TYPES = (
 
 
 def _float_field(d: dict, key: str, shape: tuple) -> np.ndarray:
-    """``d[key]`` as a float array of ``shape``, the shape the model implies."""
+    """``d[key]`` as a finite float array of ``shape``, the shape the model implies."""
     try:
         arr = np.array(d[key], dtype=float)
-        if arr.shape == shape:
-            return arr
-        got = f"shape {arr.shape}"
     except (TypeError, ValueError):  # ragged, or not numbers
-        got = "a value that is not an array of numbers"
-    raise ValueError(f"saved fit field {key!r} must have shape {shape} for its "
-                     f"model and covariates, got {got}")
+        arr = None
+    if arr is None or arr.shape != shape:
+        got = "a value that is not an array of numbers" if arr is None else f"shape {arr.shape}"
+        raise ValueError(f"saved fit field {key!r} must have shape {shape} for its "
+                         f"model and covariates, got {got}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"saved fit field {key!r} must be finite, got "
+                         f"{float(arr[tuple(bad[0])])} at index {bad[0].tolist()}")
+    return arr
 
 
 # -- parameter packing -------------------------------------------------------

@@ -171,15 +171,10 @@ def _group_means(individual: np.ndarray, groups) -> np.ndarray:
                      for rows in groups])
 
 
-def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, groups=None,
-                  out=None) -> np.ndarray:
-    """Average net survival over the rows of (x, w) at each grid time.
-
-    The (m, n) matrix of individual curves is built into ``out`` when given
-    (overwritten) or a new array; the result is its :func:`_group_means`.
-    """
-    if out is None:
-        out = np.empty((grid.shape[0], x.shape[0]))
+def _curve_values(x, w, grid, g: GHParams, fr: FrailtySpec, groups=None) -> np.ndarray:
+    """Average net survival over the rows of (x, w) at each grid time: the
+    :func:`_group_means` of a new (m, n) matrix of individual curves."""
+    out = np.empty((grid.shape[0], x.shape[0]))
     return _group_means(_individual_curves(x, w, grid, g, fr, out), groups)
 
 
@@ -223,7 +218,9 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     quantiles per grid point.  A draw whose curve is non-finite for any
     group is rejected for all of them, so every band rests on the same
     draws; rejected draws are resampled, up to ten times the requested
-    count, and each banded curve's ``rejected_draws`` counts them.
+    count, and each banded curve's ``rejected_draws`` counts them.  A
+    covariance without a Cholesky factor raises ``LinAlgError``, a
+    ``ValueError``.
     """
     if draws != 0 and draws < 100:
         raise ValueError(f"draws must be 0 (no bands) or at least 100, got {draws}")
@@ -241,12 +238,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
         return [NetSurvivalCurve(grid, est, label=label, model=model)
                 for label, est in zip(labels, estimates)]
     from scipy import linalg
-    cov = 0.5 * (fit.covariance + fit.covariance.T)
-    try:
-        chol = linalg.cholesky(cov, lower=True)
-    except linalg.LinAlgError:
-        vals, vecs = linalg.eigh(cov)
-        chol = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+    chol = linalg.cholesky(0.5 * (fit.covariance + fit.covariance.T), lower=True)
     fam = get_family(fit.spec.baseline)
     p_t, p = len(fit.w_names), len(fit.x_names)
     rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ import configparser
 import contextlib
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .netsurvival import NetSurvivalCurve, _curve_values, default_grid
 
 Z975 = 1.959963984540054
 _PILOT_N = 20000  # subjects in the pilot cohort that calibrates drop-out
+_TRUTH_SEED = 2718  # seeds the covariate draws that truth curves average over
+_TRUTH_CHUNK = 20000  # rows per block of a truth curve; sets its summation order
 
 __all__ = [
     "AgeMixture",
@@ -152,18 +155,25 @@ class Scenario:
     def __post_init__(self):
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be positive")
-        if self.admin_censor <= 0.0:
-            raise ValueError("admin_censor must be positive")
+        if not 0.0 < self.admin_censor < math.inf:
+            raise ValueError(f"admin_censor must be positive and finite, got {self.admin_censor!r}")
+        if not math.isfinite(self.year):
+            raise ValueError(f"year must be finite, got {self.year!r}")
         share, target = self.censoring_target
         if share not in ("dropout", "censoring") or not (0.0 <= target < 1.0):
             raise ValueError("censoring_target must be ('dropout' or 'censoring', a "
                              "share in [0, 1))")
-        if self.dropout_rate is not None and self.dropout_rate < 0.0:
-            raise ValueError("dropout_rate must be >= 0")
+        if self.dropout_rate is not None and not 0.0 <= self.dropout_rate < math.inf:
+            raise ValueError(f"dropout_rate must be >= 0 and finite, got {self.dropout_rate!r}")
         two = len(self.groups) == 2
         if not (len(self.groups) == 1 or (two and self.binary_probs)):
             raise ValueError("a scenario has one truth group, or two selected by "
                              "its first binary covariate")
+        names = self.covariate_names
+        for j, name in enumerate(names):
+            if name in names[:j]:
+                raise ValueError(f"covariate {name!r} is named twice; the covariates are "
+                                 "agec and one binary per distinct name")
         for j, (name, p) in enumerate(self.binary_probs):
             pair_ok = not isinstance(p, tuple) or (two and j > 0 and len(p) == 2)
             if not pair_ok or not all(0.0 <= v <= 1.0 for v in np.atleast_1d(p)):
@@ -213,17 +223,14 @@ class Scenario:
         return FrailtySpec(self.frailty_family, self.frailty_b)
 
 
-def sc1_scenario(n: int = 5000, M: int = 200, seed: int = 20120, b: float = 0.5,
-                 life_table: str = "builtin:synthetic") -> Scenario:
+def sc1_scenario(n: int = 5000, M: int = 200, seed: int = 20120, b: float = 0.5) -> Scenario:
     """The fully specified recovery scenario: PGW(0.75, 1.75, 8), gamma
     frailty of variance ``b``, unit effects on all four covariates."""
-    return Scenario(name="sc1", n=n, M=M, seed=seed, frailty_b=b,
-                    life_table=life_table)
+    return Scenario(name="sc1", n=n, M=M, seed=seed, frailty_b=b)
 
 
 def two_group_scenario(variant: int = 2, n: int = 5000, M: int = 100,
-                       seed: int = 40220,
-                       life_table: str = "builtin:synthetic") -> Scenario:
+                       seed: int = 40220) -> Scenario:
     """Two sex-defined subpopulations with different baselines and effects.
 
     Covariates are (agec, sex, x1), and x1 is more common when sex = 1.  The
@@ -236,7 +243,7 @@ def two_group_scenario(variant: int = 2, n: int = 5000, M: int = 100,
         raise ValueError("variant must be 1 or 2")
     theta0 = (0.5, 1.5, 3.0) if variant == 1 else (0.5, 1.5, 0.75)
     return Scenario(
-        name=f"two-group-{variant}", n=n, M=M, seed=seed, life_table=life_table,
+        name=f"two-group-{variant}", n=n, M=M, seed=seed,
         groups=(TruthGroup(theta0, (0.7, 0.7, 0.25), (0.5, 0.5, 0.25)),
                 TruthGroup((0.5, 1.5, 5.0), (0.7, 0.7, 0.5), (1.0, 0.5, 1.0))),
         frailty_family="none", frailty_b=0.0,
@@ -436,20 +443,20 @@ def generate_cohort(s, replicate_seed, table: lt.LifeTable) -> Dataset:
 
 # -- truth curves --------------------------------------------------------------
 
-def _averaged_truth_curve(x, grid, g: GHParams, fr: FrailtySpec,
-                          chunk: int = 20000) -> np.ndarray:
-    """Covariate-averaged net survival under known parameters, chunked."""
+def _averaged_truth_curve(x, grid, g: GHParams, fr: FrailtySpec) -> np.ndarray:
+    """Covariate-averaged net survival under known parameters, in blocks of
+    ``_TRUTH_CHUNK`` rows."""
     total = np.zeros(len(grid))
-    for start in range(0, x.shape[0], chunk):
-        block = x[start : start + chunk]
+    for start in range(0, x.shape[0], _TRUTH_CHUNK):
+        block = x[start : start + _TRUTH_CHUNK]
         total += _curve_values(block, block, grid, g, fr) * block.shape[0]
     return total / x.shape[0]
 
 
-def _truth_curves(s: Scenario, grid, draws: int, seed: int):
+def _truth_curves(s: Scenario, grid, draws: int):
     """Each truth group's covariate-averaged curve, and their population
     mixture weighted by the groups' shares."""
-    x, _ = _draw_covariates(s, np.random.default_rng(seed), draws)
+    x, _ = _draw_covariates(s, np.random.default_rng(_TRUTH_SEED), draws)
     group = s.group_of(x)
     per_group = [
         _averaged_truth_curve(x[group == g], grid, s.group_params(g), s.true_frailty())
@@ -459,7 +466,7 @@ def _truth_curves(s: Scenario, grid, draws: int, seed: int):
 
 
 def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False,
-                            draws: int = 100000, seed: int = 2718) -> NetSurvivalCurve:
+                            draws: int = 100000) -> NetSurvivalCurve:
     """Scenario truth: covariate-averaged marginal net survival, or the
     reference curve at all-zero covariates (group 0) when ``reference`` is set."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -468,16 +475,15 @@ def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False,
         values = _curve_values(zero, zero, grid, s.group_params(0), s.true_frailty())
         return NetSurvivalCurve(time=grid, estimate=values, label="reference",
                                 model="truth")
-    _, values = _truth_curves(s, grid, draws, seed)
+    _, values = _truth_curves(s, grid, draws)
     return NetSurvivalCurve(time=grid, estimate=values, label="population",
                             model="truth")
 
 
-def two_group_true_curves(s: Scenario, grid=None, draws: int = 100000,
-                          seed: int = 2718) -> dict:
+def two_group_true_curves(s: Scenario, grid=None, draws: int = 100000) -> dict:
     """Truth curves (population and per group) for a two-group scenario."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    per_group, population = _truth_curves(s, grid, draws, seed)
+    per_group, population = _truth_curves(s, grid, draws)
     curves = dict(zip(s.group_labels, per_group), population=population)
     return {
         label: NetSurvivalCurve(time=grid, estimate=vals, label=label, model="truth")
@@ -487,9 +493,10 @@ def two_group_true_curves(s: Scenario, grid=None, draws: int = 100000,
 
 # -- the replicate loop both studies share ---------------------------------------
 
-def _replicates(s: Scenario, table: lt.LifeTable, designs, analyse, progress: bool):
+def _replicates(s: Scenario, table: lt.LifeTable, designs, analyse):
     """Simulate and fit the scenario's ``M`` replicates; returns the kept
-    ``analyse`` results and the excluded count.
+    ``analyse`` results and the excluded count.  Every 25th replicate
+    writes ``replicate m/M done`` to stderr.
 
     Replicate ``m`` draws its cohort from the ``m``-th child of the scenario
     seed, fits each ``key: (dataset, spec)`` of ``designs(cohort)`` in order,
@@ -510,8 +517,8 @@ def _replicates(s: Scenario, table: lt.LifeTable, designs, analyse, progress: bo
             excluded += 1
         else:
             rows.append(row)
-        if progress and (m + 1) % 25 == 0:
-            print(f"  replicate {m + 1}/{s.M} done", flush=True)
+        if (m + 1) % 25 == 0:
+            print(f"  replicate {m + 1}/{s.M} done", file=sys.stderr, flush=True)
     if not rows:
         raise RuntimeError("all replicates were excluded; nothing to summarise")
     return rows, excluded
@@ -593,7 +600,7 @@ def _true_vectors(s: Scenario):
 
 
 def run_aim1(s: Scenario, table: lt.LifeTable, *,
-             fit_both: bool = False, reference_grid=None, progress: bool = False) -> Aim1Result:
+             fit_both: bool = False, reference_grid=None) -> Aim1Result:
     """Repeatedly simulate and refit the correctly specified model.
 
     Produces a :class:`PerformanceTable` (bias, coverage at 95%, SE
@@ -636,7 +643,7 @@ def run_aim1(s: Scenario, table: lt.LifeTable, *,
                else _curve_values(zero, zero, grid, res.params, res.frailty))
         return est, se_nat, hit, aics, ref
 
-    rows, excluded = _replicates(s, table, designs, analyse, progress)
+    rows, excluded = _replicates(s, table, designs, analyse)
     est, ses, hits = (np.vstack([row[i] for row in rows]) for i in range(3))
     aics = [row[3] for row in rows if row[3] is not None]
     ref_rows = [row[4] for row in rows if row[4] is not None]
@@ -719,7 +726,7 @@ class Aim2Result:
 
 
 def run_aim2(s: Scenario, table: lt.LifeTable, *,
-             grid=None, truth_draws: int = 100000, progress: bool = False) -> Aim2Result:
+             grid=None, truth_draws: int = 100000) -> Aim2Result:
     """Quantify subgroup net-survival bias from pooling two populations.
 
     Each replicate is fitted six ways, always omitting the binaries after
@@ -767,7 +774,7 @@ def run_aim2(s: Scenario, table: lt.LifeTable, *,
             curves.update({(analysis, model, lab): row for lab, row in zip(labels, values)})
         return curves
 
-    rows, excluded = _replicates(s, table, designs, analyse, progress)
+    rows, excluded = _replicates(s, table, designs, analyse)
     n = len(rows)
     return Aim2Result(
         scenario=s,

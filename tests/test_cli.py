@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -353,9 +354,15 @@ class TestNetsurv:
         (lambda p: {**p, "n": "4000"}, "saved fit field 'n' must be an integer, got str"),
         (lambda p: {**p, "converged": "yes"},
          "saved fit field 'converged' must be a boolean, got str"),
+        (lambda p: {**p, "psi": p["psi"][:2] + [math.nan] + p["psi"][3:]},
+         "saved fit field 'psi' must be finite, got nan at index [2]"),
+        (lambda p: {**p, "covariance": p["covariance"][:1]
+                    + [p["covariance"][1][:3] + [-math.inf] + p["covariance"][1][4:]]
+                    + p["covariance"][2:]},
+         "saved fit field 'covariance' must be finite, got -inf at index [1, 3]"),
     ], ids=["list", "missing-key", "short-psi", "short-covariance", "ragged-covariance",
             "list-baseline", "number-messages", "string-loglik", "string-x-names",
-            "string-n", "string-converged"])
+            "string-n", "string-converged", "nan-psi", "inf-covariance"])
     def test_malformed_saved_fit_is_an_input_error(self, inputs, agec_fit, tmp_path, capsys,
                                                    command, edit, message):
         # a missing key and a JSON list used to raise tracebacks; a psi one
@@ -366,6 +373,24 @@ class TestNetsurv:
                 if command == "netsurv" else ["compare", str(saved)])
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"error: {saved}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_covariance_without_a_cholesky_factor_is_an_input_error(self, inputs, agec_fit,
+                                                                     tmp_path, capsys):
+        # such a covariance used to be clipped to a factor that gave bands
+        # with lower = upper = estimate
+        payload = json.loads((agec_fit / "fit.json").read_text())
+        cov = payload["covariance"]
+        cov[0][1] = cov[1][0] = 10.0 * math.sqrt(cov[0][0] * cov[1][1])
+        saved = tmp_path / "fit.json"
+        saved.write_text(json.dumps(payload))
+        code = cli.main(["netsurv", "--data", str(inputs["data"]), "--fit", str(saved),
+                         "--grid", "0:1:3", "--draws", "100", "--seed", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {saved}: covariance has no Cholesky factor (")
+        assert err.endswith("); Monte-Carlo bands unavailable\n")
         assert not (tmp_path / "o").exists()
 
     def test_saved_fit_on_another_cohort_warns(self, inputs, tmp_path, capsys):
@@ -578,6 +603,19 @@ class TestSimulate:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "o" / "cohort.csv").exists()
 
+    @pytest.mark.parametrize("key", ["dropout_rate", "admin_censor", "year"])
+    def test_non_finite_scenario_value_is_an_input_error(self, tmp_path, capsys, key):
+        # a NaN drop-out rate used to draw the cohort with no drop-out, and a
+        # NaN horizon or year to fail deep inside the calibration
+        path = tmp_path / "nan.ini"
+        sim.save_scenario(path, sim.sc1_scenario(n=120, M=1))
+        path.write_text("".join(f"{key} = nan\n" if line.startswith(f"{key} = ") else line
+                                for line in path.read_text().splitlines(True)))
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"error: {key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "cohort.csv").exists()
+
     def test_retired_two_group_layout_is_an_input_error(self, tmp_path, capsys):
         old = tmp_path / "old.ini"
         old.write_text(
@@ -648,20 +686,22 @@ class TestBench:
         assert cli.main(["bench", "--scenario", str(scen), "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / "aim2_summary.csv").exists()
 
-    def test_full_flag_warns_before_launch(self, tmp_path, capsys, monkeypatch):
+    def test_fit_both_on_a_two_group_scenario_is_an_input_error(self, tmp_path, capsys):
+        # the flag used to be ignored: the two-group study fits no AIC pair
+        scen = tmp_path / "two.ini"
+        sim.save_scenario(scen, sim.two_group_scenario(2, n=400, M=1, seed=606))
+        code = cli.main(["bench", "--scenario", str(scen), "--fit-both",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --fit-both needs a one-group scenario, but {scen} has two truth groups\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_full_flag_is_gone(self, tmp_path, capsys):
+        # a study's size is its scenario's n and replicates
         scen = tmp_path / "mini.ini"
         sim.save_scenario(scen, sim.sc1_scenario(n=250, M=2, seed=77))
-        seen = {}
-
-        def stub(scenario, table, **kwargs):
-            seen["n"], seen["M"] = scenario.n, scenario.M
-            raise RuntimeError("stubbed out")
-
-        monkeypatch.setattr(cli.sim, "run_aim1", stub)
-        code = cli.main([
-            "bench", "--scenario", str(scen), "--full", "--out", str(tmp_path / "o"),
-        ])
-        assert code == 4  # the stub aborted the launch
-        err = capsys.readouterr().err
-        assert "estimated runtime" in err
-        assert seen == {"n": 500, "M": 1000}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--scenario", str(scen), "--full", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --full" in capsys.readouterr().err

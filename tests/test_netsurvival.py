@@ -216,7 +216,8 @@ class TestRowBlocks:
             out = np.full((m, n), np.nan)
             np.testing.assert_array_equal(ns._curve_values(x, w, grid, g, fr),
                                           whole.sum(axis=1) / n)
-            means = ns._curve_values(x, w, grid, g, fr, [None, rows], out)
+            means = ns._group_means(ns._individual_curves(x, w, grid, g, fr, out),
+                                    [None, rows])
             np.testing.assert_array_equal(out, whole)
             np.testing.assert_array_equal(means[0], whole.sum(axis=1) / n)
             group = np.ascontiguousarray(whole[:, mask])
@@ -224,7 +225,8 @@ class TestRowBlocks:
             # a second call overwrites the work array, never the first result
             first = means.copy()
             other = mdl.GHParams(theta, alpha=[-0.2], beta=[1.0, 0.1, -0.5])
-            again = ns._curve_values(x, w, grid, other, fr, [None, rows], out)
+            again = ns._group_means(ns._individual_curves(x, w, grid, other, fr, out),
+                                    [None, rows])
             np.testing.assert_array_equal(means, first)
             np.testing.assert_array_equal(out, _whole_matrix(x, w, grid, other, fr))
             assert not np.shares_memory(means, out) and not np.shares_memory(again, out)
@@ -242,7 +244,7 @@ class TestRowBlocks:
         x = r.normal(size=(n, 3))
         w = np.column_stack([x[:, 0], r.normal(size=n)])
         out = np.empty((grid.shape[0], n))
-        ns._curve_values(x, w, grid, g, fr, out=out)
+        ns._individual_curves(x, w, grid, g, fr, out)
         point = (mdl.conditional_net_survival if fr.family == "none"
                  else lambda *a: mdl.marginal_net_survival(*a, fr))
         expected = np.column_stack([point(grid, x[i], w[i], g) for i in range(n)])

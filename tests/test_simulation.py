@@ -98,6 +98,14 @@ class TestScenarios:
         with pytest.raises(ValueError, match=r"'x1': p must lie in \[0, 1\]"):
             dataclasses.replace(two, binary_probs=(("sex", 0.6), ("x1", (0.4, 1.2))))
 
+    @pytest.mark.parametrize("binary", [(("sex", 0.5), ("sex", 0.5), ("x2", 0.5)),
+                                        (("sex", 0.5), ("agec", 0.5), ("x2", 0.5))],
+                             ids=["binary-twice", "binary-agec"])
+    def test_repeated_covariate_name_is_refused(self, binary):
+        # a repeated name used to give cohort.csv one column for two covariates
+        with pytest.raises(ValueError, match=f"covariate {binary[1][0]!r} is named twice"):
+            sim.Scenario(binary_probs=binary)
+
     def test_factories(self):
         s = sim.sc1_scenario(n=123, M=7, seed=9, b=0.25)
         assert (s.n, s.M, s.seed, s.frailty_b) == (123, 7, 9, 0.25)
@@ -565,6 +573,14 @@ class TestRecoveryStudy:
         assert r.reference_curves.shape == (r.table.analysed, grid.size)
         assert np.all(r.reference_curves[:, 0] == 1.0)
         assert np.all(np.diff(r.reference_curves, axis=1) <= 1e-12)
+
+    def test_every_25th_replicate_is_reported_on_stderr(self, synth_table, capsys):
+        s = dataclasses.replace(sim.sc1_scenario(n=20, M=25, seed=3), dropout_rate=0.0)
+        rows, excluded = sim._replicates(s, synth_table, lambda cohort: {},
+                                         lambda fits: len(fits))
+        assert (rows, excluded) == ([0] * 25, 0)
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "  replicate 25/25 done\n")
 
     def test_all_excluded_raises(self, synth_table, monkeypatch):
         # one iteration and one restart leave every fit unconverged
