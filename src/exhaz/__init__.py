@@ -35,7 +35,6 @@ from .model import (
     CovariateMapping,
     FrailtySpec,
     GHParams,
-    conditional_net_survival,
     excess_cum_hazard,
     excess_hazard,
     marginal_all_cause_survival,
@@ -90,7 +89,6 @@ __all__ = [
     "TruthGroup",
     "WaldIntervals",
     "aic_compare",
-    "conditional_net_survival",
     "default_grid",
     "excess_cum_hazard",
     "excess_hazard",

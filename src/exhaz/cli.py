@@ -42,7 +42,6 @@ from .baseline import _FAMILIES
 from .model import FRAILTY_FAMILIES, CovariateMapping
 
 EXIT_OK = 0
-EXIT_USAGE = 2  # argparse's own convention
 EXIT_DATA = 3
 EXIT_NOCONV = 4
 

@@ -52,12 +52,14 @@ class Dataset:
     """Column-oriented cohort data.
 
     ``x`` holds hazard-level covariates (columns ``x_names``), ``w`` the
-    time-level covariates; ``age``/``year``/``strata`` form each subject's
-    life-table key.  ``strata`` is an (n, k) array of str labels, one column
-    per name in ``stratum_names`` (n row tuples convert); the life table
-    codes each row as described in :class:`~exhaz.lifetable.LifeTable`.
-    ``extras`` may carry additional label columns (e.g. a stage label)
-    usable for subgrouping but not entering the model.
+    time-level covariates (a 1-D array is one column); ``age``/``year``/
+    ``strata`` form each subject's life-table key.  ``strata`` is an (n, k)
+    array of str labels, one column per name in ``stratum_names`` (n row
+    tuples convert); the life table codes each row as described in
+    :class:`~exhaz.lifetable.LifeTable`.  ``extras`` may carry additional
+    label columns (e.g. a stage label) usable for subgrouping but not
+    entering the model.  Every column has n rows, and no name repeats
+    within ``x_names`` or within ``w_names``.
     """
 
     time: np.ndarray
@@ -84,7 +86,7 @@ class Dataset:
             a = np.ascontiguousarray(arr, dtype=float)
             if a.ndim == 2:
                 return a
-            return a.reshape(n, 0) if a.size == 0 else a.reshape(n, -1)
+            return a.reshape(n, 0) if a.size == 0 else a.reshape(-1, 1)
 
         x = as_matrix(self.x)
         w = as_matrix(self.w)
@@ -99,13 +101,17 @@ class Dataset:
         object.__setattr__(self, "stratum_names", tuple(self.stratum_names))
         if x.shape[1] != len(self.x_names) or w.shape[1] != len(self.w_names):
             raise ValueError("covariate name lists must match matrix widths")
-        for block, names in ((x, self.x_names), (w, self.w_names)):
+        for label, block, names in (("x", x, self.x_names), ("w", w, self.w_names)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"{label}_names repeats a name: {names!r}")
             for j, name in enumerate(names):
                 _require_each(f"covariate {name!r}", np.isfinite(block[:, j]), block[:, j],
                               "finite")
-        for arr_name in ("status", "age", "year"):
-            if getattr(self, arr_name).shape[0] != n:
-                raise ValueError(f"column {arr_name!r} has wrong length")
+        columns = {name: getattr(self, name) for name in ("status", "age", "year", "x", "w")}
+        columns.update((f"extras[{name!r}]", col) for name, col in self.extras.items())
+        for name, col in columns.items():
+            if np.shape(col)[:1] != (n,):
+                raise ValueError(f"{name} must have n = {n} rows, got shape {np.shape(col)}")
         object.__setattr__(self, "strata", lt._label_array(
             self.strata, n, self.stratum_names, lambda i: f"record {i} (0-based)", ValueError))
         for arr_name in ("age", "year"):
@@ -508,23 +514,15 @@ class _FitContext:
         return self.value_and_grad(psi)[0]
 
 
-def loglik_classical(data: Dataset, table: lt.LifeTable, g: GHParams) -> float:
-    """Log-likelihood of the no-frailty model (background factor dropped).
-
-    Returns ``-inf`` when any per-record term is non-finite.  The reduction
-    uses correctly-rounded summation, so the value is exactly invariant to
-    record permutation.
-    """
-    return loglik_frailty(data, table, g, FrailtySpec())
-
-
 def loglik_frailty(data: Dataset, table: lt.LifeTable, g: GHParams,
                    fr: FrailtySpec) -> float:
-    """Log-likelihood of the frailty model; reduces to the classical one as b -> 0.
+    """Log-likelihood (background factor dropped) under frailty ``fr``; with
+    ``FrailtySpec()`` it is the classical model's, its limit as b -> 0.
 
     A ``math.fsum`` over the per-record terms of the fit context's forward
-    pass.  ``fr.b`` is used as given, so a variance below
-    ``B_ZERO_THRESHOLD`` gives exactly the classical value.
+    pass, so the value is exactly invariant to record permutation; ``-inf``
+    when any term is non-finite.  ``fr.b`` is used as given, so a variance
+    below ``B_ZERO_THRESHOLD`` gives exactly the classical value.
     """
     if g.alpha.shape[0] != data.w.shape[1] or g.beta.shape[0] != data.x.shape[1]:
         raise ValueError("alpha/beta lengths must match the dataset's w/x columns")

@@ -216,11 +216,6 @@ def laplace_log_deriv(f: FrailtySpec, s):
     return _frailty_form(f.family, f.b).weight(f.b, s)
 
 
-def conditional_net_survival(t, x, w, g: GHParams):
-    """Net survival for frailty fixed at 1 (or no frailty): exp(-H_E(t))."""
-    return np.exp(-excess_cum_hazard(t, x, w, g))
-
-
 def marginal_net_survival(t, x, w, g: GHParams, f: FrailtySpec):
     """Frailty-marginalised net survival L(H_E(t)); exp(-H_E) when family is none."""
     he = excess_cum_hazard(t, x, w, g)

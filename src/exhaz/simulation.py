@@ -37,6 +37,7 @@ Z975 = 1.959963984540054
 _PILOT_N = 20000  # subjects in the pilot cohort that calibrates drop-out
 _TRUTH_SEED = 2718  # seeds the covariate draws that truth curves average over
 _TRUTH_CHUNK = 20000  # rows per block of a truth curve; sets its summation order
+_TRUTH_DRAWS = 100000  # covariate draws a truth curve averages over
 
 __all__ = [
     "AgeMixture",
@@ -74,10 +75,11 @@ class AgeMixture:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.bounds) != len(self.probs):
             raise ValueError("age mixture needs one probability per band")
-        if any(p < 0.0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("age mixture probabilities must be >= 0 and sum to 1")
-        if any(lo >= hi for lo, hi in self.bounds):
-            raise ValueError("age bands must have lo < hi")
+        # each test is false for NaN, so NaN is refused
+        if not (all(p >= 0.0 for p in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-12):
+            raise ValueError(f"age mixture probs {self.probs} must be >= 0 and sum to 1")
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in self.bounds):
+            raise ValueError(f"age mixture bounds {self.bounds} must be finite bands lo < hi")
 
     @property
     def mean(self) -> float:
@@ -255,16 +257,11 @@ def two_group_scenario(variant: int = 2, n: int = 5000, M: int = 100,
 # -- cohort generation ---------------------------------------------------------
 
 def resolve_life_table(ref: str) -> lt.LifeTable:
-    """Resolve a scenario's life-table reference: ``builtin:synthetic``,
-    ``builtin:zero`` (no background mortality), or a CSV path."""
+    """Resolve a scenario's life-table reference: ``builtin:synthetic`` or a CSV path."""
     if ref == "builtin:synthetic":
         from .datasets import synthetic_life_table
 
         return synthetic_life_table()
-    if ref == "builtin:zero":
-        ages, years = np.indices((120, 80)).reshape(2, -1)
-        return lt.LifeTable.from_columns(ages, years + 2000, ((),) * len(ages),
-                                         np.zeros(len(ages)))
     return lt.load_life_table(ref)
 
 
@@ -453,10 +450,10 @@ def _averaged_truth_curve(x, grid, g: GHParams, fr: FrailtySpec) -> np.ndarray:
     return total / x.shape[0]
 
 
-def _truth_curves(s: Scenario, grid, draws: int):
+def _truth_curves(s: Scenario, grid):
     """Each truth group's covariate-averaged curve, and their population
     mixture weighted by the groups' shares."""
-    x, _ = _draw_covariates(s, np.random.default_rng(_TRUTH_SEED), draws)
+    x, _ = _draw_covariates(s, np.random.default_rng(_TRUTH_SEED), _TRUTH_DRAWS)
     group = s.group_of(x)
     per_group = [
         _averaged_truth_curve(x[group == g], grid, s.group_params(g), s.true_frailty())
@@ -465,8 +462,7 @@ def _truth_curves(s: Scenario, grid, draws: int):
     return per_group, sum(w * c for w, c in zip(s.group_weights, per_group))
 
 
-def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False,
-                            draws: int = 100000) -> NetSurvivalCurve:
+def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False) -> NetSurvivalCurve:
     """Scenario truth: covariate-averaged marginal net survival, or the
     reference curve at all-zero covariates (group 0) when ``reference`` is set."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -475,15 +471,15 @@ def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False,
         values = _curve_values(zero, zero, grid, s.group_params(0), s.true_frailty())
         return NetSurvivalCurve(time=grid, estimate=values, label="reference",
                                 model="truth")
-    _, values = _truth_curves(s, grid, draws)
+    _, values = _truth_curves(s, grid)
     return NetSurvivalCurve(time=grid, estimate=values, label="population",
                             model="truth")
 
 
-def two_group_true_curves(s: Scenario, grid=None, draws: int = 100000) -> dict:
+def two_group_true_curves(s: Scenario, grid=None) -> dict:
     """Truth curves (population and per group) for a two-group scenario."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    per_group, population = _truth_curves(s, grid, draws)
+    per_group, population = _truth_curves(s, grid)
     curves = dict(zip(s.group_labels, per_group), population=population)
     return {
         label: NetSurvivalCurve(time=grid, estimate=vals, label=label, model="truth")
@@ -542,13 +538,6 @@ class PerformanceTable:
     analysed: int
     excluded: int
 
-    def __post_init__(self):
-        k = len(self.names)
-        for fname in ("true_values", "mean_mle", "bias", "median_mle",
-                      "coverage", "mean_se", "emp_sd"):
-            if len(getattr(self, fname)) != k:
-                raise ValueError(f"{fname} must have one entry per parameter")
-
     def write_csv(self, path) -> None:
         k = len(self.names)
         write_csv(path, ("parameter", "true", "mean_mle", "bias", "median_mle", "coverage",
@@ -583,10 +572,14 @@ class Aim1Result:
     table: PerformanceTable
     estimates: np.ndarray  # (analysed, k) natural scale
     std_errors: np.ndarray  # (analysed, k) natural scale
+    reference_curves: np.ndarray  # (analysed, len(reference_grid))
     aic_frailty: np.ndarray | None = None
     aic_classical: np.ndarray | None = None
-    reference_grid: np.ndarray | None = None
-    reference_curves: np.ndarray | None = None  # (analysed, len(grid))
+
+    @property
+    def reference_grid(self) -> np.ndarray:
+        """Time grid of ``reference_curves``: :func:`default_grid`."""
+        return default_grid()
 
 
 def _true_vectors(s: Scenario):
@@ -599,14 +592,14 @@ def _true_vectors(s: Scenario):
     return nat, np.concatenate([theta, truth.alpha, truth.beta, log_b])
 
 
-def run_aim1(s: Scenario, table: lt.LifeTable, *,
-             fit_both: bool = False, reference_grid=None) -> Aim1Result:
+def run_aim1(s: Scenario, table: lt.LifeTable, *, fit_both: bool = False) -> Aim1Result:
     """Repeatedly simulate and refit the correctly specified model.
 
     Produces a :class:`PerformanceTable` (bias, coverage at 95%, SE
-    calibration); with ``fit_both`` an unshared-heterogeneity-free fit is run
-    alongside for information-criterion comparisons, and ``reference_grid``
-    additionally records each replicate's fitted all-zero-covariate curve.
+    calibration) and each analysed replicate's fitted all-zero-covariate
+    curve on :func:`default_grid`; with ``fit_both`` an
+    unshared-heterogeneity-free fit is run alongside for
+    information-criterion comparisons.
     """
     if len(s.groups) != 1:
         raise ValueError("the recovery study needs a scenario with one truth group")
@@ -617,7 +610,7 @@ def run_aim1(s: Scenario, table: lt.LifeTable, *,
     if fit_both:
         specs["alt"] = ModelSpec(s.baseline, "none", mapping)
     nat_true, trans_true = _true_vectors(s)
-    grid = None if reference_grid is None else np.asarray(reference_grid, dtype=float)
+    grid = default_grid()
     zero = np.zeros((1, len(names)))
 
     def designs(data):
@@ -639,14 +632,11 @@ def run_aim1(s: Scenario, table: lt.LifeTable, *,
         hit = np.where(np.isfinite(trans_true), hit.astype(float), np.nan)
         alt = fits["alt"][1] if fit_both else None
         aics = (res.aic, alt.aic) if alt is not None and alt.convergence.converged else None
-        ref = (None if grid is None
-               else _curve_values(zero, zero, grid, res.params, res.frailty))
-        return est, se_nat, hit, aics, ref
+        return est, se_nat, hit, aics, _curve_values(zero, zero, grid, res.params, res.frailty)
 
     rows, excluded = _replicates(s, table, designs, analyse)
     est, ses, hits = (np.vstack([row[i] for row in rows]) for i in range(3))
     aics = [row[3] for row in rows if row[3] is not None]
-    ref_rows = [row[4] for row in rows if row[4] is not None]
     emp_sd = (
         est.std(axis=0, ddof=1)
         if est.shape[0] > 1
@@ -671,10 +661,9 @@ def run_aim1(s: Scenario, table: lt.LifeTable, *,
         table=perf,
         estimates=est,
         std_errors=ses,
+        reference_curves=np.vstack([row[4] for row in rows]),
         aic_frailty=np.array([a for a, _ in aics]) if fit_both else None,
         aic_classical=np.array([c for _, c in aics]) if fit_both else None,
-        reference_grid=grid,
-        reference_curves=np.vstack(ref_rows) if ref_rows else None,
     )
 
 
@@ -725,24 +714,21 @@ class Aim2Result:
         return "\n".join(lines)
 
 
-def run_aim2(s: Scenario, table: lt.LifeTable, *,
-             grid=None, truth_draws: int = 100000) -> Aim2Result:
+def run_aim2(s: Scenario, table: lt.LifeTable) -> Aim2Result:
     """Quantify subgroup net-survival bias from pooling two populations.
 
     Each replicate is fitted six ways, always omitting the binaries after
     the grouping covariate: pooled (classical and frailty) on agec and the
     grouping covariate, and per-group stratified (classical and frailty) on
     agec alone.  Curves are compared against the scenario truth by the
-    maximum absolute deviation over the grid, averaged across replicates.
+    maximum absolute deviation over :func:`default_grid`, averaged across
+    replicates.
     """
     if len(s.groups) != 2:
         raise ValueError("the two-group study needs a scenario with two truth groups")
     s = resolve_dropout(s, table)
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    truth = {
-        label: curve.estimate
-        for label, curve in two_group_true_curves(s, grid, draws=truth_draws).items()
-    }
+    grid = default_grid()
+    truth = {label: curve.estimate for label, curve in two_group_true_curves(s, grid).items()}
     models = {"classical": "none", "frailty": "gamma"}
 
     def spec(d, frailty):

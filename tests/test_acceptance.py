@@ -19,7 +19,7 @@ from exhaz import cli
 from exhaz import datasets
 from exhaz import simulation as sim
 from exhaz.baseline import PGWParams, pgw_cum_hazard
-from exhaz.inference import loglik_classical, loglik_frailty
+from exhaz.inference import loglik_frailty
 from exhaz.lifetable import LifeTableKey
 from exhaz.model import (
     FrailtySpec,
@@ -30,7 +30,6 @@ from exhaz.model import (
     marginal_net_survival,
     simulate_event_time,
 )
-from exhaz.netsurvival import default_grid
 
 from conftest import build_table, random_dataset
 
@@ -70,7 +69,7 @@ class TestClosedFormChecks:
             data = random_dataset(200, 2, 1, seed=1000 + i, with_strata=False)
             g = rand_gh(rng, 2, 1)
             lf = loglik_frailty(data, wide_table, g, FrailtySpec("gamma", 1e-10))
-            lc = loglik_classical(data, wide_table, g)
+            lc = loglik_frailty(data, wide_table, g, FrailtySpec())
             worst = max(worst, abs(lf - lc))
         elapsed = time.time() - t0
         report(
@@ -193,7 +192,7 @@ def synth_table():
 @pytest.fixture(scope="module")
 def sc1_n500(synth_table):
     scenario = sim.sc1_scenario(n=500, M=200)
-    return _timed_aim1("n500", scenario, synth_table, reference_grid=default_grid())
+    return _timed_aim1("n500", scenario, synth_table)
 
 
 @pytest.fixture(scope="module")

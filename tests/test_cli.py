@@ -616,6 +616,29 @@ class TestSimulate:
         assert f"error: {key} must be " in capsys.readouterr().err
         assert not (tmp_path / "o" / "cohort.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("probs", "nan, 0.35, 0.4"),
+                                            ("bounds", "nan:65.0, 65.0:75.0, 75.0:85.0")])
+    def test_non_finite_age_mixture_is_an_input_error(self, tmp_path, capsys, key, value):
+        # NaN passed every [age] check and failed later inside numpy, naming no key
+        path = tmp_path / "nan.ini"
+        sim.save_scenario(path, sim.sc1_scenario(n=120, M=1))
+        path.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+                                for line in path.read_text().splitlines(True)))
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"error: age mixture {key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["zero", "none"])
+    def test_unknown_builtin_life_table_is_an_input_error(self, tmp_path, capsys, name):
+        # builtin:synthetic is the one built-in table; any other name is read as a path
+        path = tmp_path / "table.ini"
+        sim.save_scenario(path, dataclasses.replace(sim.sc1_scenario(n=120, M=1),
+                                                    life_table=f"builtin:{name}"))
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"'builtin:{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "cohort.csv").exists()
+
     def test_retired_two_group_layout_is_an_input_error(self, tmp_path, capsys):
         old = tmp_path / "old.ini"
         old.write_text(

@@ -33,6 +33,7 @@ Z975 = 1.959963984540054
 
 BASELINES = ["pgw", "lognormal"]
 FRAILTIES = ["none", "gamma", "ig"]
+CLASSICAL = mdl.FrailtySpec()  # no frailty: the classical likelihood
 
 
 def one_record_dataset(time, status, table_year=2012.0):
@@ -63,23 +64,18 @@ def random_params(rng, baseline, p, p_t):
     return mdl.GHParams(theta, alpha=rng.normal(0, 0.3, p_t), beta=rng.normal(0, 0.4, p))
 
 
-def loglik(data, table, g, fr):
-    if fr.family == "none":
-        return inf.loglik_classical(data, table, g)
-    return inf.loglik_frailty(data, table, g, fr)
-
-
 class TestLoglikOracles:
     def test_censored_record_is_minus_cum_hazard(self, flat_table):
         g = mdl.GHParams(PGWParams(2.0, 1.3, 1.7), alpha=np.zeros(0), beta=np.zeros(0))
         d = one_record_dataset(3.0, 0)
         expected = -float(mdl.excess_cum_hazard(3.0, [], [], g))
-        assert inf.loglik_classical(d, flat_table, g) == pytest.approx(expected, rel=1e-14)
+        assert inf.loglik_frailty(d, flat_table, g, CLASSICAL) == pytest.approx(expected,
+                                                                               rel=1e-14)
 
     def test_event_unit_exponential_zero_background(self, zero_table):
         d = one_record_dataset(2.0, 1)
         # log h_E(2) - H_E(2) = log 1 - 2
-        assert inf.loglik_classical(d, zero_table, exp_unit_params()) == pytest.approx(
+        assert inf.loglik_frailty(d, zero_table, exp_unit_params(), CLASSICAL) == pytest.approx(
             -2.0, rel=1e-15
         )
 
@@ -130,7 +126,7 @@ class TestLoglikOracles:
                 total += term
             return total
 
-        assert inf.loglik_classical(data, sex_table, g) == pytest.approx(
+        assert inf.loglik_frailty(data, sex_table, g, CLASSICAL) == pytest.approx(
             oracle(None), rel=1e-10
         )
         fr = mdl.FrailtySpec("gamma", 0.7)
@@ -150,7 +146,7 @@ class TestLoglikOracles:
         g = random_params(rng, baseline, 2, 1)
         assert (
             inf.loglik_frailty(data, sex_table, g, mdl.FrailtySpec(frailty, b))
-            == inf.loglik_classical(data, sex_table, g)
+            == inf.loglik_frailty(data, sex_table, g, CLASSICAL)
         )
 
     def test_event_record_monte_carlo_marginalisation(self, flat_table):
@@ -188,12 +184,13 @@ class TestLoglikOracles:
         )
         g = random_params(rng, baseline, 3, 2)
         fr = mdl.FrailtySpec(frailty, rng.uniform(0.05, 2.0))
-        assert loglik(data, sex_table, g, fr) == loglik(shuffled, sex_table, g, fr)
+        assert (inf.loglik_frailty(data, sex_table, g, fr)
+                == inf.loglik_frailty(shuffled, sex_table, g, fr))
 
     def test_nonfinite_parameters_give_minus_inf(self, zero_table):
         d = one_record_dataset(2.0, 1)
         bad = mdl.GHParams(PGWParams(1e-300, 10.0, 1e-8), alpha=np.zeros(0), beta=np.zeros(0))
-        assert inf.loglik_classical(d, zero_table, bad) == -math.inf
+        assert inf.loglik_frailty(d, zero_table, bad, CLASSICAL) == -math.inf
 
 
 class TestObjectiveAndGradient:
@@ -223,7 +220,8 @@ class TestObjectiveAndGradient:
         log_b = [math.log(0.8)] if frailty != "none" else []
         psi = np.array(theta + [0.15, 0.3, -0.25] + log_b)
         g, fr = inf._unpack(psi, ctx.fam, frailty, 1, 2)
-        assert ctx.value(psi) == pytest.approx(-loglik(data, sex_table, g, fr), rel=1e-12)
+        assert ctx.value(psi) == pytest.approx(-inf.loglik_frailty(data, sex_table, g, fr),
+                                               rel=1e-12)
 
     def test_penalty_at_nonfinite_point(self, sex_table):
         data = random_dataset(30, p=1, p_t=0, seed=12)
@@ -245,8 +243,8 @@ class TestFit:
         est = res.natural_estimates()
         np.testing.assert_array_less(np.abs(est - truth), 3.0 * res.std_errors_natural)
         # in-sample, the MLE cannot do worse than the generating values
-        ll_truth = inf.loglik_classical(
-            data, zero_table, mdl.GHParams(theta, np.zeros(0), beta)
+        ll_truth = inf.loglik_frailty(
+            data, zero_table, mdl.GHParams(theta, np.zeros(0), beta), CLASSICAL
         )
         assert res.loglik >= ll_truth - 1e-6
 
@@ -694,3 +692,31 @@ class TestDatasetUtilities:
         with pytest.raises(ValueError) as info:
             dataclasses.replace(data, **{column: values})
         assert str(info.value) == f"record 3 (0-based): {message}"
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("x", np.zeros((3, 1)), "x must have n = 2 rows, got shape (3, 1)"),
+        ("x", np.zeros(3), "x must have n = 2 rows, got shape (3, 1)"),
+        ("w", np.zeros((1, 1)), "w must have n = 2 rows, got shape (1, 1)"),
+        ("extras", {"stage": np.array(["I", "II", "I"])},
+         "extras['stage'] must have n = 2 rows, got shape (3,)"),
+    ], ids=["x", "x-one-dimensional", "w", "extras"])
+    def test_a_column_of_another_row_count_is_refused(self, column, value, message):
+        # an x of 3 rows beside n = 2 was accepted, and fit then raised IndexError
+        data = random_dataset(2, p=1, p_t=1, seed=30)
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(data, **{column: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("x_names, w_names, message", [
+        (("x0", "x0"), (), "x_names repeats a name: ('x0', 'x0')"),
+        (("x1",), ("x0", "x0"), "w_names repeats a name: ('x0', 'x0')"),
+    ])
+    def test_a_name_repeated_within_x_or_w_is_refused(self, x_names, w_names, message):
+        # a repeated x column was accepted, and fit then reported convergence
+        # with a Hessian that is not positive definite
+        data = random_dataset(20, p=2, p_t=1, seed=31)
+        with pytest.raises(ValueError) as info:
+            data.with_covariates(x_names, w_names)
+        assert str(info.value) == message
+        both = data.with_covariates(("x0", "x1"), ("x0",))  # one name in x and w is legal
+        assert both.x_names == ("x0", "x1") and both.w_names == ("x0",)

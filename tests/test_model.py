@@ -287,14 +287,6 @@ class TestMarginalQuantities:
         for f in (mdl.FrailtySpec("none"), mdl.FrailtySpec("gamma", 0.5)):
             assert float(mdl.marginal_net_survival(0.0, X0, W0, g, f)) == 1.0
 
-    def test_none_family_equals_conditional(self):
-        g = gh_lognormal()
-        t = np.linspace(0.0, 6.0, 30)
-        np.testing.assert_array_equal(
-            mdl.marginal_net_survival(t, X0, W0, g, mdl.FrailtySpec("none")),
-            mdl.conditional_net_survival(t, X0, W0, g),
-        )
-
     def test_net_survival_monotone_in_time(self):
         g = gh_pgw()
         t = np.linspace(0.0, 8.0, 80)

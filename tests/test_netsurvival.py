@@ -245,9 +245,8 @@ class TestRowBlocks:
         w = np.column_stack([x[:, 0], r.normal(size=n)])
         out = np.empty((grid.shape[0], n))
         ns._individual_curves(x, w, grid, g, fr, out)
-        point = (mdl.conditional_net_survival if fr.family == "none"
-                 else lambda *a: mdl.marginal_net_survival(*a, fr))
-        expected = np.column_stack([point(grid, x[i], w[i], g) for i in range(n)])
+        expected = np.column_stack([mdl.marginal_net_survival(grid, x[i], w[i], g, fr)
+                                    for i in range(n)])
         assert np.all(out[0] == 1.0)
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 

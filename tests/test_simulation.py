@@ -14,6 +14,7 @@ from exhaz import simulation as sim
 from exhaz.baseline import PGWParams, pgw_cum_hazard, pgw_quantile
 from exhaz.inference import ModelSpec, fit
 from exhaz.model import CovariateMapping
+from exhaz.netsurvival import default_grid
 
 from conftest import build_table
 
@@ -25,7 +26,8 @@ def synth_table():
 
 @pytest.fixture(scope="module")
 def zero_wide():
-    return sim.resolve_life_table("builtin:zero")
+    """All-zero rates (no background mortality) for ages 0-119, years 2000-2079."""
+    return build_table(lambda a, y, s: 0.0, range(120), range(2000, 2080), [()], ())
 
 
 class TestAgeMixture:
@@ -349,8 +351,7 @@ class TestCohorts:
         # covariates; check with a Kolmogorov-Smirnov test at the 1% level.
         n = 6000
         s = sim.Scenario(
-            name="ks", n=n, M=1, life_table="builtin:zero",
-            censoring_target=("dropout", 0.0), admin_censor=1e9, seed=314,
+            name="ks", n=n, M=1, censoring_target=("dropout", 0.0), admin_censor=1e9, seed=314,
         )
         d = sim.generate_cohort(sim.resolve_dropout(s, zero_wide), 42, zero_wide)
         # The net-time law has a polynomial upper tail, so a handful of draws
@@ -521,7 +522,7 @@ class TestTruthCurves:
     def test_two_group_truth_mixture(self):
         s = sim.two_group_scenario(2)
         grid = np.linspace(0.0, 5.0, 21)
-        curves = sim.two_group_true_curves(s, grid, draws=30_000)
+        curves = sim.two_group_true_curves(s, grid)
         mix = 0.6 * curves["sex1"].estimate + 0.4 * curves["sex0"].estimate
         np.testing.assert_allclose(curves["population"].estimate, mix, rtol=1e-14)
         for curve in curves.values():
@@ -564,9 +565,11 @@ class TestRecoveryStudy:
         assert r1.table.excluded == r2.table.excluded
 
     def test_fit_both_and_reference_curves(self, synth_table):
-        grid = np.linspace(0.0, 5.0, 11)
+        # every recovery study records its reference curves on default_grid()
+        grid = default_grid()
         s = sim.sc1_scenario(n=300, M=2, seed=814)
-        r = sim.run_aim1(s, synth_table, fit_both=True, reference_grid=grid)
+        r = sim.run_aim1(s, synth_table, fit_both=True)
+        np.testing.assert_array_equal(r.reference_grid, grid)
         assert r.aic_frailty is not None and r.aic_classical is not None
         assert len(r.aic_frailty) == len(r.aic_classical) <= 2
         assert np.all(np.isfinite(r.aic_frailty))
@@ -608,8 +611,7 @@ class TestRecoveryStudy:
 @pytest.fixture(scope="module")
 def small_run(synth_table):
     s = sim.two_group_scenario(2, n=800, M=2, seed=606)
-    grid = np.linspace(0.0, 5.0, 21)
-    return sim.run_aim2(s, synth_table, grid=grid, truth_draws=20_000)
+    return sim.run_aim2(s, synth_table)
 
 
 class TestTwoGroupStudy:
@@ -633,9 +635,7 @@ class TestTwoGroupStudy:
             assert small_run.sup_dev_of_mean(key) <= small_run.mean_sup_dev[key] + 1e-12
 
     def test_repeat_runs_are_identical(self, small_run, synth_table):
-        again = sim.run_aim2(
-            small_run.scenario, synth_table, grid=small_run.grid, truth_draws=20_000
-        )
+        again = sim.run_aim2(small_run.scenario, synth_table)
         assert again.analysed == small_run.analysed
         for key, val in small_run.mean_sup_dev.items():
             assert again.mean_sup_dev[key] == val
