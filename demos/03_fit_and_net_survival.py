@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from exhaz import (
-    CovariateMapping,
     ModelSpec,
     aic_compare,
     fit,
@@ -27,16 +26,15 @@ DATA = HERE / "data"
 table = load_life_table(DATA / "lifetable_synthetic.csv")
 cohort = load_patient_csv(DATA / "lung_synthetic.csv")
 print(f"cohort: n={cohort.n}, events={int(cohort.status.sum())}, "
-      f"extra columns={sorted(cohort.extras)}")
+      f"columns={list(cohort.columns)}")
 
 x_names = ("agec", "imd", "stage2", "stage3", "stage4", "cvd", "copd")
-mapping = CovariateMapping(x_names=x_names, w_names=("agec",))
 data = cohort.with_covariates(x_names, ("agec",))
 
 # 1 - classical vs gamma-frailty fits on identical covariates
 fits = []
 for frailty in ("none", "gamma"):
-    spec = ModelSpec(baseline="pgw", frailty=frailty, mapping=mapping)
+    spec = ModelSpec(baseline="pgw", frailty=frailty)
     res = fit(data, table, spec, label=frailty)
     fits.append(res)
     print(f"{frailty:>6}: loglik={res.loglik:9.3f}  aic={res.aic:9.3f}  "
@@ -63,7 +61,7 @@ for t, s in zip(grid, curve.estimate):
 
 # 4 - stage-specific curves with Monte-Carlo uncertainty bands; one call
 # evaluates each parameter draw once and shares it between the four stages
-stage = cohort.extras["stage"]
+stage = cohort.columns["stage"]
 groups = [(f"stage {label}", stage == label) for label in sorted(set(stage))]
 bands = net_survival_mc_ci(data, best, grid, groups, level=0.95, draws=500, seed=11)
 print("\n5-year net survival by stage (95% bands, 500 draws):")

@@ -39,7 +39,7 @@ from .inference import (
     wald_ci,
 )
 from .baseline import _FAMILIES
-from .model import FRAILTY_FAMILIES, CovariateMapping
+from .model import FRAILTY_FAMILIES
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -137,8 +137,7 @@ def _fit_summary(res: FitResult, level: float) -> str:
 def cmd_fit(args: argparse.Namespace) -> int:
     data = datasets.load_patient_csv(args.data).with_covariates(args.x, args.w)
     table = lt.load_life_table(args.lifetable)
-    spec = ModelSpec(args.baseline, args.frailty, CovariateMapping(args.x, args.w))
-    res = fit(data, table, spec, label=args.label)
+    res = fit(data, table, ModelSpec(args.baseline, args.frailty), label=args.label)
     out = _out_dir(args)
     _estimates_csv(out / "estimates.csv", res, args.level)
     _write_text(
@@ -159,9 +158,8 @@ def _slug(text: str) -> str:
 
 
 def _column_values(data, name: str) -> np.ndarray:
-    columns = data.columns()
-    if name in columns:
-        return np.asarray(columns[name])
+    if name in data.columns:
+        return data.columns[name]
     if name in data.stratum_names:
         return data.strata[:, data.stratum_names.index(name)]
     raise datasets.DataFormatError(f"unknown subgroup column {name!r}")

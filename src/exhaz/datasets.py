@@ -8,8 +8,9 @@ comorbidity flags.  The writers and readers here round-trip those objects.
 
 Patient CSV layout: ``time,status,<covariates...>,age,year,<stratum cols>``.
 Covariate columns that fail numeric parsing become label columns (usable for
-subgrouping but not as model covariates).  Patient files are read as life
-tables are, by ``lifetable._read_csv``, which skips blank and ``#`` lines.
+subgrouping but not as model covariates); covariates keep their file order.
+Patient files are read as life tables are, by ``lifetable._read_csv``, which
+skips blank and ``#`` lines.
 
 Every CSV the package writes goes through :func:`write_csv`: LF line
 endings, floats with 17 significant digits (an exact round trip), and an
@@ -125,10 +126,11 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
 
     Columns: standardised age ``agec``, standardised deprivation ``imd``,
     stage dummies ``stage2..stage4`` (stage I is the reference), comorbidity
-    flags ``cvd`` and ``copd``; a ``stage`` label column rides along in
-    ``extras``.  Event times follow a known excess-hazard model with gamma
-    heterogeneity on top of the synthetic background rates, with light
-    drop-out and an administrative horizon of 5 years.
+    flags ``cvd`` and ``copd`` (together the x columns, with ``agec`` the w
+    column), then a ``stage`` label column.  Event times follow a known
+    excess-hazard model with gamma heterogeneity on top of the synthetic
+    background rates, with light drop-out and an administrative horizon of
+    5 years.
     """
     if table is None:
         table = synthetic_life_table()
@@ -141,14 +143,11 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
     copd = (rng.random(n) < 0.22).astype(float)
     sex = (rng.random(n) < 0.45).astype(float)  # life-table stratum only
 
-    x = np.column_stack([
-        agec, imd,
-        (stage_idx == 1).astype(float),
-        (stage_idx == 2).astype(float),
-        (stage_idx == 3).astype(float),
-        cvd, copd,
-    ])
-    x_names = ("agec", "imd", "stage2", "stage3", "stage4", "cvd", "copd")
+    columns = {"agec": agec, "imd": imd,
+               **{f"stage{k + 1}": (stage_idx == k).astype(float) for k in (1, 2, 3)},
+               "cvd": cvd, "copd": copd}
+    x_names = tuple(columns)
+    x = np.column_stack(list(columns.values()))
     w = agec.reshape(-1, 1)
     truth = GHParams(
         theta=PGWParams(2.1, 0.95, 1.6),
@@ -164,21 +163,18 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
     t_bg = lt.sample_other_cause_time(table, age, year, strata, rng.random(n))
     t_death = np.minimum(t_event, t_bg)
     censor = np.minimum(rng.exponential(1.0 / 0.03, size=n), 5.0)
-    time = np.maximum(np.minimum(t_death, censor), 1e-12)
-    status = (t_death <= censor).astype(int)
+    columns["stage"] = np.array([STAGE_LABELS[i] for i in stage_idx], dtype=object)
 
     return Dataset(
-        time=time,
-        status=status,
-        x=x,
-        w=w,
+        time=np.minimum(t_death, censor),
+        status=(t_death <= censor).astype(int),
+        columns=columns,
         x_names=x_names,
         w_names=("agec",),
         age=age,
         year=np.full(n, year),
         strata=strata,
         stratum_names=table.stratum_schema,
-        extras={"stage": np.array([STAGE_LABELS[i] for i in stage_idx], dtype=object)},
     )
 
 
@@ -187,12 +183,11 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
 def write_patient_csv(path, data: Dataset) -> None:
     """Write a cohort in the documented patient CSV layout.
 
-    The covariate block is the ordered union of model columns and extra
-    label columns; floats carry full precision.
+    The covariate block is ``data.columns``, in its order; floats carry full
+    precision.
     """
-    pool = data.columns()
-    write_csv(path, ["time", "status", *pool, "age", "year", *data.stratum_names],
-              [data.time, data.status, *pool.values(), data.age, data.year,
+    write_csv(path, ["time", "status", *data.columns, "age", "year", *data.stratum_names],
+              [data.time, data.status, *data.columns.values(), data.age, data.year,
                *data.strata.T])
 
 
@@ -201,8 +196,9 @@ def load_patient_csv(source) -> Dataset:
 
     The header must start ``time,status`` and contain adjacent ``age,year``
     columns; anything between is a covariate, anything after is a life-table
-    stratum column.  Covariate columns that are not fully numeric become
-    label columns in ``extras``.  Blank and ``#`` lines are skipped; a repeated
+    stratum column.  Every covariate becomes a column of the cohort, in file
+    order, and every numeric one an x column; a column that is not fully
+    numeric is kept as labels.  Blank and ``#`` lines are skipped; a repeated
     name or a malformed field raises :class:`DataFormatError` naming it.
     """
     header, _, columns, lines = lt._read_csv(source, DataFormatError)
@@ -245,31 +241,28 @@ def load_patient_csv(source) -> Dataset:
     for name, col in (("age", age), ("year", year)):
         require(name, np.isfinite(col), "finite")
 
-    numeric_covs, extras = [], {}
+    covariates, x_names = {}, []
     for name, raw in zip(cov_names, columns[2:idx_age]):
         try:
             col = np.array(raw, dtype=float)
         except ValueError:
-            extras[name] = np.array([v.strip() for v in raw], dtype=object)
+            covariates[name] = np.array([v.strip() for v in raw], dtype=object)
             continue
         require(name, np.isfinite(col), "finite")
-        numeric_covs.append((name, col))
+        covariates[name] = col
+        x_names.append(name)
 
-    x_names = tuple(name for name, _ in numeric_covs)
-    x = np.column_stack([col for _, col in numeric_covs]) if numeric_covs else np.empty((n, 0))
     try:
         return Dataset(
             time=time,
             status=status_f.astype(int),
-            x=x,
-            w=np.empty((n, 0)),
+            columns=covariates,
             x_names=x_names,
             w_names=(),
             age=age,
             year=year,
             strata=lt._stripped_labels(columns[idx_age + 2 :], n),
             stratum_names=stratum_names,
-            extras=extras,
         )
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None

@@ -51,28 +51,29 @@ def _require_each(name: str, ok: np.ndarray, values: np.ndarray, rule: str) -> N
 class Dataset:
     """Column-oriented cohort data.
 
-    ``x`` holds hazard-level covariates (columns ``x_names``), ``w`` the
-    time-level covariates (a 1-D array is one column); ``age``/``year``/
-    ``strata`` form each subject's life-table key.  ``strata`` is an (n, k)
-    array of str labels, one column per name in ``stratum_names`` (n row
-    tuples convert); the life table codes each row as described in
-    :class:`~exhaz.lifetable.LifeTable`.  ``extras`` may carry additional
-    label columns (e.g. a stage label) usable for subgrouping but not
-    entering the model.  Every column has n rows, and no name repeats
-    within ``x_names`` or within ``w_names``.
+    ``columns`` maps each covariate name to its n values: numbers, or str
+    labels (e.g. a stage label) that can only split subgroups.  ``x`` stacks
+    the numeric columns ``x_names`` (hazard-level covariates) and ``w`` those
+    of ``w_names`` (time-level covariates); both are built here, and a name
+    may be in both.  ``age``/``year``/``strata`` form each subject's
+    life-table key.  ``strata`` is an (n, k) array of str labels, one column
+    per name in ``stratum_names`` (n row tuples convert); the life table
+    codes each row as described in :class:`~exhaz.lifetable.LifeTable`.
+    Every column has n rows, and no name repeats within ``x_names`` or
+    within ``w_names``.
     """
 
     time: np.ndarray
     status: np.ndarray
-    x: np.ndarray
-    w: np.ndarray
+    columns: dict
     x_names: tuple
     w_names: tuple
     age: np.ndarray
     year: np.ndarray
     strata: np.ndarray
     stratum_names: tuple = ()
-    extras: dict = field(default_factory=dict)
+    x: np.ndarray = field(init=False)
+    w: np.ndarray = field(init=False)
 
     def __post_init__(self):
         time = np.ascontiguousarray(self.time, dtype=float)
@@ -81,37 +82,38 @@ class Dataset:
         _require_each("status", (status == 0) | (status == 1), status, "0 or 1")
         status = np.ascontiguousarray(status, dtype=np.int8)
         n = time.shape[0]
-
-        def as_matrix(arr):
-            a = np.ascontiguousarray(arr, dtype=float)
-            if a.ndim == 2:
-                return a
-            return a.reshape(n, 0) if a.size == 0 else a.reshape(-1, 1)
-
-        x = as_matrix(self.x)
-        w = as_matrix(self.w)
+        columns = {}
+        for name, values in self.columns.items():
+            col = np.asarray(values)
+            if col.dtype.kind in "biuf":
+                col = np.ascontiguousarray(col, dtype=float)
+                _require_each(f"covariate {name!r}", np.isfinite(col), col, "finite")
+            if col.shape != (n,):
+                raise ValueError(f"column {name!r} must have n = {n} rows, "
+                                 f"got shape {col.shape}")
+            columns[name] = col
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "status", status)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x_names", tuple(self.x_names))
-        object.__setattr__(self, "w_names", tuple(self.w_names))
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "age", np.ascontiguousarray(self.age, dtype=float))
         object.__setattr__(self, "year", np.ascontiguousarray(self.year, dtype=float))
         object.__setattr__(self, "stratum_names", tuple(self.stratum_names))
-        if x.shape[1] != len(self.x_names) or w.shape[1] != len(self.w_names):
-            raise ValueError("covariate name lists must match matrix widths")
-        for label, block, names in (("x", x, self.x_names), ("w", w, self.w_names)):
+        for label, names in (("x", tuple(self.x_names)), ("w", tuple(self.w_names))):
             if len(set(names)) != len(names):
                 raise ValueError(f"{label}_names repeats a name: {names!r}")
-            for j, name in enumerate(names):
-                _require_each(f"covariate {name!r}", np.isfinite(block[:, j]), block[:, j],
-                              "finite")
-        columns = {name: getattr(self, name) for name in ("status", "age", "year", "x", "w")}
-        columns.update((f"extras[{name!r}]", col) for name, col in self.extras.items())
-        for name, col in columns.items():
-            if np.shape(col)[:1] != (n,):
-                raise ValueError(f"{name} must have n = {n} rows, got shape {np.shape(col)}")
+            for name in names:
+                if name not in columns:
+                    raise ValueError(f"{label}_names: unknown covariate column {name!r}")
+                if columns[name].dtype.kind != "f":
+                    raise ValueError(f"{label}_names: column {name!r} holds labels, "
+                                     "not numbers")
+            object.__setattr__(self, f"{label}_names", names)
+            object.__setattr__(self, label, np.column_stack([columns[name] for name in names])
+                               if names else np.empty((n, 0)))
+        for name in ("status", "age", "year"):
+            shape = np.shape(getattr(self, name))
+            if shape[:1] != (n,):
+                raise ValueError(f"{name} must have n = {n} rows, got shape {shape}")
         object.__setattr__(self, "strata", lt._label_array(
             self.strata, n, self.stratum_names, lambda i: f"record {i} (0-based)", ValueError))
         for arr_name in ("age", "year"):
@@ -134,32 +136,15 @@ class Dataset:
                              f"got {mask.dtype} of shape {mask.shape}")
         idx = np.nonzero(mask)[0]
         return replace(
-            self, time=self.time[idx], status=self.status[idx], x=self.x[idx],
-            w=self.w[idx], age=self.age[idx], year=self.year[idx],
-            strata=self.strata[idx],
-            extras={k: v[idx] for k, v in self.extras.items()},
+            self, time=self.time[idx], status=self.status[idx],
+            columns={name: col[idx] for name, col in self.columns.items()},
+            age=self.age[idx], year=self.year[idx], strata=self.strata[idx],
         )
-
-    def columns(self) -> dict:
-        """Every named column: x, then w, then the label extras (a later block
-        replaces an earlier column of the same name)."""
-        pool = {name: self.x[:, j] for j, name in enumerate(self.x_names)}
-        pool.update({name: self.w[:, j] for j, name in enumerate(self.w_names)})
-        pool.update(self.extras)
-        return pool
 
     def with_covariates(self, x_names, w_names) -> "Dataset":
-        """Re-select x/w columns by name from :meth:`columns`."""
-        x_names, w_names = tuple(x_names), tuple(w_names)
-        pool = self.columns()
-        for name in x_names + w_names:
-            if name not in pool:
-                raise ValueError(f"unknown covariate column {name!r}")
-        stack = lambda names: (
-            np.column_stack([pool[n] for n in names]) if names else np.empty((self.n, 0))
-        )
-        return replace(self, x=stack(x_names), w=stack(w_names),
-                       x_names=x_names, w_names=w_names)
+        """The cohort with ``x`` and ``w`` built from the columns ``x_names``
+        and ``w_names``."""
+        return replace(self, x_names=x_names, w_names=w_names)
 
     def fingerprint(self) -> str:
         """Stable hash of the observations; used to guard AIC comparisons.

@@ -29,9 +29,10 @@ then splits the batch's draws between up to ``_MAX_WORKERS`` workers, one
 per CPU the process may run on: the calling thread and a pool of threads.
 numpy releases the GIL inside the block operations.  Each worker owns a
 work array and writes the group means of its draws, a disjoint set, into
-their own rows.  Non-finite draws are then rejected in draw order, so the
-kept draws, ``rejected_draws`` and every band are the same bytes for any
-number of workers.  Workers call only untraced helpers
+their own rows; a draw outside the parameter range is written as NaN.
+Non-finite draws are then rejected in draw order, so the kept draws,
+``rejected_draws`` and every band are the same bytes for any number of
+workers.  Workers call only untraced helpers
 (``_individual_curves``, ``_group_means``), never ``_curve_values``: the
 benchmark's tracer wraps calls with one stack of open spans, which spans
 opened from several threads would corrupt.
@@ -72,7 +73,8 @@ class NetSurvivalCurve:
     """Averaged net-survival estimates on a time grid, with optional bands.
 
     ``rejected_draws`` counts the Monte-Carlo parameter draws dropped from
-    the bands because some group's curve was non-finite.
+    the bands because they left the parameter range or some group's curve
+    was non-finite.
     """
 
     time: np.ndarray
@@ -188,6 +190,15 @@ def _worker_count() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
+def _draw_params(psi, fam, frailty: str, p_t: int, p: int):
+    """``_unpack`` of one band draw, or None when the draw leaves the parameter
+    range: a log-scale entry overflows, or a parameter block refuses 0 or inf."""
+    try:
+        return _unpack(psi, fam, frailty, p_t, p)
+    except (OverflowError, ValueError):
+        return None
+
+
 def _fill_draws(x, w, grid, rows, params, dest, work, draw_ids) -> None:
     """Write the group means of draw ``params[k] = (g, fr)`` into ``dest[k]``
     for each k in ``draw_ids``, building each draw's curves in ``work``.
@@ -197,6 +208,9 @@ def _fill_draws(x, w, grid, rows, params, dest, work, draw_ids) -> None:
     """
     with np.errstate(all="ignore"):
         for k in draw_ids:
+            if params[k] is None:  # outside the parameter range: rejected
+                dest[k] = np.nan
+                continue
             g, fr = params[k]
             dest[k] = _group_means(_individual_curves(x, w, grid, g, fr, work), rows)
 
@@ -207,7 +221,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     """Net-survival curves for groups of rows, optionally with Monte-Carlo bands.
 
     ``groups`` is a sequence of ``(label, mask)`` pairs, one curve each, in
-    order; a mask is a boolean array of length n (e.g. ``data.extras["stage"]
+    order; a mask is a boolean array of length n (e.g. ``data.columns["stage"]
     == "I"``) and ``None`` picks every row.  ``groups=None`` means
     ``[("population", None)]``.
 
@@ -215,12 +229,13 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     parameter vectors are sampled from N(psi_hat, covariance) on the
     transformed scale, every group's curve is recomputed from each draw in
     one pass, and the bands are the empirical (1-level)/2 and (1+level)/2
-    quantiles per grid point.  A draw whose curve is non-finite for any
-    group is rejected for all of them, so every band rests on the same
-    draws; rejected draws are resampled, up to ten times the requested
-    count, and each banded curve's ``rejected_draws`` counts them.  A
-    covariance without a Cholesky factor raises ``LinAlgError``, a
-    ``ValueError``.
+    quantiles per grid point.  A draw that leaves the parameter range (a
+    log-scale entry whose exp overflows, or a parameter of 0 or inf), or
+    whose curve is non-finite for any group, is rejected for all groups, so
+    every band rests on the same draws; rejected draws are resampled, up to
+    ten times the requested count, and each banded curve's
+    ``rejected_draws`` counts them.  A covariance without a Cholesky factor
+    raises ``LinAlgError``, a ``ValueError``.
     """
     if draws != 0 and draws < 100:
         raise ValueError(f"draws must be 0 (no bands) or at least 100, got {draws}")
@@ -259,7 +274,7 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
             batch = min(draws - n_kept, cap - attempted)
             z = rng.standard_normal((batch, fit.psi.shape[0]))
             psis = fit.psi[None, :] + z @ chol.T
-            params = [_unpack(row, fam, fit.spec.frailty, p_t, p) for row in psis]
+            params = [_draw_params(row, fam, fit.spec.frailty, p_t, p) for row in psis]
             # the batch fits in the rows not yet kept; its finite draws are
             # moved up over the rejected ones, in draw order
             dest = kept[n_kept:n_kept + batch]

@@ -29,8 +29,7 @@ from . import lifetable as lt
 from .baseline import get_family
 from .datasets import _stratum_labels, write_csv
 from .inference import Dataset, ModelSpec, _param_names, fit
-from .model import (B_ZERO_THRESHOLD, CovariateMapping, FrailtySpec, GHParams,
-                    simulate_event_time)
+from .model import B_ZERO_THRESHOLD, FrailtySpec, GHParams, simulate_event_time
 from .netsurvival import NetSurvivalCurve, _curve_values, default_grid
 
 Z975 = 1.959963984540054
@@ -409,7 +408,8 @@ def generate_cohort(s, replicate_seed, table: lt.LifeTable) -> Dataset:
     Call ``resolve_dropout(s, table)`` once, then draw any number of
     replicates.  ``replicate_seed`` may be an integer or a ``SeedSequence``
     child.  The observed time is ``min(event, other-cause, drop-out, admin)``
-    and the status flag is the all-cause death indicator.
+    and the status flag is the all-cause death indicator; a time that is not
+    positive raises ``ValueError`` naming its record.
     """
     if s.dropout_rate is None:
         raise ValueError("dropout_rate is unresolved: call resolve_dropout(s, table) first")
@@ -421,14 +421,11 @@ def generate_cohort(s, replicate_seed, table: lt.LifeTable) -> Dataset:
         )
     else:
         censor = np.full(s.n, s.admin_censor)
-    time = np.maximum(np.minimum(t_death, censor), 1e-12)
-    status = (t_death <= censor).astype(int)
     names = s.covariate_names
     return Dataset(
-        time=time,
-        status=status,
-        x=x,
-        w=x.copy(),
+        time=np.minimum(t_death, censor),
+        status=(t_death <= censor).astype(int),
+        columns=dict(zip(names, x.T)),
         x_names=names,
         w_names=names,
         age=age,
@@ -605,10 +602,9 @@ def run_aim1(s: Scenario, table: lt.LifeTable, *, fit_both: bool = False) -> Aim
         raise ValueError("the recovery study needs a scenario with one truth group")
     s = resolve_dropout(s, table)
     names = s.covariate_names
-    mapping = CovariateMapping(names, names)
-    specs = {"main": ModelSpec(s.baseline, s.frailty_family, mapping)}
+    specs = {"main": ModelSpec(s.baseline, s.frailty_family)}
     if fit_both:
-        specs["alt"] = ModelSpec(s.baseline, "none", mapping)
+        specs["alt"] = ModelSpec(s.baseline, "none")
     nat_true, trans_true = _true_vectors(s)
     grid = default_grid()
     zero = np.zeros((1, len(names)))
@@ -729,20 +725,17 @@ def run_aim2(s: Scenario, table: lt.LifeTable) -> Aim2Result:
     s = resolve_dropout(s, table)
     grid = default_grid()
     truth = {label: curve.estimate for label, curve in two_group_true_curves(s, grid).items()}
-    models = {"classical": "none", "frailty": "gamma"}
-
-    def spec(d, frailty):
-        return ModelSpec("pgw", frailty, CovariateMapping(d.x_names, d.w_names))
+    specs = {"classical": ModelSpec("pgw", "none"), "frailty": ModelSpec("pgw", "gamma")}
 
     def designs(data):
         pooled = data.with_covariates(s.covariate_names[:2], s.covariate_names[:2])
         group = s.group_of(data.x)
         strata = [data.subset(group == g).with_covariates(("agec",), ("agec",))
                   for g in range(2)]
-        out = {("pooled", model, "population"): (pooled, spec(pooled, fr))
-               for model, fr in models.items()}
-        out.update({("stratified", model, label): (strata[g], spec(strata[g], fr))
-                    for model, fr in models.items()
+        out = {("pooled", model, "population"): (pooled, spec)
+               for model, spec in specs.items()}
+        out.update({("stratified", model, label): (strata[g], spec)
+                    for model, spec in specs.items()
                     for g, label in enumerate(s.group_labels)})
         return out
 

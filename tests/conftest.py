@@ -41,7 +41,6 @@ def random_dataset(n, p, p_t, seed, with_strata=True, year=2012.0, status_rate=0
     """Arbitrary small cohort for likelihood-level tests (not model-simulated)."""
     r = np.random.default_rng(seed)
     x = r.normal(size=(n, p)) * 0.5
-    w = x[:, :p_t].copy()
     time = np.clip(r.gamma(2.0, 1.5, size=n), 0.05, 12.0)
     status = (r.random(n) < status_rate).astype(int)
     age = r.uniform(52, 80, size=n)
@@ -49,8 +48,7 @@ def random_dataset(n, p, p_t, seed, with_strata=True, year=2012.0, status_rate=0
     return inf.Dataset(
         time=time,
         status=status,
-        x=x,
-        w=w,
+        columns={f"x{i}": x[:, i] for i in range(p)},
         x_names=tuple(f"x{i}" for i in range(p)),
         w_names=tuple(f"x{i}" for i in range(p_t)),
         age=age,
@@ -72,8 +70,7 @@ def simulate_ph_cohort(n, theta, beta, b, seed, admin=5.0):
     return inf.Dataset(
         time=np.minimum(t, admin),
         status=(t <= admin).astype(int),
-        x=x,
-        w=np.empty((n, 0)),
+        columns={"x0": x[:, 0], "x1": x[:, 1]},
         x_names=("x0", "x1"),
         w_names=(),
         age=np.full(n, 60.0),

@@ -20,6 +20,7 @@ from exhaz import simulation as sim
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def _scipy_after(argv, cwd) -> str:
@@ -99,6 +100,18 @@ class TestFit:
         ])
         assert code == 3
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--x", "--w"])
+    def test_a_label_column_is_refused_by_name(self, tmp_path, capsys, flag):
+        # the fit used to exit 3 with numpy's "could not convert string to
+        # float: 'IV'", naming no column
+        code = cli.main(["fit", "--data", str(BUNDLED / "lung_synthetic.csv"),
+                         "--lifetable", str(BUNDLED / "lifetable_synthetic.csv"),
+                         flag, "stage", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]}_names: column 'stage' holds labels, not numbers\n")
+        assert not (tmp_path / "o").exists()
 
     def test_stratum_column_must_match_the_table(self, inputs, tmp_path, capsys):
         lines = inputs["data"].read_text().splitlines(True)
@@ -511,6 +524,41 @@ class TestNetsurv:
         assert (tmp_path / "poisoned" / "curves.csv").exists()
 
 
+class TestOutOfRangeDraws:
+    """Band draws of a gamma fit of the bundled cohort whose variance of one
+    log-scale entry is scaled up: some draws leave the parameter range."""
+
+    @pytest.fixture(scope="class")
+    def saved_fit(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("out-of-range")
+        assert cli.main(["fit", "--data", str(BUNDLED / "lung_synthetic.csv"),
+                         "--lifetable", str(BUNDLED / "lifetable_synthetic.csv"),
+                         "--frailty", "gamma", "--x", "agec,imd", "--w", "agec",
+                         "--out", str(out)]) == 0
+        return json.loads((out / "fit.json").read_text())
+
+    @pytest.mark.parametrize("entry, factor", [("log_b", 1e7), ("log_gamma", 1e6)])
+    def test_draws_outside_the_range_are_rejected(self, saved_fit, tmp_path, capsys,
+                                                  entry, factor):
+        # log_b: math.exp of a draw overflowed, an uncaught OverflowError;
+        # log_gamma: a draw below -745 gave gamma = 0.0, which PGWParams refuses,
+        # and the command exited 3
+        payload = json.loads(json.dumps(saved_fit))
+        j = payload["transformed_names"].index(entry)
+        payload["covariance"][j][j] *= factor
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["netsurv", "--data", str(BUNDLED / "lung_synthetic.csv"),
+                         "--fit", str(path), "--draws", "100", "--seed", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+        err = capsys.readouterr().err
+        rejected = int(err.split()[1])
+        assert rejected > 0 and err == (
+            f"rejected {rejected} of {100 + rejected} parameter draws\n")
+        assert (tmp_path / "o" / "curves.csv").exists()
+
+
 class TestGridParsing:
     def test_accepts_start_stop_count(self):
         np.testing.assert_allclose(cli._parse_grid("0:5:11"), np.linspace(0, 5, 11))
@@ -540,6 +588,20 @@ class TestSimulate:
         assert cohort.n == 120
         assert set(np.unique(cohort.status)) <= {0, 1}
         assert cohort.x_names == ("agec", "sex", "x1", "x2")
+
+    def test_a_zero_time_is_an_input_error(self, tmp_path, capsys):
+        # beta = 1e300 makes an excess hazard overflow and an event time 0;
+        # a silent floor used to write such times as 1e-12 and exit 0
+        path = tmp_path / "huge.ini"
+        sim.save_scenario(path, sim.sc1_scenario(n=120, M=1))
+        path.write_text("".join("beta = 1e300, 1.0, 1.0, 1.0\n" if line.startswith("beta = ")
+                                else line for line in path.read_text().splitlines(True)))
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: record ")
+        assert err.endswith(" (0-based): time must be positive and finite, got 0.0\n")
+        assert not (tmp_path / "o" / "cohort.csv").exists()
 
     def test_rerun_is_byte_identical(self, scenario_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -14,7 +14,6 @@ from exhaz import netsurvival as ns
 from exhaz import simulation as sim
 from exhaz.baseline import PGWParams
 from exhaz.inference import Dataset, ModelSpec, fit
-from exhaz.model import CovariateMapping
 
 from conftest import simulate_ph_cohort
 
@@ -80,10 +79,10 @@ class TestSyntheticLungCohort:
                                 "cvd", "copd")
         assert lung.w_names == ("agec",)
         np.testing.assert_array_equal(lung.w[:, 0], lung.x[:, 0])
-        assert set(lung.extras["stage"]) <= set(datasets.STAGE_LABELS)
+        assert set(lung.columns["stage"]) <= set(datasets.STAGE_LABELS)
         # Stage dummies agree with the label column (stage I = all zeros).
         dummies = lung.x[:, 2:5]
-        labels = lung.extras["stage"]
+        labels = lung.columns["stage"]
         assert np.all((dummies.sum(axis=1) == 0) == (labels == "I"))
 
     def test_deterministic(self, synth_table):
@@ -113,7 +112,7 @@ class TestPatientCsv:
         np.testing.assert_array_equal(loaded.year, lung.year)
         np.testing.assert_array_equal(loaded.strata, lung.strata)
         assert loaded.stratum_names == lung.stratum_names
-        assert list(loaded.extras["stage"]) == list(lung.extras["stage"])
+        assert list(loaded.columns["stage"]) == list(lung.columns["stage"])
         assert loaded.w.shape == (lung.n, 0)
 
     @pytest.mark.parametrize("names", [(), ("sex", "region")], ids=["none", "two"])
@@ -127,7 +126,7 @@ class TestPatientCsv:
         strata = np.array([["0", "north"], ["1", "south"], ["1", "north"], ["0", "south"],
                            ["0", "north"], ["1", "north"], ["1", "south"]])[:, :k]
         cohort = Dataset(time=np.linspace(0.5, 3.5, n), status=np.arange(n) % 2,
-                         x=np.linspace(-1.0, 1.0, n), w=np.empty((n, 0)), x_names=("z",),
+                         columns={"z": np.linspace(-1.0, 1.0, n)}, x_names=("z",),
                          w_names=(), age=np.full(n, 60.5), year=np.full(n, 2010.25),
                          strata=strata, stratum_names=names)
         for write, load, obj in ((datasets.write_life_table_csv, lt.load_life_table, table),
@@ -233,11 +232,21 @@ class TestPatientCsv:
         loaded = datasets.load_patient_csv(io.StringIO(text))
         assert loaded.x_names == ("sex",) and loaded.stratum_names == ("sex",)
 
+    def test_a_label_column_before_a_numeric_one_keeps_its_place(self, tmp_path):
+        # the writer put the x columns first, so stage moved behind z
+        text = ("time,status,stage,z,age,year,sex\n0.5,1,I,0.5,60,2010,0\n"
+                "1.25,0,IV,-2,61.5,2011,1\n")
+        (tmp_path / "a.csv").write_text(text)
+        loaded = datasets.load_patient_csv(tmp_path / "a.csv")
+        assert list(loaded.columns) == ["stage", "z"] and loaded.x_names == ("z",)
+        datasets.write_patient_csv(tmp_path / "b.csv", loaded)
+        assert (tmp_path / "b.csv").read_text() == text
+
     def test_partially_numeric_column_becomes_labels(self):
         text = "time,status,z,age,year\n1.0,1,1.5,60,2012\n2.0,0,oops,61,2012\n"
         loaded = datasets.load_patient_csv(io.StringIO(text))
         assert loaded.x_names == ()
-        assert list(loaded.extras["z"]) == ["1.5", "oops"]
+        assert list(loaded.columns["z"]) == ["1.5", "oops"]
 
     @pytest.mark.parametrize(
         "text, match",
@@ -426,12 +435,11 @@ class TestStageSubgroupBands:
         # Registry-scale cohort: the 95% band for the best-prognosis stage
         # should be a few percentage points wide one year in.
         data = datasets.synthetic_lung_cohort(14_000, seed=2012, table=synth_table)
-        spec = ModelSpec("pgw", "gamma", CovariateMapping(data.x_names, ("agec",)))
-        res = fit(data, synth_table, spec)
+        res = fit(data, synth_table, ModelSpec("pgw", "gamma"))
         assert res.convergence.converged and res.se_valid
         grid = np.array([0.0, 1.0, 2.0])
         (curve,) = ns.net_survival_mc_ci(
-            data, res, grid, [("stage=I", data.extras["stage"] == "I")], draws=400, seed=7,
+            data, res, grid, [("stage=I", data.columns["stage"] == "I")], draws=400, seed=7,
         )
         width = curve.upper - curve.lower
         assert width[0] == 0.0

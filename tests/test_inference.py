@@ -40,8 +40,7 @@ def one_record_dataset(time, status, table_year=2012.0):
     return inf.Dataset(
         time=[time],
         status=[status],
-        x=np.empty((1, 0)),
-        w=np.empty((1, 0)),
+        columns={},
         x_names=(),
         w_names=(),
         age=[60.0],
@@ -173,8 +172,7 @@ class TestLoglikOracles:
         shuffled = inf.Dataset(
             time=data.time[perm],
             status=data.status[perm],
-            x=data.x[perm],
-            w=data.w[perm],
+            columns={name: col[perm] for name, col in data.columns.items()},
             x_names=data.x_names,
             w_names=data.w_names,
             age=data.age[perm],
@@ -276,8 +274,7 @@ class TestFit:
         scaled = inf.Dataset(
             time=data.time,
             status=data.status,
-            x=data.x * np.array([10.0, 1.0]),
-            w=data.w,
+            columns={"x0": data.columns["x0"] * 10.0, "x1": data.columns["x1"]},
             x_names=data.x_names,
             w_names=data.w_names,
             age=data.age,
@@ -295,8 +292,7 @@ class TestFit:
             inf.fit(
                 inf.Dataset(
                     time=np.empty(0), status=np.empty(0, dtype=int),
-                    x=np.empty((0, 1)), w=np.empty((0, 0)),
-                    x_names=("x0",), w_names=(), age=np.empty(0),
+                    columns={"x0": np.empty(0)}, x_names=("x0",), w_names=(), age=np.empty(0),
                     year=np.empty(0), strata=(),
                 ),
                 zero_table,
@@ -305,7 +301,7 @@ class TestFit:
         data = simulate_ph_cohort(40, PGWParams(1.5, 1.1, 1.3), np.array([0.0, 0.0]),
                                   b=0.0, seed=19)
         no_events = inf.Dataset(
-            time=data.time, status=np.zeros(40, dtype=int), x=data.x, w=data.w,
+            time=data.time, status=np.zeros(40, dtype=int), columns=data.columns,
             x_names=data.x_names, w_names=data.w_names, age=data.age,
             year=data.year, strata=data.strata,
         )
@@ -610,21 +606,38 @@ class TestDatasetUtilities:
         np.testing.assert_array_equal(out.x[:, 0], data.x[:, 2])
         np.testing.assert_array_equal(out.x[:, 1], data.x[:, 0])
         np.testing.assert_array_equal(out.w[:, 0], data.x[:, 1])
-        with pytest.raises(ValueError, match="unknown covariate"):
+        with pytest.raises(ValueError) as info:
             data.with_covariates(("nope",), ())
+        assert str(info.value) == "x_names: unknown covariate column 'nope'"
 
-    def test_extras_survive_subsetting(self):
-        data = random_dataset(20, p=1, p_t=0, seed=27)
+    def test_columns_survive_subsetting(self):
+        data = random_dataset(20, p=2, p_t=1, seed=27)
         stage = np.array(["I"] * 10 + ["II"] * 10)
-        with_extra = dataclasses.replace(data, extras={"stage": stage})
-        sub = with_extra.subset(stage == "II")
-        assert list(sub.extras["stage"]) == ["II"] * 10
+        with_label = dataclasses.replace(data, columns={**data.columns, "stage": stage})
+        sub = with_label.subset(stage == "II")
+        assert list(sub.columns) == ["x0", "x1", "stage"]
+        assert list(sub.columns["stage"]) == ["II"] * 10
+        np.testing.assert_array_equal(sub.columns["x1"], data.columns["x1"][10:])
+        np.testing.assert_array_equal(sub.x, data.x[10:])
+        np.testing.assert_array_equal(sub.w, data.w[10:])
+
+    @pytest.mark.parametrize("label", ["x", "w"])
+    def test_a_label_column_is_refused_as_a_covariate(self, label):
+        # np.column_stack of the pool raised numpy's "could not convert string
+        # to float", naming no column
+        data = random_dataset(4, p=1, p_t=0, seed=27)
+        data = dataclasses.replace(data, columns={**data.columns,
+                                                  "stage": np.array(["I", "IV"] * 2)})
+        names = {"x": (("stage",), ()), "w": (("x0",), ("stage",))}[label]
+        with pytest.raises(ValueError) as info:
+            data.with_covariates(*names)
+        assert str(info.value) == f"{label}_names: column 'stage' holds labels, not numbers"
 
     def test_strata_are_one_label_array(self):
         data = random_dataset(6, p=1, p_t=0, seed=29)
         assert data.strata.shape == (6, 1) and data.strata.dtype.kind == "U"
         np.testing.assert_array_equal(data.subset([True, False] * 3).strata, data.strata[::2])
-        rows = inf.Dataset(**{**vars(data), "strata": [tuple(row) for row in data.strata]})
+        rows = dataclasses.replace(data, strata=[tuple(row) for row in data.strata])
         np.testing.assert_array_equal(rows.strata, data.strata)
         assert rows.fingerprint() == data.fingerprint()
 
@@ -644,23 +657,22 @@ class TestDatasetUtilities:
         # its header names, or drop labels: a file that its own reader refuses
         n = max(len(strata), 2)
         with pytest.raises(ValueError) as info:
-            inf.Dataset(time=np.ones(n), status=np.zeros(n, dtype=int), x=np.empty((n, 0)),
-                        w=np.empty((n, 0)), x_names=(), w_names=(), age=np.full(n, 60.0),
+            inf.Dataset(time=np.ones(n), status=np.zeros(n, dtype=int), columns={},
+                        x_names=(), w_names=(), age=np.full(n, 60.0),
                         year=np.full(n, 2012.0), strata=strata, stratum_names=("sex",))
         assert str(info.value) == message
 
     def test_nul_in_a_label_is_refused(self):
         # numpy's str dtype would drop the trailing NUL and store sex '1'
         with pytest.raises(ValueError) as info:
-            inf.Dataset(time=[1.0], status=[1], x=np.empty((1, 0)), w=np.empty((1, 0)),
-                        x_names=(), w_names=(), age=[60.0], year=[2012.0],
+            inf.Dataset(time=[1.0], status=[1], columns={}, x_names=(), w_names=(),
+                        age=[60.0], year=[2012.0],
                         strata=[("1\x00",)], stratum_names=("sex",))
         assert str(info.value) == "record 0 (0-based): sex label '1\\x00' has a NUL character"
 
     def test_empty_dataset_with_strata_reaches_the_fit(self, sex_table):
-        empty = inf.Dataset(time=np.empty(0), status=np.empty(0, dtype=int),
-                            x=np.empty((0, 0)), w=np.empty((0, 0)), x_names=(), w_names=(),
-                            age=np.empty(0), year=np.empty(0), strata=(),
+        empty = inf.Dataset(time=np.empty(0), status=np.empty(0, dtype=int), columns={},
+                            x_names=(), w_names=(), age=np.empty(0), year=np.empty(0), strata=(),
                             stratum_names=("sex",))
         assert empty.strata.shape == (0, 1)
         with pytest.raises(ValueError, match="dataset is empty"):
@@ -683,28 +695,32 @@ class TestDatasetUtilities:
         ("year", math.inf, "year must be finite, got inf"),
     ])
     def test_errors_name_the_record_and_column(self, column, value, message):
+        # "x"/"w": the last column that x_names/w_names pick
         data = random_dataset(5, p=2, p_t=1, seed=28)
-        values = np.array(getattr(data, column), dtype=float)
-        if values.ndim == 2:
-            values[3, -1] = value
-        else:
+        if column in ("x", "w"):
+            name = getattr(data, f"{column}_names")[-1]
+            values = data.columns[name].copy()
             values[3] = value
+            change = {"columns": {**data.columns, name: values}}
+        else:
+            values = np.array(getattr(data, column), dtype=float)
+            values[3] = value
+            change = {column: values}
         with pytest.raises(ValueError) as info:
-            dataclasses.replace(data, **{column: values})
+            dataclasses.replace(data, **change)
         assert str(info.value) == f"record 3 (0-based): {message}"
 
-    @pytest.mark.parametrize("column, value, message", [
-        ("x", np.zeros((3, 1)), "x must have n = 2 rows, got shape (3, 1)"),
-        ("x", np.zeros(3), "x must have n = 2 rows, got shape (3, 1)"),
-        ("w", np.zeros((1, 1)), "w must have n = 2 rows, got shape (1, 1)"),
-        ("extras", {"stage": np.array(["I", "II", "I"])},
-         "extras['stage'] must have n = 2 rows, got shape (3,)"),
-    ], ids=["x", "x-one-dimensional", "w", "extras"])
-    def test_a_column_of_another_row_count_is_refused(self, column, value, message):
+    @pytest.mark.parametrize("name, value, w_names, message", [
+        ("x0", np.zeros(3), (), "column 'x0' must have n = 2 rows, got shape (3,)"),
+        ("v", np.zeros(1), ("v",), "column 'v' must have n = 2 rows, got shape (1,)"),
+        ("stage", np.array(["I", "II", "I"]), (),
+         "column 'stage' must have n = 2 rows, got shape (3,)"),
+    ], ids=["x", "w", "labels"])
+    def test_a_column_of_another_row_count_is_refused(self, name, value, w_names, message):
         # an x of 3 rows beside n = 2 was accepted, and fit then raised IndexError
-        data = random_dataset(2, p=1, p_t=1, seed=30)
+        data = random_dataset(2, p=1, p_t=0, seed=30)
         with pytest.raises(ValueError) as info:
-            dataclasses.replace(data, **{column: value})
+            dataclasses.replace(data, columns={**data.columns, name: value}, w_names=w_names)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("x_names, w_names, message", [

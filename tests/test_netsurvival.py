@@ -67,8 +67,7 @@ class TestPointCurves:
         data = inf.Dataset(
             time=[5.0, 5.0],
             status=[1, 1],
-            x=np.array([[-10.0, 0.0], [10.0, 0.0]]),
-            w=np.empty((2, 0)),
+            columns={"x0": [-10.0, 10.0], "x1": [0.0, 0.0]},
             x_names=("x0", "x1"),
             w_names=(),
             age=[60.0, 60.0],
@@ -343,6 +342,32 @@ class TestMonteCarloBands:
         with_all = np.stack([v[0] for v in returned.values()])
         assert not np.array_equal(pop.lower, np.quantile(with_all, tail, axis=0))
 
+    def test_draws_outside_the_parameter_range_are_rejected(self, cohort, fit_gamma,
+                                                            monkeypatch):
+        # log gamma and log b drawn with sd 1000: exp of an entry above 709
+        # overflows, and below -745 gives a PGW gamma of 0, which PGWParams
+        # refuses; either error used to abort the band
+        var = np.diag(fit_gamma.covariance).copy()
+        var[[2, -1]] = 1000.0**2
+        wide = dataclasses.replace(fit_gamma, covariance=np.diag(var))
+        real = ns._draw_params
+        outcomes = []
+
+        def classify(psi, *args):
+            try:
+                inf._unpack(psi, *args)
+            except (OverflowError, ValueError) as exc:
+                outcomes.append(type(exc).__name__)
+            else:
+                outcomes.append("ok")
+            return real(psi, *args)
+
+        monkeypatch.setattr(ns, "_draw_params", classify)
+        (curve,) = ns.net_survival_mc_ci(cohort, wide, draws=100, seed=16)
+        assert {"OverflowError", "ValueError"} <= set(outcomes)
+        assert curve.rejected_draws == len(outcomes) - 100
+        assert curve.rejected_draws >= len(outcomes) - outcomes.count("ok")
+
     def test_errors(self, cohort, fit_gamma):
         for draws in (50, -5, 1):
             with pytest.raises(ValueError, match=f"draws must be 0 .* at least 100, got {draws}"):
@@ -375,7 +400,7 @@ class TestBandWorkers:
     @pytest.mark.parametrize("frailty", ["none", "gamma", "ig"])
     def test_bands_do_not_depend_on_the_worker_count(self, cohort, fit_classical, theta,
                                                      frailty, monkeypatch):
-        data = dataclasses.replace(cohort, w=cohort.x[:, :1], w_names=("x0",))
+        data = cohort.with_covariates(cohort.x_names, ("x0",))
         fit = _wide_alpha_fit(fit_classical, theta, frailty)
         men = cohort.x[:, 1] == 1.0
         groups = [("population", None), ("men", men), ("women", ~men)]
