@@ -68,6 +68,8 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError(f"grid {text!r}: {name} is {value}")
     if count < 2 or stop <= start or start < 0.0:
         raise ValueError(f"grid {text!r} must satisfy 0 <= start < stop, count >= 2")
+    if count > 10**5:  # refused before linspace allocates it
+        raise ValueError(f"--grid {text!r}: count {count} is above the cap of 100000 points")
     return np.linspace(start, stop, count)
 
 

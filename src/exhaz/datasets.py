@@ -160,7 +160,9 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
 
     year = 2012.0
     strata = _stratum_labels(sex[:, None])
-    t_bg = lt.sample_other_cause_time(table, age, year, strata, rng.random(n))
+    # every censoring time is at most 5 years, so a later death changes nothing
+    t_bg = lt.sample_other_cause_time(table, age, year, strata, rng.random(n),
+                                      before=np.minimum(t_event, 5.0))
     t_death = np.minimum(t_event, t_bg)
     censor = np.minimum(rng.exponential(1.0 / 0.03, size=n), 5.0)
     columns["stage"] = np.array([STAGE_LABELS[i] for i in stage_idx], dtype=object)

@@ -7,7 +7,10 @@ floor semantics, clamping at the table edges.
 
 One vectorised sampler, :func:`sample_other_cause_time`, inverts many subjects'
 cumulative hazards at once.  A draw past the table's declared coverage becomes
-``+inf``; simulated cohorts refuse follow-up that outlives the coverage.
+``+inf``; simulated cohorts refuse follow-up that outlives the coverage.  Its
+``before`` contract: a draw later than ``before[i]`` may come back ``+inf``
+(such a subject is screened out by a rate bound, never inverted), and every
+other draw is exact to the bit.
 
 CSV format: header ``age,year,<stratum columns...>,rate``; one row per grid
 cell.  :func:`_read_csv`, which reads patient files too, skips blank and ``#`` lines.
@@ -298,25 +301,51 @@ def pop_cum_hazard(table: LifeTable, key: LifeTableKey, t):
     return out
 
 
-def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u) -> np.ndarray:
+def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u,
+                            before=None) -> np.ndarray:
     """Other-cause death times of subjects diagnosed in calendar ``year``, one draw ``u`` each.
 
     ``strata`` is an (n, k) array (or n row tuples) of the subjects' stratum labels.
     Each time solves ``pop_cum_hazard(t) = -log(1-u)`` exactly.  A draw that
     outlives the table's declared coverage (until age or year leaves its last
     band) becomes ``+inf``; simulated cohorts keep follow-up inside coverage.
+
+    ``before`` (a scalar or one value per subject; None or non-finite means
+    the coverage) marks the time after which a caller ignores the draw: a
+    draw later than ``before[i]`` may come back ``+inf``.  Every other draw
+    keeps every bit of its exact time.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-    # math.log1p, not np.log1p, which differs from it in the last bit on some u
-    target = np.array([-math.log1p(-v) for v in u.tolist()])
     ages = np.asarray(ages, dtype=float)
     codes = table.stratum_codes(strata)
-    out = np.empty(len(u))
-    for lo in range(0, len(u), _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        out[b] = _invert_rows(table, ages[b], year, codes[b], target[b])
+    bad = np.flatnonzero(~np.isfinite(ages))
+    if bad.size:
+        raise ValueError(f"record {bad[0]} (0-based): age {ages[bad[0]]} is not finite")
+    if not math.isfinite(year):
+        raise ValueError(f"year {year} is not finite")
+    # screen: over [0, stop] the cumulative hazard is at most stop * r_max, with
+    # r_max the largest rate of any year and stratum in the age bands floor(age)
+    # to floor(age + stop) + 1 (the extra band absorbs the rounding of the
+    # knots); a target above that, with a margin for rounding, is reached later
+    horizon = np.minimum(table.age_range[1] + 1 - ages, table.year_range[1] + 1 - year)
+    before = np.asarray(np.inf if before is None else before, dtype=float)
+    stop = np.maximum(np.where(np.isfinite(before), np.minimum(before, horizon), horizon), 0.0)
+    a0, n_bands = table.age_range[0], table._grid.shape[0]
+    first = np.clip(np.floor(ages) - a0, 0, n_bands - 1)
+    end = np.clip(np.floor(ages + stop) + 2 - a0, 1, n_bands)
+    # the even entries reduce band_max[first:end], first < end; the odd ones are discarded
+    band_max = np.append(table._grid.max(axis=(1, 2)), 0.0)
+    bounds = np.column_stack((first, end)).astype(np.intp).ravel()
+    r_max = np.maximum.reduceat(band_max, bounds)[::2]
+    rows = np.flatnonzero(-np.log1p(-u) <= stop * r_max * (1.0 + 1e-9))
+    # math.log1p, not np.log1p, which differs from it in the last bit on some u
+    target = np.array([-math.log1p(-v) for v in u[rows].tolist()])
+    out = np.full(len(u), np.inf)
+    for lo in range(0, len(rows), _BLOCK):
+        b = rows[lo:lo + _BLOCK]
+        out[b] = _invert_rows(table, ages[b], year, codes[b], target[lo:lo + _BLOCK])
     return out
 
 

@@ -253,6 +253,10 @@ def simulate_event_time(u, x, w, g: GHParams, lam=1.0):
     if np.any(lam <= 0.0):
         raise ValueError("frailty value must be positive")
     eta_w, eta_x = _effects(g, x, w)
-    q = -np.log1p(-u) * np.exp(eta_w - eta_x) / lam
+    # an overflowing e^{w'alpha - x'beta} gives q = inf and quantile(inf) = inf, the
+    # exact no-excess-death limit; an underflowing one gives time 0, which Dataset
+    # refuses naming the record
+    with np.errstate(over="ignore"):
+        q = -np.log1p(-u) * np.exp(eta_w - eta_x) / lam
     fam = family_of_params(g.theta)
     return fam.quantile(q, g.theta) * np.exp(-eta_w)

@@ -156,6 +156,8 @@ class Scenario:
     def __post_init__(self):
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be positive")
+        if self.n > 10**7:  # refused before any cohort array is allocated
+            raise ValueError(f"n = {self.n} is above the cap of 10000000 subjects")
         if not 0.0 < self.admin_censor < math.inf:
             raise ValueError(f"admin_censor must be positive and finite, got {self.admin_censor!r}")
         if not math.isfinite(self.year):
@@ -318,7 +320,9 @@ def _all_cause_latent(s, rng: np.random.Generator, n: int, table: lt.LifeTable):
         if name not in names:
             raise ValueError(f"life-table stratum column {name!r} has no matching covariate")
     strata = _stratum_labels(x[:, [names.index(name) for name in table.stratum_schema]])
-    tp = lt.sample_other_cause_time(table, age, s.year, strata, rng.random(n))
+    # a death after min(tc, admin) changes no observed time, status or calibration gap
+    tp = lt.sample_other_cause_time(table, age, s.year, strata, rng.random(n),
+                                    before=np.minimum(tc, s.admin_censor))
     return x, age, strata, np.minimum(tc, tp)
 
 

@@ -23,6 +23,25 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
+# SHA-256 of cohort.csv for the first and last replicate of each shipped scenario
+PINNED_COHORTS = [
+    ("sc1", 0, "9232a486e473c8e9fa8b8a34fc1cb402ae6e4df16b62a684b1d13b5c8d14e3da"),
+    ("sc1", 199, "5215ed767f0385637f98fa6874e21dc71ea2e060973ba38cdb20299f9b6dcc13"),
+    ("sc1_null", 0, "1a7f1289e461a9dd76848519ec27719b490239085999107926401d94e0dedf34"),
+    ("sc1_null", 199, "76d94df75430f1a4fc097e5d41db3277a2514a09c1269334ffed0e666240e121"),
+    ("sc1_small", 0, "a26dbe162bbf50f7d2aa1b2506e4dd7943da9acbd33a4c08612f5bfae3248d44"),
+    ("sc1_small", 199, "503f872900c61ef36b0eb533ec24e5c100c850832616516ea3b5573ed1dad431"),
+    ("sc2_standin", 0, "8772b8fb26f0f5c62954c790a958d8208787a80dc97bf9472565825d21fa9af0"),
+    ("sc2_standin", 99, "adb2fcb7c3a187628a760aa62c75a249170a156184bac82a2168926470376a5a"),
+    ("sc3_standin", 0, "6dc1f5978985f6c64d131b8c8fb16ad25d280b953a84a18fe27875e4c0dbed85"),
+    ("sc3_standin", 99, "ddad03472a48259445721356f9ffafa1b6cd781d9ef3d59d3c3b65c354245dd7"),
+    ("two_group_1", 0, "b23ec5087d69a40e0af856419a763dc8dfb076061a19ea0bc288a615a4660d23"),
+    ("two_group_1", 99, "9425f6847465dad7e57af37ed08cb949ddf645155a4607991ce59ac7745ae421"),
+    ("two_group_2", 0, "a7f58cbfacb1f0ee7d058729ab8b2013175d765e3b6e4729ac8e664d5f5d18a2"),
+    ("two_group_2", 99, "6d4536b75b1b61a50b769d7815fa59b385035a88efcaff1f37f97d70dff5259e"),
+]
+
+
 def _scipy_after(argv, cwd) -> str:
     """``cli.main(argv)``'s exit code and the scipy modules it loaded, run in a
     fresh interpreter."""
@@ -491,6 +510,18 @@ class TestNetsurv:
         assert code == 3
         assert "grid" in capsys.readouterr().err
 
+    def test_grid_above_the_cap_is_an_input_error(self, inputs, tmp_path, capsys):
+        # 1e11 points used to end in a MemoryError traceback (exit 1)
+        code = cli.main([
+            "netsurv", "--data", str(inputs["data"]),
+            "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+            "--grid", "0:5:100000000000", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: --grid '0:5:100000000000': count "
+                                           "100000000000 is above the cap of 100000 points\n")
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_grid_is_schema_error(self, inputs, tmp_path, capsys):
         # a nan start used to write nan rows to curves.csv and exit 0
         code = cli.main([
@@ -612,12 +643,26 @@ class TestSimulate:
 
     def test_bundled_scenario_cohort_bytes_are_pinned(self, tmp_path):
         # pinned, so that no rewrite of the sampler, the stratum labels or
-        # the CSV writer can change a byte of a simulated cohort
-        scenario = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "sc1_small.ini"
-        assert cli.main(["simulate", "--scenario", str(scenario), "--replicate", "0",
-                         "--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest() == (
-            "a26dbe162bbf50f7d2aa1b2506e4dd7943da9acbd33a4c08612f5bfae3248d44")
+        # the CSV writer can change a byte of a simulated cohort; the first and
+        # last replicate of every shipped design cover the lognormal, IG,
+        # two-group and null truths and both drop-out calibrations
+        for name, replicate, digest in PINNED_COHORTS:
+            out = tmp_path / f"{name}-{replicate}"
+            assert cli.main(["simulate", "--scenario", str(SCENARIOS / f"{name}.ini"),
+                             "--replicate", str(replicate), "--out", str(out)]) == 0
+            assert hashlib.sha256((out / "cohort.csv").read_bytes()).hexdigest() == digest, (
+                name, replicate)
+
+    def test_cohort_size_above_the_cap_is_an_input_error(self, tmp_path, capsys):
+        # 1e14 subjects used to end in a MemoryError traceback (exit 1)
+        path = tmp_path / "huge_n.ini"
+        path.write_text((SCENARIOS / "sc1.ini").read_text().replace(
+            "n = 5000\n", "n = 100000000000000\n"))
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: n = 100000000000000 is above the cap of 10000000 subjects\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["sc1", "two_group_1"])
     def test_pgw_simulation_loads_no_scipy(self, name, tmp_path):

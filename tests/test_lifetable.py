@@ -364,6 +364,16 @@ def one_time(table, key, u):
     return lt.sample_other_cause_time(table, [key.age], key.year, [key.stratum], [u])[0]
 
 
+# Tables for the screen's property test, besides the shared flat, zero and sex
+# ones: steep (rising from 1e-4 to about 20 per year) and gapped (zero in two
+# ages of three)
+SCREEN_TABLES = {
+    "steep": build_table(lambda a, y, s: 1e-4 * math.exp(0.1 * a), range(0, 121),
+                         range(2000, 2061), [()], ()),
+    "gapped": build_table(lambda a, y, s: 0.0 if a % 3 else 0.4 + 0.01 * (y % 7),
+                          range(30, 111), range(2005, 2051), [()], ()),
+}
+
 # Frozen draws, as float.hex so that a change in the last bit shows.  Each row:
 # table ("sex" is the sex_table fixture), age, year, stratum, u, time.  They
 # cover an integer age (age and year knots coincide), fractional years, ages
@@ -443,6 +453,49 @@ class TestSampleOtherCause:
         one = [lt.sample_other_cause_time(sex_table, ages[i:i + 1], year, strata[i:i + 1],
                                           u[i:i + 1])[0] for i in range(n)]
         assert times.tobytes() == np.array(one).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), name=st.sampled_from(["flat", "gapped", "sex", "steep", "zero"]),
+           year=st.floats(1990.0, 2080.0), n=st.integers(1, 12))
+    def test_before_changes_only_later_draws(self, flat_table, zero_table, sex_table, data,
+                                             name, year, n):
+        # a draw may differ from the unscreened one only where that one
+        # falls after ``before``; every other draw keeps its bits.  Some draws
+        # are aimed at a time near ``before``, where a screen too tight shows
+        table = {"flat": flat_table, "zero": zero_table, "sex": sex_table, **SCREEN_TABLES}[name]
+        fraction = year - math.floor(year)
+        ages = data.draw(st.lists(st.one_of(
+            st.floats(0.0, 125.0), st.integers(0, 125).map(float),
+            st.integers(0, 124).map(lambda a: a + fraction)), min_size=n, max_size=n))
+        strata = [(data.draw(st.sampled_from("01")),) if table.stratum_schema else ()
+                  for _ in range(n)]
+        before_values = st.one_of(st.sampled_from([0.0, 1e-300, 1e9, math.inf, math.nan]),
+                                  st.floats(0.01, 10.0))
+        before = data.draw(st.one_of(
+            before_values, st.lists(before_values, min_size=n, max_size=n).map(np.array)))
+        before_rows = np.broadcast_to(before, (n,))
+        u = np.empty(n)
+        for i in range(n):
+            u[i] = data.draw(st.integers(1, 2**53 - 1)) / 2.0**53  # numpy's 53-bit draws
+            if math.isfinite(before_rows[i]) and data.draw(st.booleans()):
+                t = before_rows[i] * data.draw(st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
+                key = lt.LifeTableKey(ages[i], year, strata[i])
+                aimed = -math.expm1(-float(lt.pop_cum_hazard(table, key, t)))
+                u[i] = aimed if 0.0 < aimed < 1.0 else u[i]
+        full = lt.sample_other_cause_time(table, ages, year, strata, u)
+        screened = lt.sample_other_cause_time(table, ages, year, strata, u, before=before)
+        differ = full.view(np.int64) != screened.view(np.int64)
+        assert np.all(full[differ] > before_rows[differ])
+        assert np.all(np.isinf(screened[differ]))
+        assert not np.any(differ & ~np.isfinite(before_rows))
+
+    def test_non_finite_age_or_year_is_refused(self, flat_table):
+        # a nan would fail every screen comparison and come back +inf silently
+        with pytest.raises(ValueError, match=r"record 1 \(0-based\): age nan is not finite"):
+            lt.sample_other_cause_time(flat_table, [40.0, math.nan], 2005.0, [(), ()],
+                                       [0.5, 0.5])
+        with pytest.raises(ValueError, match="year nan is not finite"):
+            lt.sample_other_cause_time(flat_table, [40.0], math.nan, [()], [0.5])
 
     def test_empirical_distribution_constant_rate(self):
         # rate 0.5 over 60 years of coverage: cumulative hazard reaches 30,
