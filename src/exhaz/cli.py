@@ -34,6 +34,7 @@ from . import simulation as sim
 from .inference import (
     FitResult,
     ModelSpec,
+    WaldIntervals,
     aic_compare,
     fit,
     wald_ci,
@@ -73,11 +74,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,20 +82,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 # -- fit -------------------------------------------------------------------------
 
-def _estimates_csv(path: Path, res: FitResult, level: float) -> None:
-    if res.se_valid:
-        ci = wald_ci(res, level)
-        spread = [res.std_errors_natural, ci.lower, ci.upper]
-    else:
-        spread = [[None] * len(res.natural_names)] * 3
+def _estimates_csv(path: Path, res: FitResult, ci: WaldIntervals | None) -> None:
+    spread = ([res.std_errors_natural, ci.lower, ci.upper] if ci is not None
+              else [[None] * len(res.natural_names)] * 3)
     datasets.write_csv(path, ("parameter", "estimate", "std_error", "ci_lower", "ci_upper"),
                        [res.natural_names, res.natural_estimates(), *spread])
 
 
-def _fit_summary(res: FitResult, level: float) -> str:
+def _fit_summary(res: FitResult, ci: WaldIntervals | None) -> str:
     est = res.natural_estimates()
     lines = [
-        f"model: {res.label or res.spec.label()}",
+        f"model: {res.label}",
         f"baseline={res.spec.baseline} frailty={res.spec.frailty}",
         f"x columns: {', '.join(res.x_names) or '(none)'}",
         f"w columns: {', '.join(res.w_names) or '(none)'}",
@@ -111,9 +104,8 @@ def _fit_summary(res: FitResult, level: float) -> str:
         f"attempts {res.convergence.attempts})",
         "",
     ]
-    if res.se_valid:
-        ci = wald_ci(res, level)
-        pct = f"{100 * level:g}%"
+    if ci is not None:
+        pct = f"{100 * ci.level:g}%"
         lines.append(
             f"{'parameter':<14}{'estimate':>10}{'std err':>10}"
             f"{pct + ' CI':>24}"
@@ -140,16 +132,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = datasets.load_patient_csv(args.data).with_covariates(args.x, args.w)
     table = lt.load_life_table(args.lifetable)
     res = fit(data, table, ModelSpec(args.baseline, args.frailty), label=args.label)
+    ci = wald_ci(res, args.level) if res.se_valid else None
     out = _out_dir(args)
-    _estimates_csv(out / "estimates.csv", res, args.level)
-    _write_text(
-        out / "fit.json", json.dumps(res.to_json_dict(), indent=2) + "\n"
-    )
-    _write_text(out / "summary.txt", _fit_summary(res, args.level))
-    print(
-        f"{res.label or res.spec.label()}: loglik={res.loglik:.3f} "
-        f"aic={res.aic:.3f} converged={res.convergence.converged}"
-    )
+    _estimates_csv(out / "estimates.csv", res, ci)
+    datasets._write_text(out / "fit.json", json.dumps(res.to_json_dict(), indent=2) + "\n")
+    datasets._write_text(out / "summary.txt", _fit_summary(res, ci))
+    print(f"{res.label}: loglik={res.loglik:.3f} aic={res.aic:.3f} "
+          f"converged={res.convergence.converged}")
     return EXIT_OK if res.convergence.converged else EXIT_NOCONV
 
 
@@ -309,7 +298,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         r.write_summary_csv(out / "aim2_summary.csv")
         r.write_curves_csv(out / "aim2_curves.csv")
         text = r.summary()
-    _write_text(out / "summary.txt", text + "\n")
+    datasets._write_text(out / "summary.txt", text + "\n")
     print(text)
     return EXIT_OK
 
@@ -319,17 +308,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     ranked = aic_compare([_load_fit(path) for path in args.fits])
     best = ranked[0].aic
-    labels = [r.label or r.spec.label() for r in ranked]
     datasets.write_csv(
         _out_dir(args) / "compare.csv",
         ("rank", "label", "baseline", "frailty", "n_params", "loglik", "aic", "delta_aic"),
-        [range(1, len(ranked) + 1), labels, [r.spec.baseline for r in ranked],
+        [range(1, len(ranked) + 1), [r.label for r in ranked], [r.spec.baseline for r in ranked],
          [r.spec.frailty for r in ranked], [r.n_params for r in ranked],
          [float(r.loglik) for r in ranked], [r.aic for r in ranked],
          [r.aic - best for r in ranked]],
     )
-    for i, (label, r) in enumerate(zip(labels, ranked), start=1):
-        print(f"{i:>4}  {label:<24} AIC {r.aic:.3f}  (+{r.aic - best:.3f})")
+    for i, r in enumerate(ranked, start=1):
+        print(f"{i:>4}  {r.label:<24} AIC {r.aic:.3f}  (+{r.aic - best:.3f})")
     return EXIT_OK
 
 
@@ -413,6 +401,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = _runconfig(parser.parse_args(argv), parser)
     try:
+        if "level" in args and not 0.0 < args.level < 1.0:  # before any file is read
+            raise ValueError(f"--level {args.level!r} must be in (0, 1)")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # includes DataFormatError, FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)

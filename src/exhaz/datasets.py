@@ -27,7 +27,7 @@ import numpy as np
 from . import lifetable as lt
 from .baseline import PGWParams
 from .inference import Dataset
-from .model import GHParams, simulate_event_time
+from .model import GHParams, _GammaFrailty, simulate_event_time
 
 LUNG_AGE_CENTER = 71.5
 LUNG_AGE_SCALE = 10.0
@@ -38,7 +38,12 @@ class DataFormatError(ValueError):
     """Raised when a patient CSV does not match the documented layout."""
 
 
-# -- the one CSV writer ----------------------------------------------------------
+# -- the one text writer (UTF-8, LF on every platform) and the one CSV writer --------
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
 
 _float_cell = "%.17g".__mod__  # 17 significant digits: an exact round trip
 
@@ -87,8 +92,7 @@ def write_csv(path, header, columns) -> None:
         raise ValueError(f"header names {len(header)} columns, got {len(columns)}")
     cells = [_column_cells(col) for col in columns]
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # -- synthetic life table ------------------------------------------------------
@@ -120,20 +124,18 @@ def write_life_table_csv(path, table: lt.LifeTable) -> None:
 
 # -- synthetic lung-style cohort -------------------------------------------------
 
-def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
-                          table: lt.LifeTable | None = None) -> Dataset:
+def synthetic_lung_cohort(n: int = 4000, seed: int = 2012, *,
+                          table: lt.LifeTable) -> Dataset:
     """Deterministic cohort mimicking a lung-cancer registry extract.
 
     Columns: standardised age ``agec``, standardised deprivation ``imd``,
     stage dummies ``stage2..stage4`` (stage I is the reference), comorbidity
     flags ``cvd`` and ``copd`` (together the x columns, with ``agec`` the w
     column), then a ``stage`` label column.  Event times follow a known
-    excess-hazard model with gamma heterogeneity on top of the synthetic
-    background rates, with light drop-out and an administrative horizon of
+    excess-hazard model with gamma heterogeneity on top of the background
+    rates of ``table``, with light drop-out and an administrative horizon of
     5 years.
     """
-    if table is None:
-        table = synthetic_life_table()
     rng = np.random.default_rng(seed)
     age = np.clip(rng.normal(LUNG_AGE_CENTER, LUNG_AGE_SCALE, n), 40.0, 95.0)
     agec = (age - LUNG_AGE_CENTER) / LUNG_AGE_SCALE
@@ -154,7 +156,7 @@ def synthetic_lung_cohort(n: int = 4000, seed: int = 2012,
         alpha=(0.35,),
         beta=(0.35, 0.18, 0.55, 1.15, 1.9, 0.12, 0.2),
     )
-    lam = rng.gamma(1.0 / 0.75, 0.75, size=n)
+    lam = _GammaFrailty.sample(0.75, rng, n)
     u = np.clip(rng.random(n), 2.0**-53, None)
     t_event = simulate_event_time(u, x, w, truth, lam)
 

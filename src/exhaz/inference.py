@@ -206,7 +206,8 @@ class Convergence:
 class FitResult:
     """Maximum-likelihood fit: the estimate ``psi`` on the transformed scale,
     its covariance (``None`` when the Hessian gave no valid one), and what
-    the fit saw.  Everything else is derived from these."""
+    the fit saw.  Everything else, standard errors and their validity too, is
+    derived from these; an empty ``label`` becomes ``spec.label()``."""
 
     spec: ModelSpec
     psi: np.ndarray
@@ -219,6 +220,10 @@ class FitResult:
     x_names: tuple
     w_names: tuple
     label: str = ""
+
+    def __post_init__(self):
+        if not self.label:
+            object.__setattr__(self, "label", self.spec.label())
 
     @property
     def params(self) -> GHParams:
@@ -297,12 +302,12 @@ class FitResult:
         """Inverse of ``to_json_dict``; a ``ValueError`` names a bad field."""
         if not isinstance(d, dict):
             raise ValueError(f"saved fit must be a JSON object, got {type(d).__name__}")
-        missing = [key for key in _JSON_KEYS if key not in d]
+        missing = [key for keys, _, _ in _JSON_TYPES for key in keys if key not in d]
         if missing:
             raise ValueError(f"saved fit lacks field(s) {', '.join(missing)}")
         for keys, kind, is_kind in _JSON_TYPES:
             for key in keys:
-                if key in d and not is_kind(d[key]):
+                if not is_kind(d[key]):
                     raise ValueError(f"saved fit field {key!r} must be {kind}, "
                                      f"got {type(d[key]).__name__}")
         spec = ModelSpec(baseline=d["baseline"], frailty=d["frailty"])
@@ -325,16 +330,12 @@ class FitResult:
             data_fingerprint=d["data_fingerprint"],
             x_names=tuple(d["x_names"]),
             w_names=tuple(d["w_names"]),
-            label=d.get("label", ""),
+            label=d["label"],
         )
 
 
-# fields that ``FitResult.from_json_dict`` reads; "label" is optional
-_JSON_KEYS = ("baseline", "frailty", "x_names", "w_names", "psi", "loglik", "covariance",
-              "converged", "iterations", "gradient_norm", "messages", "attempts", "n",
-              "n_events", "data_fingerprint")
-
-# the JSON type of each field besides psi and covariance: (fields, type, test)
+# every field that ``FitResult.from_json_dict`` requires, with its JSON type:
+# (fields, type, test); the numbers of psi and covariance are checked after
 _JSON_TYPES = (
     (("baseline", "frailty", "data_fingerprint", "label"), "a string",
      lambda v: isinstance(v, str)),
@@ -345,6 +346,8 @@ _JSON_TYPES = (
     (("converged",), "a boolean", lambda v: isinstance(v, bool)),
     (("iterations", "attempts", "n", "n_events"), "an integer",
      lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    (("psi",), "a list", lambda v: isinstance(v, list)),
+    (("covariance",), "a list or null", lambda v: v is None or isinstance(v, list)),
 )
 
 
@@ -525,13 +528,13 @@ def loglik_frailty(data: Dataset, table: lt.LifeTable, g: GHParams,
 # -- Hessian, intervals, AIC --------------------------------------------------
 
 def hessian_std_errors(grad, psi):
-    """Covariance and standard errors from a central-difference Hessian at ``psi``.
+    """Covariance from a central-difference Hessian at ``psi``.
 
     The Hessian is built by differencing the gradient ``grad`` of the
     negative log-likelihood with steps ``h_j = max(1e-4, 1e-4 |psi_j|)``.
-    Returns ``(covariance, std_errors, valid, message)``; a non-finite or
-    non-positive-definite Hessian flags the result invalid instead of
-    raising.
+    Returns ``(covariance, "")``, or ``(None, reason)`` instead of raising
+    for a non-finite, asymmetric or non-positive-definite Hessian or
+    non-finite standard errors; :class:`FitResult` derives the rest.
     """
     from scipy import linalg
     psi = np.asarray(psi, dtype=float)
@@ -543,21 +546,20 @@ def hessian_std_errors(grad, psi):
         e[j] = h[j]
         H[:, j] = (np.asarray(grad(psi + e)) - np.asarray(grad(psi - e))) / (2.0 * h[j])
     if not np.all(np.isfinite(H)):
-        return None, None, False, "non-finite Hessian"
+        return None, "non-finite Hessian"
     asym = float(np.max(np.abs(H - H.T)))
     scale = float(np.max(np.abs(H)))
     # gradient differencing carries direction-dependent truncation error
     if scale > 0 and asym > 1e-4 * scale:
-        return None, None, False, "asymmetric Hessian"
+        return None, "asymmetric Hessian"
     H = 0.5 * (H + H.T)
     try:
         cov = linalg.cho_solve(linalg.cho_factor(H), np.eye(k))
     except linalg.LinAlgError:
-        return None, None, False, "Hessian not positive definite"
-    se = np.sqrt(np.diag(cov))
-    if not np.all(np.isfinite(se)):
-        return None, None, False, "non-finite standard errors"
-    return cov, se, True, ""
+        return None, "Hessian not positive definite"
+    if not np.all(np.isfinite(np.sqrt(np.diag(cov)))):
+        return None, "non-finite standard errors"
+    return cov, ""
 
 
 @dataclass(frozen=True)
@@ -671,7 +673,7 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec, label: str = "") ->
     spec : ModelSpec
         Baseline family, frailty family, optional covariate mapping (must
         match the dataset's x/w columns when given).
-    label : free-text tag carried into reports.
+    label : free-text tag carried into reports; empty gives ``spec.label()``.
 
     The optimiser is L-BFGS-B with analytic gradients, capped at
     ``_MAXITER`` iterations, with up to ``_RESTARTS`` jittered restarts
@@ -736,10 +738,8 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec, label: str = "") ->
         grad_norm = float(np.max(np.abs(jac))) if np.all(np.isfinite(jac)) else float("inf")
         loglik_val = -float(best.fun)
 
-    cov, _, se_ok, se_msg = hessian_std_errors(
-        lambda q: ctx.value_and_grad(q)[1], psi_hat
-    )
-    if not se_ok:
+    cov, se_msg = hessian_std_errors(lambda q: ctx.value_and_grad(q)[1], psi_hat)
+    if cov is None:
         messages.append(f"standard errors invalid: {se_msg}")
 
     return FitResult(
@@ -759,5 +759,5 @@ def fit(data: Dataset, table: lt.LifeTable, spec: ModelSpec, label: str = "") ->
         data_fingerprint=data.fingerprint(),
         x_names=data.x_names,
         w_names=data.w_names,
-        label=label or spec.label(),
+        label=label,
     )

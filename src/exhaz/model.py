@@ -34,13 +34,13 @@ from .baseline import family_of_params
 #: below this variance the frailty is treated as the exact no-frailty limit
 B_ZERO_THRESHOLD = 1e-8
 
-# -- the closed forms of each frailty family ----------------------------------
-# Each family gives log L(s) and the conditional frailty mean -L'/L(s) (the
-# weight), written once here.  For the likelihood gradient, ``weight_derivs``
-# adds d weight/ds, d weight/d log b and d log L/d log b; d log L/ds is
-# -weight for every family.  ``log_laplace(b, s, out=)`` writes into ``out``,
-# which may be ``s`` itself, with the operations of the allocating call in
-# the same order, so its values are bit-identical to it.
+# -- the frailty laws ------------------------------------------------------------
+# Each law gives log L(s), the conditional frailty mean -L'/L(s) (the weight)
+# and ``sample(b, rng, n)``, n frailty draws; ``_frailty_form`` alone picks the
+# law, the no-frailty one below ``B_ZERO_THRESHOLD``.  For the gradient,
+# ``weight_derivs`` adds d weight/ds, d weight/d log b and d log L/d log b;
+# d log L/ds is -weight.  ``log_laplace(b, s, out=)`` writes into ``out``
+# (which may be ``s``) with the allocating call's operations, bit for bit.
 
 class _NoFrailty:
     """No frailty, and the exact limit of both families as b -> 0."""
@@ -57,6 +57,10 @@ class _NoFrailty:
     def weight_derivs(b, s, log_lap, weight):
         zeros = np.zeros_like(s)
         return zeros, zeros, zeros
+
+    @staticmethod
+    def sample(b, rng, n):
+        return np.ones(n)  # draws nothing from rng
 
 
 class _GammaFrailty:
@@ -75,6 +79,10 @@ class _GammaFrailty:
     @staticmethod
     def weight_derivs(b, s, log_lap, weight):
         return -b * weight**2, -b * s * weight**2, -log_lap - s * weight
+
+    @staticmethod
+    def sample(b, rng, n):
+        return rng.gamma(1.0 / b, b, size=n)
 
 
 class _InverseGaussianFrailty:
@@ -99,14 +107,18 @@ class _InverseGaussianFrailty:
         root = np.sqrt(1.0 + 2.0 * b * s)
         return -b / root**3, -b * s / root**3, -log_lap - s / root
 
+    @staticmethod
+    def sample(b, rng, n):
+        return rng.wald(1.0, 1.0 / b, size=n)
+
 
 _FRAILTY_FORMS = {"gamma": _GammaFrailty, "ig": _InverseGaussianFrailty}
 FRAILTY_FAMILIES = ("none", *_FRAILTY_FORMS)
 
 
 def _frailty_form(family: str, b: float):
-    """The closed forms of ``family`` at variance ``b``; the no-frailty limit
-    below ``B_ZERO_THRESHOLD``."""
+    """The law of ``family`` at variance ``b``; the no-frailty law for
+    ``none`` and below ``B_ZERO_THRESHOLD``."""
     if family == "none" or b < B_ZERO_THRESHOLD:
         return _NoFrailty
     return _FRAILTY_FORMS[family]
@@ -219,9 +231,7 @@ def laplace_log_deriv(f: FrailtySpec, s):
 def marginal_net_survival(t, x, w, g: GHParams, f: FrailtySpec):
     """Frailty-marginalised net survival L(H_E(t)); exp(-H_E) when family is none."""
     he = excess_cum_hazard(t, x, w, g)
-    if f.family == "none":
-        return np.exp(-he)
-    return laplace(f, he)
+    return np.exp(_frailty_form(f.family, f.b).log_laplace(f.b, he))
 
 
 def marginal_hazard(t, x, w, key: lt.LifeTableKey, table: lt.LifeTable, g: GHParams,

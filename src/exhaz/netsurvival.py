@@ -48,7 +48,7 @@ import numpy as np
 
 from .baseline import family_of_params, get_family
 from .inference import Dataset, FitResult, _unpack
-from .model import FrailtySpec, GHParams, _frailty_form
+from .model import FrailtySpec, GHParams, _effects, _frailty_form
 
 __all__ = [
     "NetSurvivalCurve",
@@ -142,19 +142,21 @@ def _group_rows(data: Dataset, groups):
 def _individual_curves(x, w, grid, g: GHParams, fr: FrailtySpec, out) -> np.ndarray:
     """Fill the (m, n) array ``out`` with the individual curves L(H_E(t_j; x_i,
     w_i)), one row per grid time, in place, in blocks of ``max(1, _BLOCK //
-    m)`` subjects; returns ``out``."""
+    m)`` subjects; returns ``out``.  H_E is 0 at grid time 0, also where the
+    covariate scale overflows (where H0(0) * inf would be nan)."""
     fam = family_of_params(g.theta)
     form = _frailty_form(fr.family, fr.b)
-    eta_w = w @ g.alpha if g.alpha.shape[0] else np.zeros(w.shape[0])
-    eta_x = x @ g.beta if g.beta.shape[0] else np.zeros(x.shape[0])
+    eta_w, eta_x = _effects(g, x, w)
     m, n = out.shape
     cols = max(1, _BLOCK // m)
+    at_zero = grid == 0.0
     with np.errstate(all="ignore"):
         scale_x = np.exp(eta_x - eta_w)
         for a in range(0, n, cols):
             block = out[:, a:a + cols]
             fam.cum_hazard_grid(grid, eta_w[a:a + cols], g.theta, out=block)
             np.multiply(block, scale_x[a:a + cols], out=block)
+            block[at_zero] = 0.0
             np.exp(form.log_laplace(fr.b, block, out=block), out=block)
     return out
 
@@ -232,8 +234,9 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     quantiles per grid point.  A draw that leaves the parameter range (a
     log-scale entry whose exp overflows, or a parameter of 0 or inf), or
     whose curve is non-finite for any group, is rejected for all groups, so
-    every band rests on the same draws; rejected draws are resampled, up to
-    ten times the requested count, and each banded curve's
+    every band rests on the same draws; every curve is exactly 1 at time 0,
+    even where e^{x'beta - w'alpha} overflows.  Rejected draws are resampled,
+    up to ten times the requested count, and each banded curve's
     ``rejected_draws`` counts them.  A covariance without a Cholesky factor
     raises ``LinAlgError``, a ``ValueError``.
     """

@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import dataclasses
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import lifetable as lt
 from .baseline import get_family
-from .datasets import _stratum_labels, write_csv
+from .datasets import _stratum_labels, _write_text, write_csv
 from .inference import Dataset, ModelSpec, _param_names, fit
-from .model import B_ZERO_THRESHOLD, FrailtySpec, GHParams, simulate_event_time
+from .model import FrailtySpec, GHParams, _frailty_form, simulate_event_time
 from .netsurvival import NetSurvivalCurve, _curve_values, default_grid
 
 Z975 = 1.959963984540054
@@ -100,14 +101,6 @@ class AgeMixture:
 
     def standardise(self, age) -> np.ndarray:
         return (np.asarray(age, dtype=float) - self.mean) / self.sd
-
-
-def _sample_frailty(family: str, b: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    if family == "none" or b < B_ZERO_THRESHOLD:
-        return np.ones(n)
-    if family == "gamma":
-        return rng.gamma(1.0 / b, b, size=n)
-    return rng.wald(1.0, 1.0 / b, size=n)  # inverse Gaussian
 
 
 # -- scenario definitions ----------------------------------------------------
@@ -285,7 +278,7 @@ def _event_times(s, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     """Latent excess-model event times, each subject under its group's truth."""
     n = x.shape[0]
     u = np.clip(rng.random(n), 2.0**-53, None)
-    lam = _sample_frailty(s.frailty_family, s.frailty_b, rng, n)
+    lam = _frailty_form(s.frailty_family, s.frailty_b).sample(s.frailty_b, rng, n)
     group = s.group_of(x)
     tc = np.empty(n)
     for g in range(len(s.groups)):
@@ -830,8 +823,9 @@ def save_scenario(path, s) -> None:
         cp.read_dict({f"truth.{label}": t for label, t in zip(s.group_labels, truths)})
     cp["covariates"] = {"binary": ", ".join(f"{name}:{_fmt_floats(np.atleast_1d(p), '/')}"
                                             for name, p in s.binary_probs)}
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
+    text = io.StringIO()
+    cp.write(text)
+    _write_text(path, text.getvalue())
 
 
 def load_scenario(path) -> Scenario:

@@ -15,7 +15,7 @@ import pytest
 
 from exhaz import cli, datasets
 from exhaz import netsurvival as ns
-from exhaz.inference import FitResult
+from exhaz.inference import FitResult, wald_ci
 from exhaz import simulation as sim
 
 
@@ -103,7 +103,7 @@ class TestFit:
         payload = json.loads((inputs["fits"]["frailty"] / "fit.json").read_text())
         res = dataclasses.replace(FitResult.from_json_dict(payload), covariance=None)
         path = tmp_path / "estimates.csv"
-        cli._estimates_csv(path, res, 0.95)
+        cli._estimates_csv(path, res, None)
         lines = path.read_bytes().decode().split("\n")
         assert lines[0] == "parameter,estimate,std_error,ci_lower,ci_upper"
         assert lines[-1] == "" and len(lines) == 2 + len(res.natural_names)
@@ -111,6 +111,40 @@ class TestFit:
             cells = line.split(",")
             assert cells[0] == name and float(cells[1]) == value
             assert cells[2:] == ["", "", ""]
+
+    def test_summary_without_valid_standard_errors_lists_estimates_and_notes(self, inputs):
+        payload = json.loads((inputs["fits"]["frailty"] / "fit.json").read_text())
+        saved = FitResult.from_json_dict(payload)
+        message = "standard errors invalid: Hessian not positive definite"
+        convergence = dataclasses.replace(saved.convergence, messages=(message,))
+        res = dataclasses.replace(saved, covariance=None, label="", convergence=convergence)
+        lines = cli._fit_summary(res, None).split("\n")
+        assert lines[0] == "model: pgw+gamma"  # an unlabelled fit is named by its model
+        head = lines.index("") + 1
+        assert lines[head] == "parameter       estimate   (standard errors unavailable)"
+        names, est = res.natural_names, res.natural_estimates()
+        assert lines[head + 1:] == [f"{n:<14}{e:>10.3f}" for n, e in zip(names, est)] + [
+            f"note: {message}", ""]
+
+    def test_summary_notes_a_variance_near_the_boundary(self, inputs):
+        payload = json.loads((inputs["fits"]["frailty"] / "fit.json").read_text())
+        res = FitResult.from_json_dict({**payload, "psi": payload["psi"][:-1] + [math.log(0.01)]})
+        text = cli._fit_summary(res, wald_ci(res, 0.9))
+        assert "90% CI" in text
+        assert text.endswith("\nnote: frailty variance estimate is near the b=0 boundary; "
+                             "Wald intervals on log b may be unreliable\n")
+
+    @pytest.mark.parametrize("level", ["1.5", "nan"])
+    def test_level_outside_the_unit_interval_is_refused_before_fitting(self, tmp_path, capsys,
+                                                                       level):
+        # the fit used to run in full, leave an empty --out directory, then exit 3;
+        # the data file does not exist, so no file may have been read
+        code = cli.main(["fit", "--data", str(tmp_path / "absent.csv"),
+                         "--lifetable", str(tmp_path / "absent_table.csv"),
+                         "--level", level, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: --level {float(level)!r} must be in (0, 1)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_column_exit_code(self, inputs, tmp_path, capsys):
         code = cli.main([
@@ -407,6 +441,16 @@ class TestNetsurv:
         assert capsys.readouterr().err == f"error: {saved}: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_saved_fit_without_a_label_is_an_input_error(self, inputs, agec_fit, tmp_path,
+                                                         capsys):
+        # exhaz fit always writes a label; the loader used to default it
+        payload = json.loads((agec_fit / "fit.json").read_text())
+        assert payload["label"] == "pgw+none"
+        saved = tmp_path / "fit.json"
+        saved.write_text(json.dumps({k: v for k, v in payload.items() if k != "label"}))
+        assert cli.main(["compare", str(saved), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {saved}: saved fit lacks field(s) label\n"
+
     def test_covariance_without_a_cholesky_factor_is_an_input_error(self, inputs, agec_fit,
                                                                      tmp_path, capsys):
         # such a covariance used to be clipped to a factor that gave bands
@@ -500,6 +544,50 @@ class TestNetsurv:
         labels = [row.split(",")[0] for row in (out / "curves.csv").read_text().splitlines()]
         assert sorted(set(labels[1:])) == ["imd=0.1234561", "imd=0.1234564", "imd=0.5",
                                            "population"]
+
+    @pytest.mark.parametrize("level", ["1.5", "nan"])
+    def test_level_outside_the_unit_interval_is_refused_before_reading(self, tmp_path, capsys,
+                                                                       level):
+        # the saved fit and the cohort used to be loaded first
+        code = cli.main(["netsurv", "--data", str(tmp_path / "absent.csv"),
+                         "--fit", str(tmp_path / "absent.json"), "--level", level,
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: --level {float(level)!r} must be in (0, 1)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_subgroups_by_a_stratum_column(self, inputs, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["netsurv", "--data", str(inputs["data"]),
+                         "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+                         "--grid", "0:5:6", "--by", "sex", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("curve_*.csv")) == [
+            "curve_population.csv", "curve_sex-0.csv", "curve_sex-1.csv"]
+        labels = [row.split(",")[0] for row in (out / "curves.csv").read_text().splitlines()]
+        assert labels[1::6] == ["population", "sex=0", "sex=1"]
+
+    def test_subgroups_by_an_unknown_column_name_it(self, inputs, tmp_path, capsys):
+        code = cli.main(["netsurv", "--data", str(inputs["data"]),
+                         "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+                         "--grid", "0:5:6", "--by", "region", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: unknown subgroup column 'region'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_too_many_rejected_draws_exit_4(self, inputs, tmp_path, capsys, monkeypatch):
+        def reject_all(x, w, grid, rows, params, dest, work, draw_ids):
+            for k in draw_ids:
+                dest[k] = np.nan
+
+        monkeypatch.setattr(ns, "_fill_draws", reject_all)
+        code = cli.main(["netsurv", "--data", str(inputs["data"]),
+                         "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
+                         "--grid", "0:5:6", "--draws", "100", "--seed", "11",
+                         "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err == ("error: rejected too many parameter draws (1000); "
+                                           "covariance may be ill-conditioned\n")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_grid_is_schema_error(self, inputs, tmp_path, capsys):
         code = cli.main([

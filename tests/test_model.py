@@ -281,6 +281,36 @@ class TestLaplace:
             assert np.all(np.diff(w) < 0)
 
 
+class TestFrailtySamples:
+    @pytest.mark.parametrize("family, b, replaced", [
+        ("gamma", 0.75, lambda rng, n: rng.gamma(1.0 / 0.75, 0.75, size=n)),
+        ("ig", 0.8, lambda rng, n: rng.wald(1.0, 1.0 / 0.8, size=n)),
+    ], ids=["gamma", "ig"])
+    def test_each_law_draws_the_bits_of_its_generator_call(self, family, b, replaced):
+        law = mdl._frailty_form(family, b)
+        rng, same = np.random.default_rng(41), np.random.default_rng(41)
+        assert law.sample(b, rng, 1000).tobytes() == replaced(same, 1000).tobytes()
+        assert rng.bit_generator.state == same.bit_generator.state
+
+    @pytest.mark.parametrize("family, b", [("none", 0.0), ("gamma", mdl.B_ZERO_THRESHOLD / 2),
+                                           ("ig", 0.0)])
+    def test_no_frailty_law_gives_ones_and_draws_nothing(self, family, b):
+        law = mdl._frailty_form(family, b)
+        assert law is mdl._NoFrailty
+        rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        np.testing.assert_array_equal(law.sample(b, rng, 7), np.ones(7))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("f", [mdl.FrailtySpec("none"), mdl.FrailtySpec("gamma", 0.5),
+                                   mdl.FrailtySpec("ig", 1.2)], ids=["none", "gamma", "ig"])
+    def test_net_survival_is_the_laws_laplace_transform(self, f):
+        g = gh_pgw()
+        t = np.linspace(0.0, 8.0, 41)
+        he = mdl.excess_cum_hazard(t, X0, W0, g)
+        expected = np.exp(-he) if f.family == "none" else mdl.laplace(f, he)
+        assert mdl.marginal_net_survival(t, X0, W0, g, f).tobytes() == expected.tobytes()
+
+
 class TestMarginalQuantities:
     def test_net_survival_starts_at_one(self):
         g = gh_pgw()

@@ -250,6 +250,33 @@ class TestRowBlocks:
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 
 
+class TestTimeZero:
+    """H_E(0) = 0 for every subject, also where e^{x'beta - w'alpha} overflows
+    (H0(0) * inf used to give nan)."""
+
+    @pytest.mark.parametrize("fr", [mdl.FrailtySpec("none"), mdl.FrailtySpec("gamma", 0.7),
+                                    mdl.FrailtySpec("ig", 0.7)], ids=["none", "gamma", "ig"])
+    def test_an_overflowing_scale_leaves_time_zero_at_one(self, fr):
+        grid = np.array([0.0, 0.0, 1.0, 2.5])
+        g = mdl.GHParams(PGWParams(1.5, 1.1, 1.3), alpha=[0.2], beta=[1.0])
+        x, w = np.array([[0.5], [800.0]]), np.array([[0.3], [0.0]])
+        out = ns._individual_curves(x, w, grid, g, fr, np.empty((4, 2)))
+        assert np.all(out[:2] == 1.0)
+        np.testing.assert_array_equal(out[:, 0], _whole_matrix(x[:1], w[:1], grid, g, fr)[:, 0])
+        if fr.family != "ig":  # an inverse-Gaussian L(inf) is still nan
+            np.testing.assert_array_equal(out[2:, 1], [0.0, 0.0])
+
+    def test_gamma_band_draws_with_an_overflowing_subject_are_kept(self, cohort, fit_gamma):
+        assert fit_gamma.params.beta[0] > 0.1
+        x0 = cohort.columns["x0"].copy()
+        x0[0] = 5000.0  # e^{x'beta} overflows at the estimate and at every draw
+        data = dataclasses.replace(cohort, columns={**cohort.columns, "x0": x0})
+        grid = np.linspace(0.0, 2.0, 5)
+        (curve,) = ns.net_survival_mc_ci(data, fit_gamma, grid, draws=100, seed=3)
+        assert curve.rejected_draws == 0
+        assert curve.estimate[0] == curve.lower[0] == curve.upper[0] == 1.0
+
+
 class TestMonteCarloBands:
     def test_band_geometry(self, cohort, fit_gamma):
         (curve,) = ns.net_survival_mc_ci(cohort, fit_gamma, draws=300, seed=5)
@@ -385,8 +412,8 @@ class TestMonteCarloBands:
 def _wide_alpha_fit(template, theta, frailty):
     """A fit of (x0, x1) with w = x0 at fixed parameters whose covariance
     draws alpha with standard deviation 250: where alpha x0 < -709 for some
-    subject, e^{x'beta - w'alpha} overflows while H0 at t = 0 is 0, so the
-    draw's curves are nan and it is rejected."""
+    subject, e^{x'beta - w'alpha} overflows while H0(t e^{w'alpha}) underflows
+    to 0, so the draw's curves are nan after t = 0 and it is rejected."""
     fam = family_of_params(theta)
     b = [math.log(0.7)] if frailty != "none" else []
     psi = np.concatenate([fam.to_transformed(theta), [0.3, 0.4, -0.6], b])

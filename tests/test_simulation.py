@@ -405,6 +405,11 @@ class TestDropoutCalibration:
         assert with_deaths == sim.calibrate_dropout(s, synth_table)
         assert without == sim.calibrate_dropout(s, zero_wide)
 
+    def test_target_met_by_administrative_censoring_gives_zero_rate(self, synth_table):
+        # sc1 censors well over 1% of its cohort at the horizon alone
+        s = dataclasses.replace(sim.sc1_scenario(), censoring_target=("censoring", 0.01))
+        assert sim.calibrate_dropout(s, synth_table) == 0.0
+
     @pytest.mark.parametrize("share", ["dropout", "censoring"])
     def test_unreachable_target_names_itself(self, synth_table, share):
         s = dataclasses.replace(sim.sc1_scenario(), censoring_target=(share, 0.99999999999))
@@ -584,6 +589,24 @@ class TestRecoveryStudy:
         assert (rows, excluded) == ([0] * 25, 0)
         out, err = capsys.readouterr()
         assert (out, err) == ("", "  replicate 25/25 done\n")
+
+    def test_a_fit_that_raises_excludes_its_replicate(self, synth_table, monkeypatch):
+        # fit is looked up at call time, as the benchmark's probe relies on
+        calls = []
+
+        def fit_raising_once(data, table, spec):
+            calls.append(data.n)
+            if len(calls) == 2:
+                raise ValueError("dataset has no events; the model is not identifiable")
+            return "fitted"
+
+        monkeypatch.setattr(sim, "fit", fit_raising_once)
+        s = dataclasses.replace(sim.sc1_scenario(n=20, M=3, seed=3), dropout_rate=0.0)
+        rows, excluded = sim._replicates(s, synth_table,
+                                         lambda cohort: {"main": (cohort, ModelSpec())},
+                                         lambda fits: fits["main"][1])
+        assert calls == [20, 20, 20]
+        assert (rows, excluded) == (["fitted", "fitted"], 1)
 
     def test_all_excluded_raises(self, synth_table, monkeypatch):
         # one iteration and one restart leave every fit unconverged
