@@ -74,6 +74,20 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _read(path, load):
+    """``load(path)``; an input error (a ``ValueError``, or a ``RuntimeError`` for a
+    fit that did not converge) is raised again prefixed with ``path``."""
+    try:
+        return load(path)
+    except (ValueError, RuntimeError) as exc:  # includes DataFormatError, JSONDecodeError
+        raise (ValueError if isinstance(exc, ValueError) else RuntimeError)(
+            f"{path}: {exc}") from None
+
+
+def _read_cohort(path, x_names, w_names):
+    return _read(path, lambda p: datasets.load_patient_csv(p).with_covariates(x_names, w_names))
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,8 +143,8 @@ def _fit_summary(res: FitResult, ci: WaldIntervals | None) -> str:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    data = datasets.load_patient_csv(args.data).with_covariates(args.x, args.w)
-    table = lt.load_life_table(args.lifetable)
+    data = _read_cohort(args.data, args.x, args.w)
+    table = _read(args.lifetable, lt.load_life_table)
     res = fit(data, table, ModelSpec(args.baseline, args.frailty), label=args.label)
     ci = wald_ci(res, args.level) if res.se_valid else None
     out = _out_dir(args)
@@ -209,20 +223,22 @@ def _combined_csv(path: Path, curves) -> None:
 
 
 def _load_fit(path) -> FitResult:
-    """A saved ``fit.json``; a malformed one is an input error naming ``path``."""
-    try:
-        return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValueError as exc:  # includes json.JSONDecodeError
-        raise ValueError(f"{path}: {exc}") from None
+    return FitResult.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _curve_fit(path, draws: int) -> FitResult:
+    """A saved fit that can give curves, and bands when ``draws`` asks for them."""
+    res = _load_fit(path)
+    if not res.convergence.converged:
+        raise RuntimeError("saved fit did not converge; curves not written")
+    if draws and not res.se_valid:
+        raise ValueError("fit has no valid covariance; Monte-Carlo bands unavailable")
+    return res
 
 
 def cmd_netsurv(args: argparse.Namespace) -> int:
-    res = _load_fit(args.fit_path)
-    if not res.convergence.converged:
-        print(f"error: {args.fit_path}: saved fit did not converge; curves not written",
-              file=sys.stderr)
-        return EXIT_NOCONV
-    data = datasets.load_patient_csv(args.data).with_covariates(res.x_names, res.w_names)
+    res = _read(args.fit_path, lambda p: _curve_fit(p, args.draws))
+    data = _read_cohort(args.data, res.x_names, res.w_names)
     if res.data_fingerprint != data.fingerprint():
         # applying a fit to another cohort is a legitimate standardisation
         print(f"warning: {args.fit_path} was fitted on data with fingerprint "
@@ -252,9 +268,9 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
 # -- simulation ---------------------------------------------------------------------
 
 def _load_scenario_inputs(args: argparse.Namespace):
-    s = sim.load_scenario(args.scenario)
-    table = sim.resolve_life_table(s.life_table)
-    return sim.resolve_dropout(s, table), table
+    s = _read(args.scenario, sim.load_scenario)
+    table = _read(s.life_table, sim.resolve_life_table)
+    return _read(args.scenario, lambda _: sim.resolve_dropout(s, table)), table
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -264,7 +280,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"replicate index {args.replicate} outside 0..{s.M - 1} "
             f"(scenario has M = {s.M})"
         )
-    cohort = sim.generate_cohort(s, sim.replicate_seed(s, args.replicate), table)
+    seed = sim.replicate_seed(s, args.replicate)
+    cohort = _read(args.scenario, lambda _: sim.generate_cohort(s, seed, table))
     out = _out_dir(args)
     datasets.write_patient_csv(out / "cohort.csv", cohort)
     events = int(cohort.status.sum())
@@ -306,7 +323,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # -- model comparison ----------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    ranked = aic_compare([_load_fit(path) for path in args.fits])
+    ranked = aic_compare([_read(path, _load_fit) for path in args.fits])
     best = ranked[0].aic
     datasets.write_csv(
         _out_dir(args) / "compare.csv",

@@ -204,6 +204,8 @@ def load_patient_csv(source) -> Dataset:
     order, and every numeric one an x column; a column that is not fully
     numeric is kept as labels.  Blank and ``#`` lines are skipped; a repeated
     name or a malformed field raises :class:`DataFormatError` naming it.
+    The loader only parses; :class:`Dataset` checks each record, naming its
+    file line.  No message names the file; the command line adds its path.
     """
     header, _, columns, lines = lt._read_csv(source, DataFormatError)
     if not header:
@@ -218,55 +220,36 @@ def load_patient_csv(source) -> Dataset:
         raise DataFormatError("header is missing the 'age' column") from None
     if idx_age + 1 >= len(header) or header[idx_age + 1] != "year":
         raise DataFormatError("the 'year' column must directly follow 'age'")
-    cov_names = header[2:idx_age]
     stratum_names = tuple(header[idx_age + 2 :])
     for names in (header[: idx_age + 2], stratum_names):  # a covariate may name a stratum
         if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
             raise DataFormatError(f"header names column {repeated[0]!r} more than once")
-    n = len(lines)
-    if not n:
+    if not lines:
         raise DataFormatError("patient file contains no data rows")
 
     def number(idx: int) -> np.ndarray:
         return lt._parse_column(columns[idx], float, lambda i: DataFormatError(
             f"row {lines[i]}: column {header[idx]!r} is not numeric: {columns[idx][i]!r}"))
 
-    def require(name: str, ok: np.ndarray, rule: str) -> None:
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            raise DataFormatError(f"row {lines[bad[0]]}: column {name!r} must be {rule}")
-
-    time = number(0)
-    require("time", np.isfinite(time) & (time > 0.0), "positive and finite")
-    status_f = number(1)
-    require("status", (status_f == 0.0) | (status_f == 1.0), "0 or 1")
-    age = number(idx_age)
-    year = number(idx_age + 1)
-    for name, col in (("age", age), ("year", year)):
-        require(name, np.isfinite(col), "finite")
-
-    covariates, x_names = {}, []
-    for name, raw in zip(cov_names, columns[2:idx_age]):
+    covariates = {}
+    for name, raw in zip(header[2:idx_age], columns[2:idx_age]):
         try:
-            col = np.array(raw, dtype=float)
+            covariates[name] = np.array(raw, dtype=float)
         except ValueError:
             covariates[name] = np.array([v.strip() for v in raw], dtype=object)
-            continue
-        require(name, np.isfinite(col), "finite")
-        covariates[name] = col
-        x_names.append(name)
 
     try:
         return Dataset(
-            time=time,
-            status=status_f.astype(int),
+            time=number(0),
+            status=number(1),
             columns=covariates,
-            x_names=x_names,
+            x_names=[name for name, col in covariates.items() if col.dtype == float],
             w_names=(),
-            age=age,
-            year=year,
-            strata=lt._stripped_labels(columns[idx_age + 2 :], n),
+            age=number(idx_age),
+            year=number(idx_age + 1),
+            strata=lt._stripped_labels(columns[idx_age + 2 :], len(lines)),
             stratum_names=stratum_names,
+            rows=lines,
         )
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None

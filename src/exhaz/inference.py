@@ -19,8 +19,9 @@ where ``wgt = -L'/L`` is the conditional frailty mean among survivors.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -38,13 +39,12 @@ _PENALTY = 1e10  # objective value returned to the optimiser at non-finite point
 
 # -- data containers -------------------------------------------------------
 
-def _require_each(name: str, ok: np.ndarray, values: np.ndarray, rule: str) -> None:
-    """Raise for the first record where ``ok`` fails, naming its 0-based index."""
+def _require_each(name: str, ok: np.ndarray, values: np.ndarray, rule: str, where) -> None:
+    """Raise for the first record i where ``ok`` fails, naming it ``where(i)``."""
     bad = np.flatnonzero(~ok)
     if bad.size:
         i = bad[0]
-        raise ValueError(f"record {i} (0-based): {name} must be {rule}, "
-                         f"got {values.tolist()[i]!r}")
+        raise ValueError(f"{where(i)}: {name} must be {rule}, got {values.tolist()[i]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,9 @@ class Dataset:
     per name in ``stratum_names`` (n row tuples convert); the life table
     codes each row as described in :class:`~exhaz.lifetable.LifeTable`.
     Every column has n rows, and no name repeats within ``x_names`` or
-    within ``w_names``.
+    within ``w_names``.  Each record rule lives here alone; its error names
+    record i as row ``rows[i]`` (init-only: a loader's file lines) or else as
+    ``record i (0-based)``.
     """
 
     time: np.ndarray
@@ -72,14 +74,18 @@ class Dataset:
     year: np.ndarray
     strata: np.ndarray
     stratum_names: tuple = ()
+    rows: InitVar[object] = None
     x: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, rows):
+        def where(i):
+            return f"record {i} (0-based)" if rows is None else f"row {rows[i]}"
+
         time = np.ascontiguousarray(self.time, dtype=float)
-        _require_each("time", np.isfinite(time) & (time > 0.0), time, "positive and finite")
+        _require_each("time", np.isfinite(time) & (time > 0.0), time, "positive and finite", where)
         status = np.asarray(self.status)
-        _require_each("status", (status == 0) | (status == 1), status, "0 or 1")
+        _require_each("status", (status == 0) | (status == 1), status, "0 or 1", where)
         status = np.ascontiguousarray(status, dtype=np.int8)
         n = time.shape[0]
         columns = {}
@@ -87,7 +93,7 @@ class Dataset:
             col = np.asarray(values)
             if col.dtype.kind in "biuf":
                 col = np.ascontiguousarray(col, dtype=float)
-                _require_each(f"covariate {name!r}", np.isfinite(col), col, "finite")
+                _require_each(f"covariate {name!r}", np.isfinite(col), col, "finite", where)
             if col.shape != (n,):
                 raise ValueError(f"column {name!r} must have n = {n} rows, "
                                  f"got shape {col.shape}")
@@ -115,10 +121,10 @@ class Dataset:
             if shape[:1] != (n,):
                 raise ValueError(f"{name} must have n = {n} rows, got shape {shape}")
         object.__setattr__(self, "strata", lt._label_array(
-            self.strata, n, self.stratum_names, lambda i: f"record {i} (0-based)", ValueError))
+            self.strata, n, self.stratum_names, where, ValueError))
         for arr_name in ("age", "year"):
             values = getattr(self, arr_name)
-            _require_each(arr_name, np.isfinite(values), values, "finite")
+            _require_each(arr_name, np.isfinite(values), values, "finite", where)
 
     @property
     def n(self) -> int:
@@ -272,52 +278,31 @@ class FitResult:
         return _to_natural(self.psi, self.transformed_names)[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "baseline": self.spec.baseline,
-            "frailty": self.spec.frailty,
-            "x_names": list(self.x_names),
-            "w_names": list(self.w_names),
-            "psi": [float(v) for v in self.psi],
-            "transformed_names": list(self.transformed_names),
-            "natural_names": list(self.natural_names),
-            "loglik": float(self.loglik),
-            "n_params": self.n_params,
-            "covariance": None
-            if self.covariance is None
-            else [[float(v) for v in row] for row in self.covariance],
-            "se_valid": self.se_valid,
-            "converged": self.convergence.converged,
-            "iterations": self.convergence.iterations,
-            "gradient_norm": float(self.convergence.gradient_norm),
-            "messages": list(self.convergence.messages),
-            "attempts": self.convergence.attempts,
-            "n": self.n,
-            "n_events": self.n_events,
-            "data_fingerprint": self.data_fingerprint,
-            "label": self.label,
-        }
+        return {key: value(self) for key, _, _, value in _FIT_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FitResult":
-        """Inverse of ``to_json_dict``; a ``ValueError`` names a bad field."""
+        """Inverse of ``to_json_dict``; a ``ValueError`` names a bad field.  Every
+        written field is required, with its JSON type, and must be what the loaded
+        fit writes back, so a derived one (``n_params``, ``se_valid``, the names)
+        must agree with the rest.  Other keys are ignored."""
         if not isinstance(d, dict):
             raise ValueError(f"saved fit must be a JSON object, got {type(d).__name__}")
-        missing = [key for keys, _, _ in _JSON_TYPES for key in keys if key not in d]
+        missing = [key for key, *_ in _FIT_FIELDS if key not in d]
         if missing:
             raise ValueError(f"saved fit lacks field(s) {', '.join(missing)}")
-        for keys, kind, is_kind in _JSON_TYPES:
-            for key in keys:
-                if not is_kind(d[key]):
-                    raise ValueError(f"saved fit field {key!r} must be {kind}, "
-                                     f"got {type(d[key]).__name__}")
+        for key, kind, is_kind, _ in _FIT_FIELDS:
+            if not is_kind(d[key]):
+                raise ValueError(f"saved fit field {key!r} must be {kind}, "
+                                 f"got {type(d[key]).__name__}")
         spec = ModelSpec(baseline=d["baseline"], frailty=d["frailty"])
         k = len(_param_names(spec, d["w_names"], d["x_names"])[0])
-        return cls(
+        res = cls(
             spec=spec,
             psi=_float_field(d, "psi", (k,)),
             covariance=None if d["covariance"] is None
             else _float_field(d, "covariance", (k, k)),
-            loglik=d["loglik"],
+            loglik=float(_float_field(d, "loglik", ())),
             convergence=Convergence(
                 converged=d["converged"],
                 iterations=d["iterations"],
@@ -332,22 +317,46 @@ class FitResult:
             w_names=tuple(d["w_names"]),
             label=d["label"],
         )
+        for key, _, _, value in _FIT_FIELDS:
+            want, got = value(res), d[key]
+            if want != got and json.dumps(want) != json.dumps(got):  # NaN equals NaN here
+                raise ValueError(f"saved fit field {key!r} must be {json.dumps(want)} "
+                                 f"for the fit it describes, got {json.dumps(got)}")
+        return res
 
 
-# every field that ``FitResult.from_json_dict`` requires, with its JSON type:
-# (fields, type, test); the numbers of psi and covariance are checked after
-_JSON_TYPES = (
-    (("baseline", "frailty", "data_fingerprint", "label"), "a string",
-     lambda v: isinstance(v, str)),
-    (("x_names", "w_names", "messages"), "a list of strings",
-     lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v)),
-    (("loglik", "gradient_norm"), "a number",
-     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    (("converged",), "a boolean", lambda v: isinstance(v, bool)),
-    (("iterations", "attempts", "n", "n_events"), "an integer",
-     lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    (("psi",), "a list", lambda v: isinstance(v, list)),
-    (("covariance",), "a list or null", lambda v: v is None or isinstance(v, list)),
+_STRING = ("a string", lambda v: isinstance(v, str))
+_STRINGS = ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v))
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_BOOLEAN = ("a boolean", lambda v: isinstance(v, bool))
+
+# every field of a saved fit, in written order: (key, JSON type, its test, the
+# value a FitResult writes); the numbers of psi, covariance and loglik are checked after
+_FIT_FIELDS = (
+    ("baseline", *_STRING, lambda r: r.spec.baseline),
+    ("frailty", *_STRING, lambda r: r.spec.frailty),
+    ("x_names", *_STRINGS, lambda r: list(r.x_names)),
+    ("w_names", *_STRINGS, lambda r: list(r.w_names)),
+    ("psi", "a list", lambda v: isinstance(v, list), lambda r: [float(v) for v in r.psi]),
+    ("transformed_names", *_STRINGS, lambda r: list(r.transformed_names)),
+    ("natural_names", *_STRINGS, lambda r: list(r.natural_names)),
+    ("loglik", *_NUMBER, lambda r: float(r.loglik)),
+    ("n_params", *_INTEGER, lambda r: r.n_params),
+    ("covariance", "a list or null", lambda v: v is None or isinstance(v, list),
+     lambda r: None if r.covariance is None
+     else [[float(v) for v in row] for row in r.covariance]),
+    ("se_valid", *_BOOLEAN, lambda r: r.se_valid),
+    ("converged", *_BOOLEAN, lambda r: r.convergence.converged),
+    ("iterations", *_INTEGER, lambda r: r.convergence.iterations),
+    ("gradient_norm", *_NUMBER, lambda r: float(r.convergence.gradient_norm)),
+    ("messages", *_STRINGS, lambda r: list(r.convergence.messages)),
+    ("attempts", *_INTEGER, lambda r: r.convergence.attempts),
+    ("n", *_INTEGER, lambda r: r.n),
+    ("n_events", *_INTEGER, lambda r: r.n_events),
+    ("data_fingerprint", *_STRING, lambda r: r.data_fingerprint),
+    ("label", *_STRING, lambda r: r.label),
 )
 
 
@@ -363,8 +372,9 @@ def _float_field(d: dict, key: str, shape: tuple) -> np.ndarray:
                          f"model and covariates, got {got}")
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
+        at = f" at index {bad[0].tolist()}" if arr.ndim else ""
         raise ValueError(f"saved fit field {key!r} must be finite, got "
-                         f"{float(arr[tuple(bad[0])])} at index {bad[0].tolist()}")
+                         f"{float(arr[tuple(bad[0])])}{at}")
     return arr
 
 

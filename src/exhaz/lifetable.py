@@ -136,8 +136,9 @@ class LifeTable:
         """Rates at ``(floor(age), floor(year), code)`` with edge clamping, vectorised."""
         a0, a1 = self.age_range
         y0, y1 = self.year_range
-        ai = np.clip(np.floor(ages).astype(np.intp), a0, a1) - a0
-        yi = np.clip(np.floor(years).astype(np.intp), y0, y1) - y0
+        # clipped before the cast, which would wrap a value beyond intp's range
+        ai = np.clip(np.floor(ages), a0, a1).astype(np.intp) - a0
+        yi = np.clip(np.floor(years), y0, y1).astype(np.intp) - y0
         return self._grid[ai, yi, codes]
 
     def _segment_rows(self, ages, years, codes, stop):
@@ -339,7 +340,8 @@ def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u,
     band_max = np.append(table._grid.max(axis=(1, 2)), 0.0)
     bounds = np.column_stack((first, end)).astype(np.intp).ravel()
     r_max = np.maximum.reduceat(band_max, bounds)[::2]
-    rows = np.flatnonzero(-np.log1p(-u) <= stop * r_max * (1.0 + 1e-9))
+    with np.errstate(over="ignore"):  # a bound past the largest double screens nobody out
+        rows = np.flatnonzero(-np.log1p(-u) <= stop * r_max * (1.0 + 1e-9))
     # math.log1p, not np.log1p, which differs from it in the last bit on some u
     target = np.array([-math.log1p(-v) for v in u[rows].tolist()])
     out = np.full(len(u), np.inf)

@@ -92,10 +92,18 @@ class _InverseGaussianFrailty:
 
     @staticmethod
     def log_laplace(b, s, out=None):
-        # the root is the one temporary: out may be s, which the root reads
-        root = np.multiply(2.0 * b, s, out=np.empty_like(s, dtype=float))
-        root = np.add(1.0, np.sqrt(np.add(1.0, root, out=root), out=root), out=root)
-        return np.divide(np.multiply(-2.0, s, out=out), root, out=out)
+        # out may be s: the root and the overflow cells' lead terms read s first
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = np.multiply(2.0 * b, s, out=np.empty_like(s, dtype=float))
+            root = np.add(1.0, np.sqrt(np.add(1.0, root, out=root), out=root), out=root)
+            # where 2bs overflows, the closed form's leading term -sqrt(2s/b) (-inf at s = inf)
+            far = np.isinf(root)
+            lead = -math.sqrt(2.0 / b) * np.sqrt(np.asarray(s)[far]) if far.any() else None
+            out = np.divide(np.multiply(-2.0, s, out=out), root,
+                            out=root if out is None else out)
+        if lead is not None:
+            out[far] = lead
+        return out
 
     @staticmethod
     def weight(b, s):

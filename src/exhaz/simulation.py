@@ -155,10 +155,12 @@ class Scenario:
             raise ValueError(f"admin_censor must be positive and finite, got {self.admin_censor!r}")
         if not math.isfinite(self.year):
             raise ValueError(f"year must be finite, got {self.year!r}")
+        if self.seed < 0:  # SeedSequence refuses it only when a replicate is drawn
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         share, target = self.censoring_target
         if share not in ("dropout", "censoring") or not (0.0 <= target < 1.0):
-            raise ValueError("censoring_target must be ('dropout' or 'censoring', a "
-                             "share in [0, 1))")
+            raise ValueError(f"censoring_target must be ('dropout' or 'censoring', a share "
+                             f"in [0, 1)), got {share}_target = {target!r}")
         if self.dropout_rate is not None and not 0.0 <= self.dropout_rate < math.inf:
             raise ValueError(f"dropout_rate must be >= 0 and finite, got {self.dropout_rate!r}")
         two = len(self.groups) == 2
@@ -832,22 +834,27 @@ def load_scenario(path) -> Scenario:
     """Read a scenario INI file in the form :func:`save_scenario` writes.
 
     Every section and key is required; a missing one, or a value that does
-    not parse, raises ``ValueError`` naming it.  ``[truth.<label>]``
-    sections mark a two-group file.
+    not parse, raises ``ValueError`` naming it, and so does a value that
+    :class:`Scenario` refuses.  No message names the file; the command line
+    adds its path.  ``[truth.<label>]`` sections mark a two-group file.
     """
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:  # no ValueError; its path is left to the caller
+            text = str(exc).replace(repr(fh.name), "the file")
+            raise ValueError(" ".join(text.split())) from None
 
     def get(section: str, key: str, convert=str):
         if section not in cp:
-            raise ValueError(f"{path}: missing [{section}] section")
+            raise ValueError(f"missing [{section}] section")
         if key not in cp[section]:
-            raise ValueError(f"{path}: [{section}] is missing key {key!r}")
+            raise ValueError(f"[{section}] is missing key {key!r}")
         try:
             return convert(cp[section][key].strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+        except (ValueError, configparser.Error) as exc:  # a stray % is an interpolation error
+            raise ValueError(f"[{section}] {key}: {exc}") from None
 
     dropout = get("scenario", "dropout_rate", lambda v: None if v == "auto" else float(v))
     share = "censoring" if "censoring_target" in cp["scenario"] else "dropout"

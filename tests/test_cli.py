@@ -163,7 +163,8 @@ class TestFit:
                          flag, "stage", "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: {flag[2:]}_names: column 'stage' holds labels, not numbers\n")
+            f"error: {BUNDLED / 'lung_synthetic.csv'}: {flag[2:]}_names: column 'stage' holds "
+            "labels, not numbers\n")
         assert not (tmp_path / "o").exists()
 
     def test_stratum_column_must_match_the_table(self, inputs, tmp_path, capsys):
@@ -394,6 +395,20 @@ class TestNetsurv:
         assert code == 4
         assert capsys.readouterr().err == (
             f"error: {saved}: saved fit did not converge; curves not written\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_bands_from_a_fit_without_valid_standard_errors_are_refused_first(
+            self, agec_fit, tmp_path, capsys):
+        # the refusal used to come after the cohort was read, naming no file;
+        # the cohort path here does not exist, so reading it would fail
+        payload = json.loads((agec_fit / "fit.json").read_text())
+        saved = tmp_path / "fit.json"
+        saved.write_text(json.dumps({**payload, "covariance": None, "se_valid": False}))
+        code = cli.main(["netsurv", "--data", str(tmp_path / "absent.csv"), "--fit", str(saved),
+                         "--draws", "100", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {saved}: fit has no valid covariance; Monte-Carlo bands unavailable\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["netsurv", "compare"])
@@ -718,7 +733,7 @@ class TestSimulate:
         code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: record ")
+        assert err.startswith(f"error: {path}: record ")
         assert err.endswith(" (0-based): time must be positive and finite, got 0.0\n")
         assert not (tmp_path / "o" / "cohort.csv").exists()
 
@@ -749,7 +764,7 @@ class TestSimulate:
         code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: n = 100000000000000 is above the cap of 10000000 subjects\n")
+            f"error: {path}: n = 100000000000000 is above the cap of 10000000 subjects\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["sc1", "two_group_1"])
@@ -808,7 +823,7 @@ class TestSimulate:
                                 for line in path.read_text().splitlines(True)))
         code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert f"error: {key} must be " in capsys.readouterr().err
+        assert f"error: {path}: {key} must be " in capsys.readouterr().err
         assert not (tmp_path / "o" / "cohort.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("probs", "nan, 0.35, 0.4"),
@@ -821,7 +836,7 @@ class TestSimulate:
                                 for line in path.read_text().splitlines(True)))
         code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert f"error: age mixture {key} " in capsys.readouterr().err
+        assert f"error: {path}: age mixture {key} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["zero", "none"])
     def test_unknown_builtin_life_table_is_an_input_error(self, tmp_path, capsys, name):

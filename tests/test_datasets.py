@@ -188,7 +188,7 @@ class TestPatientCsv:
 
     @pytest.mark.parametrize("text, message", [
         ("time,status,age,year\n1,1,60,2012\n\n2,0,nan,2012\n",
-         "row 4: column 'age' must be finite"),
+         "row 4: age must be finite, got nan"),
         ("time,status,age,year\n1,1,60,2012\n\n2,1,61\n", "row 4: expected 4 fields, got 3"),
         ("# cohort extract\ntime,status,age,year\n1,1,60,2012\n  # a note\n2,0,6o,2012\n",
          "row 5: column 'age' is not numeric: '6o'"),
@@ -260,20 +260,21 @@ class TestPatientCsv:
                 "'year' column must directly follow 'age'",
             ),
             ("time,status,age,year\nabc,1,60,2012\n", "column 'time' is not numeric"),
-            ("time,status,age,year\n1,2,60,2012\n", "column 'status' must be 0 or 1"),
+            ("time,status,age,year\n1,2,60,2012\n", "row 2: status must be 0 or 1, got 2.0"),
             ("time,status,age,year\n1,1,60\n", "row 2: expected 4 fields, got 3"),
             ("time,status,age,year\n1,1,60,2012\n2,1,61\n", "row 3"),
             ("time,status,age,year\n-1,1,60,2012\n", "time"),
-            ("time,status,age,year\n1,1,60,2012\n1,0,nan,2012\n", "row 3: column 'age'"),
-            ("time,status,age,year\n1,1,60,inf\n", "row 2: column 'year' must be finite"),
+            ("time,status,age,year\n1,1,60,2012\n1,0,nan,2012\n",
+             "row 3: age must be finite, got nan"),
+            ("time,status,age,year\n1,1,60,inf\n", "row 2: year must be finite, got inf"),
             ("time,status,age,year\n1,1,60,2012\n2,0,1e400,2012\n",
-             "row 3: column 'age' must be finite"),
+             "row 3: age must be finite, got inf"),
             ("time,status,age,year\nnan,1,60,2012\n",
-             "row 2: column 'time' must be positive and finite"),
+             "row 2: time must be positive and finite, got nan"),
             ("time,status,age,year\n1,1,60,2012\n-2,0,61,2012\n",
-             "row 3: column 'time' must be positive and finite"),
+             "row 3: time must be positive and finite, got -2.0"),
             ("time,status,x,age,year\n1,1,0.5,60,2012\n2,0,inf,61,2012\n",
-             "row 3: column 'x' must be finite"),
+             "row 3: covariate 'x' must be finite, got inf"),
         ],
     )
     def test_malformed_inputs(self, text, match):

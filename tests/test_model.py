@@ -217,6 +217,17 @@ class TestLaplace:
             f = mdl.FrailtySpec(family, b)
             assert np.all(mdl.laplace(f, s) > np.exp(-s))
 
+    @pytest.mark.parametrize("b, s, log_l", [(2.0, np.inf, -np.inf), (2.0, 1e308, -1.0e154),
+                                             (2.0, 5e307, -7.071067811865475244e153)])
+    def test_ig_laplace_where_its_root_overflows(self, b, s, log_l):
+        # 1 + sqrt(1 + 2bs) overflows: log L used to be nan at the first two
+        # points and -0.0 (L = 1) at the third; log_l is a 50-digit reference
+        form = mdl._frailty_form("ig", b)
+        got = form.log_laplace(b, np.array([s, 1.0]))
+        assert got[0] == pytest.approx(log_l, rel=1e-15)
+        assert got[1] == form.log_laplace(b, np.array([1.0]))[0]
+        assert mdl.laplace(mdl.FrailtySpec("ig", b), s) == 0.0
+
     @pytest.mark.parametrize("family", ["none", "gamma", "ig"])
     def test_log_laplace_out_is_bit_identical(self, family):
         # out= writes the allocating call's bits into a new array, into its

@@ -263,8 +263,7 @@ class TestTimeZero:
         out = ns._individual_curves(x, w, grid, g, fr, np.empty((4, 2)))
         assert np.all(out[:2] == 1.0)
         np.testing.assert_array_equal(out[:, 0], _whole_matrix(x[:1], w[:1], grid, g, fr)[:, 0])
-        if fr.family != "ig":  # an inverse-Gaussian L(inf) is still nan
-            np.testing.assert_array_equal(out[2:, 1], [0.0, 0.0])
+        np.testing.assert_array_equal(out[2:, 1], [0.0, 0.0])
 
     def test_gamma_band_draws_with_an_overflowing_subject_are_kept(self, cohort, fit_gamma):
         assert fit_gamma.params.beta[0] > 0.1
@@ -275,6 +274,18 @@ class TestTimeZero:
         (curve,) = ns.net_survival_mc_ci(data, fit_gamma, grid, draws=100, seed=3)
         assert curve.rejected_draws == 0
         assert curve.estimate[0] == curve.lower[0] == curve.upper[0] == 1.0
+
+    def test_ig_band_draws_with_an_overflowing_subject_are_kept(self, cohort, fit_gamma):
+        # the gamma fit's estimate and covariance read as an inverse-Gaussian
+        # fit; L(inf) used to be nan, so its point curve was refused as not finite
+        fit_ig = dataclasses.replace(fit_gamma, spec=inf.ModelSpec("pgw", "ig"), label="")
+        x0 = cohort.columns["x0"].copy()
+        x0[0] = 5000.0
+        data = dataclasses.replace(cohort, columns={**cohort.columns, "x0": x0})
+        (curve,) = ns.net_survival_mc_ci(data, fit_ig, np.linspace(0.0, 2.0, 5), draws=100,
+                                         seed=3)
+        assert curve.rejected_draws == 0
+        assert np.all(np.isfinite(curve.estimate)) and curve.estimate[0] == 1.0
 
 
 class TestMonteCarloBands:
