@@ -8,7 +8,6 @@ command-line entry point lives in :mod:`exhaz.cli`.
 
 from .baseline import LogNormalParams, PGWParams, get_family
 from .datasets import (
-    DataFormatError,
     load_patient_csv,
     synthetic_life_table,
     synthetic_lung_cohort,
@@ -73,7 +72,6 @@ __all__ = [
     "Aim1Result",
     "Aim2Result",
     "CovariateMapping",
-    "DataFormatError",
     "Dataset",
     "FitResult",
     "FrailtySpec",

@@ -6,8 +6,9 @@ Two families are provided:
   can be increasing, decreasing, unimodal, or bathtub-shaped.
 * Log-Normal: a two-parameter family with a unimodal hazard.
 
-Each family exposes the hazard, the cumulative hazard, and the inverse of
-the cumulative hazard (``quantile``), plus the derivative blocks used by
+Each family's ``hazard``, ``cum_hazard`` and ``quantile`` (the inverse of
+the cumulative hazard) are the point functions of this module themselves,
+``pgw_hazard`` and so on.  Each family adds the derivative blocks used by
 the fitting routines (gradients with respect to the transformed parameter
 scale, where positive parameters are optimised on the log scale).
 
@@ -15,12 +16,11 @@ Where each formula is written:
 
 * PGW h0: ``_pgw_hazard_terms``, read by ``pgw_hazard`` and ``haz_block``.
 * PGW H0 from z = (s/sigma)^nu: ``_pgw_cum_from_z``, read by
-  ``pgw_cum_hazard`` (point values and simulation) and by
-  ``cum_hazard_grid`` (net-survival curves).  ``cum_block`` (fits) keeps its
-  own expression, since merging it would change the bytes of every fit.
+  ``pgw_cum_hazard`` and ``cum_hazard_grid``.  ``cum_block`` (fits) keeps
+  its own expression, since merging it would change the bytes of every fit.
 * Log-Normal H0 from zeta = (log s - mu) / sd: ``_lognormal_cum_from_zeta``,
-  read by ``_lognormal_terms`` and ``cum_hazard_grid``.  ``_lognormal_terms``
-  (zeta and H0) and the ratio phi/Phibar, ``_mills_ratio``, are read by the
+  read by ``_lognormal_terms`` (zeta and H0) and ``cum_hazard_grid``;
+  ``_lognormal_terms`` and ``_mills_ratio`` (phi/Phibar) are read by the
   point functions and both blocks.
 * H0 on a grid of times for many subjects, H0(t_j e^{w_i'alpha}):
   ``cum_hazard_grid`` of each family, from the log-time sum
@@ -30,8 +30,6 @@ Where each formula is written:
   ``_lognormal_cum_from_zeta`` with ``out=``; every element sees the same
   operations in the same order, so it is bit-identical to the allocating
   call.
-* Quantiles: ``pgw_quantile`` and ``lognormal_quantile``.
-* A parameter block from natural values: ``from_natural`` of the family.
 """
 
 from __future__ import annotations
@@ -205,17 +203,9 @@ class _PGWFamily(_Family):
     def to_transformed(p: PGWParams):
         return np.array([math.log(p.sigma), math.log(p.nu), math.log(p.gamma)])
 
-    @staticmethod
-    def hazard(t, p):
-        return pgw_hazard(t, p)
-
-    @staticmethod
-    def cum_hazard(t, p):
-        return pgw_cum_hazard(t, p)
-
-    @staticmethod
-    def quantile(q, p):
-        return pgw_quantile(q, p)
+    hazard = staticmethod(pgw_hazard)
+    cum_hazard = staticmethod(pgw_cum_hazard)
+    quantile = staticmethod(pgw_quantile)
 
     @staticmethod
     def cum_hazard_grid(grid, eta_w, p, out=None):
@@ -293,17 +283,9 @@ class _LogNormalFamily(_Family):
     def to_transformed(p: LogNormalParams):
         return np.array([p.mu, math.log(p.sd)])
 
-    @staticmethod
-    def hazard(t, p):
-        return lognormal_hazard(t, p)
-
-    @staticmethod
-    def cum_hazard(t, p):
-        return lognormal_cum_hazard(t, p)
-
-    @staticmethod
-    def quantile(q, p):
-        return lognormal_quantile(q, p)
+    hazard = staticmethod(lognormal_hazard)
+    cum_hazard = staticmethod(lognormal_cum_hazard)
+    quantile = staticmethod(lognormal_quantile)
 
     @staticmethod
     def cum_hazard_grid(grid, eta_w, p, out=None):

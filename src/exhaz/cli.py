@@ -79,7 +79,7 @@ def _read(path, load):
     fit that did not converge) is raised again prefixed with ``path``."""
     try:
         return load(path)
-    except (ValueError, RuntimeError) as exc:  # includes DataFormatError, JSONDecodeError
+    except (ValueError, RuntimeError) as exc:  # includes JSONDecodeError
         raise (ValueError if isinstance(exc, ValueError) else RuntimeError)(
             f"{path}: {exc}") from None
 
@@ -145,7 +145,9 @@ def _fit_summary(res: FitResult, ci: WaldIntervals | None) -> str:
 def cmd_fit(args: argparse.Namespace) -> int:
     data = _read_cohort(args.data, args.x, args.w)
     table = _read(args.lifetable, lt.load_life_table)
-    res = fit(data, table, ModelSpec(args.baseline, args.frailty), label=args.label)
+    spec = ModelSpec(args.baseline, args.frailty)
+    # the cohort's records against the life table: an error names the cohort's file
+    res = _read(args.data, lambda _: fit(data, table, spec, label=args.label))
     ci = wald_ci(res, args.level) if res.se_valid else None
     out = _out_dir(args)
     _estimates_csv(out / "estimates.csv", res, ci)
@@ -167,7 +169,7 @@ def _column_values(data, name: str) -> np.ndarray:
         return data.columns[name]
     if name in data.stratum_names:
         return data.strata[:, data.stratum_names.index(name)]
-    raise datasets.DataFormatError(f"unknown subgroup column {name!r}")
+    raise ValueError(f"unknown subgroup column {name!r}")
 
 
 def _number_label(val) -> str:
@@ -193,7 +195,7 @@ def _subgroups(data, by) -> list:
     for label, _ in groups:
         name = f"curve_{_slug(label)}.csv"
         if name in files:
-            raise datasets.DataFormatError(
+            raise ValueError(
                 f"subgroups {files[name]!r} and {label!r} would both be written to {name}")
         files[name] = label
     return groups
@@ -397,14 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runconfig(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Reject flag combinations that argparse cannot express."""
-    if args.command == "netsurv" and args.draws > 0 and args.seed is None:
-        parser.error("--seed is required when --draws requests Monte-Carlo bands")
-    return args
-
-
 _HANDLERS = {
     "fit": cmd_fit,
     "netsurv": cmd_netsurv,
@@ -416,12 +410,14 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = _runconfig(parser.parse_args(argv), parser)
+    args = parser.parse_args(argv)
+    if args.command == "netsurv" and args.draws > 0 and args.seed is None:
+        parser.error("--seed is required when --draws requests Monte-Carlo bands")
     try:
         if "level" in args and not 0.0 < args.level < 1.0:  # before any file is read
             raise ValueError(f"--level {args.level!r} must be in (0, 1)")
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:  # includes DataFormatError, FileNotFoundError
+    except (ValueError, OSError) as exc:  # includes FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RuntimeError as exc:

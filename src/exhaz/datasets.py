@@ -34,10 +34,6 @@ LUNG_AGE_SCALE = 10.0
 STAGE_LABELS = ("I", "II", "III", "IV")
 
 
-class DataFormatError(ValueError):
-    """Raised when a patient CSV does not match the documented layout."""
-
-
 # -- the one text writer (UTF-8, LF on every platform) and the one CSV writer --------
 
 def _write_text(path, text: str) -> None:
@@ -203,32 +199,33 @@ def load_patient_csv(source) -> Dataset:
     stratum column.  Every covariate becomes a column of the cohort, in file
     order, and every numeric one an x column; a column that is not fully
     numeric is kept as labels.  Blank and ``#`` lines are skipped; a repeated
-    name or a malformed field raises :class:`DataFormatError` naming it.
-    The loader only parses; :class:`Dataset` checks each record, naming its
-    file line.  No message names the file; the command line adds its path.
+    name or a malformed field raises ``ValueError`` naming it.  The loader
+    only parses; :class:`Dataset` checks each record and raises its
+    ``ValueError`` naming the file line.  No message names the file; the
+    command line adds its path.
     """
-    header, _, columns, lines = lt._read_csv(source, DataFormatError)
+    header, _, columns, lines = lt._read_csv(source)
     if not header:
-        raise DataFormatError("patient file contains no rows")
+        raise ValueError("patient file contains no rows")
     if header[:2] != ["time", "status"]:
-        raise DataFormatError(
+        raise ValueError(
             f"header must start with 'time,status', got {','.join(header[:2])!r}"
         )
     try:
         idx_age = header.index("age")
     except ValueError:
-        raise DataFormatError("header is missing the 'age' column") from None
+        raise ValueError("header is missing the 'age' column") from None
     if idx_age + 1 >= len(header) or header[idx_age + 1] != "year":
-        raise DataFormatError("the 'year' column must directly follow 'age'")
+        raise ValueError("the 'year' column must directly follow 'age'")
     stratum_names = tuple(header[idx_age + 2 :])
     for names in (header[: idx_age + 2], stratum_names):  # a covariate may name a stratum
         if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
-            raise DataFormatError(f"header names column {repeated[0]!r} more than once")
+            raise ValueError(f"header names column {repeated[0]!r} more than once")
     if not lines:
-        raise DataFormatError("patient file contains no data rows")
+        raise ValueError("patient file contains no data rows")
 
     def number(idx: int) -> np.ndarray:
-        return lt._parse_column(columns[idx], float, lambda i: DataFormatError(
+        return lt._parse_column(columns[idx], float, lambda i: ValueError(
             f"row {lines[i]}: column {header[idx]!r} is not numeric: {columns[idx][i]!r}"))
 
     covariates = {}
@@ -238,21 +235,18 @@ def load_patient_csv(source) -> Dataset:
         except ValueError:
             covariates[name] = np.array([v.strip() for v in raw], dtype=object)
 
-    try:
-        return Dataset(
-            time=number(0),
-            status=number(1),
-            columns=covariates,
-            x_names=[name for name, col in covariates.items() if col.dtype == float],
-            w_names=(),
-            age=number(idx_age),
-            year=number(idx_age + 1),
-            strata=lt._stripped_labels(columns[idx_age + 2 :], len(lines)),
-            stratum_names=stratum_names,
-            rows=lines,
-        )
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    return Dataset(
+        time=number(0),
+        status=number(1),
+        columns=covariates,
+        x_names=[name for name, col in covariates.items() if col.dtype == float],
+        w_names=(),
+        age=number(idx_age),
+        year=number(idx_age + 1),
+        strata=lt._stripped_labels(columns[idx_age + 2 :], len(lines)),
+        stratum_names=stratum_names,
+        rows=lines,
+    )
 
 
 # -- bundled demo inputs ------------------------------------------------------------

@@ -121,7 +121,7 @@ class Dataset:
             if shape[:1] != (n,):
                 raise ValueError(f"{name} must have n = {n} rows, got shape {shape}")
         object.__setattr__(self, "strata", lt._label_array(
-            self.strata, n, self.stratum_names, where, ValueError))
+            self.strata, n, self.stratum_names, where))
         for arr_name in ("age", "year"):
             values = getattr(self, arr_name)
             _require_each(arr_name, np.isfinite(values), values, "finite", where)

@@ -28,10 +28,6 @@ import numpy as np
 _BLOCK = 1024  # subjects per sampling block; bounds the knot matrices' memory
 
 
-class LifeTableError(ValueError):
-    """Raised for malformed life-table files or unresolvable lookups."""
-
-
 @dataclass(frozen=True)
 class LifeTableKey:
     """Demographics fixing a life-table trajectory: age/year at diagnosis and stratum."""
@@ -76,12 +72,12 @@ class LifeTable:
         rates = np.asarray(rates, dtype=float)
         n = len(rates)
         if n == 0:
-            raise LifeTableError("life table has no entries")
+            raise ValueError("life table has no entries")
         rows = range(1, n + 1) if rows is None else rows
         strata = _label_array(strata, n, stratum_schema, lambda i: f"row {rows[i]}")
         bad = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
         if bad.size:
-            raise LifeTableError(f"row {rows[bad[0]]}: negative or non-finite rate {rates[bad[0]]}")
+            raise ValueError(f"row {rows[bad[0]]}: negative or non-finite rate {rates[bad[0]]}")
         columns = [np.unique(col, return_inverse=True) for col in strata.T]
         domains = tuple(values for values, _ in columns)
         radix = (1, *map(len, domains))
@@ -93,7 +89,7 @@ class LifeTable:
                                  return_index=True)
         if len(cells) < n:
             i = np.setdiff1d(np.arange(n), first)[0]  # the first entry repeating a cell
-            raise LifeTableError(f"row {rows[i]}: duplicate cell "
+            raise ValueError(f"row {rows[i]}: duplicate cell "
                                  f"{(int(ages[i]), int(years[i]), tuple(strata[i].tolist()))}")
         (a0, a1), (y0, y1) = age_values[[0, -1]].tolist(), year_values[[0, -1]].tolist()
         table = cls((a0, a1), (y0, y1), stratum_schema, rates[first], domains)
@@ -105,7 +101,7 @@ class LifeTable:
                     for c in range(n_codes))
             a, y, c = next(want for want, got in zip(grid, [*have, None]) if want != got)
             labels = tuple(table.stratum_labels([c])[0].tolist())
-            raise LifeTableError(f"incomplete grid: missing cell {(a, y, labels)}")
+            raise ValueError(f"incomplete grid: missing cell {(a, y, labels)}")
         return replace(table, _grid=table._grid.reshape(a1 - a0 + 1, y1 - y0 + 1, n_codes))
 
     # -- lookups ----------------------------------------------------------
@@ -120,7 +116,7 @@ class LifeTable:
                    for d, i, col in zip(self._domains, index, strata.T)]
         if np.any(unknown):
             i, j = np.argwhere(np.transpose(unknown))[0]  # the first record, then column
-            raise LifeTableError(
+            raise ValueError(
                 f"record {i} (0-based): {self.stratum_schema[j]} {strata[i, j].item()!r} is not "
                 f"a stratum label of the life table (labels {', '.join(self._domains[j])})")
         return np.ravel_multi_index((np.zeros(len(strata), np.intp), *index),
@@ -174,9 +170,9 @@ class LifeTable:
         return knots, cum, rates, count
 
 
-def _label_array(strata, n: int, schema, where, error=LifeTableError) -> np.ndarray:
+def _label_array(strata, n: int, schema, where) -> np.ndarray:
     """``strata`` as an (n, k) array of str labels, k = ``len(schema)``, from
-    such an array or n row tuples.  Ragged rows raise ``error`` naming the
+    such an array or n row tuples.  Ragged rows raise ``ValueError`` naming the
     first of another width as ``where(i)``; another shape names the expected one.
     Labels that arrive as Python objects may not hold a NUL character, which
     numpy's str dtype would drop from the end; a str array has none left to find."""
@@ -185,28 +181,28 @@ def _label_array(strata, n: int, schema, where, error=LifeTableError) -> np.ndar
     except ValueError:  # ragged rows
         for i, row in enumerate(strata):
             if len(row) != len(schema):
-                raise error(f"{where(i)}: stratum {tuple(map(str, row))!r} does not match "
+                raise ValueError(f"{where(i)}: stratum {tuple(map(str, row))!r} does not match "
                             f"schema {schema}") from None
         raise
     labels = labels.reshape(0, len(schema)) if labels.shape == (0,) else labels
     if labels.shape != (n, len(schema)):
-        raise error(f"strata must be an (n, k) = ({n}, {len(schema)}) array of labels, one "
+        raise ValueError(f"strata must be an (n, k) = ({n}, {len(schema)}) array of labels, one "
                     f"per column of schema {schema}, got shape {labels.shape}")
     if not (isinstance(strata, np.ndarray) and strata.dtype.kind == "U"):
         for i, row in enumerate(strata):
             for name, label in zip(schema, row):
                 if "\x00" in str(label):
-                    raise error(f"{where(i)}: {name} label {str(label)!r} has a NUL character")
+                    raise ValueError(f"{where(i)}: {name} label {str(label)!r} has a NUL character")
     return labels
 
 
-def _read_csv(source, error):
+def _read_csv(source):
     """Read a CSV (path, file object, or iterable of lines) into columns.
 
     Skips blank lines and lines whose first non-space character is ``#``.
     Returns the stripped header names (empty without a header), its file
-    line, one list of unstripped cells per column and each row's file line;
-    a row with the wrong field count raises ``error``, and so does a NUL
+    line, one list of unstripped cells per column and each row's file line.
+    A row with the wrong field count raises ``ValueError``, and so does a NUL
     character, which numpy's str arrays would drop from the end of a label."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8").splitlines()
@@ -223,11 +219,11 @@ def _read_csv(source, error):
     width = np.fromiter(map(str.count, body, itertools.repeat(",")), np.intp, len(body)) + 1
     bad = np.flatnonzero(width != len(header))
     if bad.size:
-        raise error(f"row {lines[bad[0]]}: expected {len(header)} fields, got {width[bad[0]]}")
+        raise ValueError(f"row {lines[bad[0]]}: expected {len(header)} fields, got {width[bad[0]]}")
     joined = ",".join(body)
     if "\x00" in joined:
         i = next(i for i, row in zip(lines, body) if "\x00" in row)
-        raise error(f"row {i}: NUL character")
+        raise ValueError(f"row {i}: NUL character")
     # every row has len(header) cells, so column j is every len(header)-th cell
     cells = joined.split(",") if body else []
     return header, kept[0], [cells[j::len(header)] for j in range(len(header))], lines
@@ -259,18 +255,18 @@ def load_life_table(source) -> LifeTable:
     Errors (malformed row, negative rate, duplicate cell) name the file
     line; a grid hole names the first missing cell.
     """
-    header, header_line, columns, lines = _read_csv(source, LifeTableError)
+    header, header_line, columns, lines = _read_csv(source)
     if header and (len(header) < 3 or header[:2] != ["age", "year"] or header[-1] != "rate"):
-        raise LifeTableError(
+        raise ValueError(
             f"row {header_line}: header must be 'age,year,<stratum columns...>,rate', "
             f"got {','.join(header)!r}"
         )
     if not lines:
-        raise LifeTableError("life-table file contains no data rows")
+        raise ValueError("life-table file contains no data rows")
 
     def malformed(i):
         row = ",".join(column[i] for column in columns).strip()
-        return LifeTableError(f"row {lines[i]}: malformed numeric field in {row!r}")
+        return ValueError(f"row {lines[i]}: malformed numeric field in {row!r}")
 
     ages, years = (_parse_column(col, np.int64, malformed) for col in columns[:2])
     rates = _parse_column(columns[-1], float, malformed)

@@ -69,8 +69,19 @@ class _GammaFrailty:
 
     @staticmethod
     def log_laplace(b, s, out=None):
-        return np.divide(np.negative(np.log1p(np.multiply(b, s, out=out), out=out), out=out),
-                         b, out=out)
+        # where b s overflows but s is finite, log1p(b s) is log b + log s; the
+        # cells where it can are read first, since out may be s
+        s = np.asarray(s)
+        near = s > 0.5 * float(np.finfo(float).max) / b  # a float: inf at b < 0.5, unwarned
+        big = s[near] if near.any() else None
+        with np.errstate(over="ignore"):
+            out = np.divide(np.negative(np.log1p(np.multiply(b, s, out=out), out=out),
+                                        out=out), b, out=out)
+            if big is not None:
+                out = np.asarray(out)
+                out[near] = np.where(np.isinf(b * big) & np.isfinite(big),
+                                     -(math.log(b) + np.log(big)) / b, out[near])
+        return out
 
     @staticmethod
     def weight(b, s):
@@ -99,7 +110,9 @@ class _InverseGaussianFrailty:
             # where 2bs overflows, the closed form's leading term -sqrt(2s/b) (-inf at s = inf)
             far = np.isinf(root)
             lead = -math.sqrt(2.0 / b) * np.sqrt(np.asarray(s)[far]) if far.any() else None
-            out = np.divide(np.multiply(-2.0, s, out=out), root,
+            # -s / (root/2), not -2s / root: the same rounded quotient (root/2 is
+            # exact), and finite where 2s overflows
+            out = np.divide(np.negative(s, out=out), np.multiply(root, 0.5, out=root),
                             out=root if out is None else out)
         if lead is not None:
             out[far] = lead

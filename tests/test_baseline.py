@@ -126,6 +126,13 @@ class TestLogNormal:
 
 class TestFamilyInterface:
     @pytest.mark.parametrize("name", ["pgw", "lognormal"])
+    def test_point_methods_are_the_point_functions(self, name):
+        # one function per formula: no forwarder stands between a family and it
+        fam = bl.get_family(name)
+        for method in ("hazard", "cum_hazard", "quantile"):
+            assert getattr(fam, method) is getattr(bl, f"{name}_{method}")
+
+    @pytest.mark.parametrize("name", ["pgw", "lognormal"])
     def test_hazard_is_cum_hazard_derivative(self, name):
         fam = bl.get_family(name)
         rng = np.random.default_rng(6)

@@ -177,8 +177,9 @@ class TestFit:
             "--x", "agec", "--w", "agec", "--out", str(tmp_path / "o"),
         ])
         assert code == 3
-        assert "('region',) do not match the life table's stratum schema ('sex',)" in (
-            capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {renamed}: stratum columns ('region',) do not match "
+                              "the life table's stratum schema ('sex',)"), err
 
     def test_unknown_stratum_label_names_its_record(self, tmp_path, capsys):
         bundled = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -192,8 +193,8 @@ class TestFit:
             "--x", "agec", "--w", "agec", "--out", str(tmp_path / "o"),
         ])
         assert code == 3
-        assert capsys.readouterr().err == ("error: record 3 (0-based): sex '2' is not a stratum "
-                                           "label of the life table (labels 0, 1)\n")
+        assert capsys.readouterr().err == (f"error: {cohort}: record 3 (0-based): sex '2' is not "
+                                           "a stratum label of the life table (labels 0, 1)\n")
 
     def test_life_table_with_a_huge_age_span_is_an_input_error(self, inputs, tmp_path,
                                                                capsys):

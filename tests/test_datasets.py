@@ -182,7 +182,7 @@ class TestPatientCsv:
         cells = ["1", "1", "60", "2012"]
         cells[column] = " 6o "
         text = "time,status,age,year\n1,0,61,2012\n" + ",".join(cells) + "\n"
-        with pytest.raises(datasets.DataFormatError) as exc:
+        with pytest.raises(ValueError) as exc:
             datasets.load_patient_csv(io.StringIO(text))
         assert str(exc.value) == f"row 3: column {name!r} is not numeric: ' 6o '"
 
@@ -197,7 +197,7 @@ class TestPatientCsv:
          "row 4: NUL character"),
     ], ids=["blank-line", "blank-line-field-count", "comment-lines", "nul-label"])
     def test_errors_name_the_file_line_past_blank_and_comment_lines(self, text, message):
-        with pytest.raises(datasets.DataFormatError) as exc:
+        with pytest.raises(ValueError) as exc:
             datasets.load_patient_csv(io.StringIO(text))
         assert str(exc.value) == message
 
@@ -222,7 +222,7 @@ class TestPatientCsv:
         cell = {"time": "1", "status": "1", "age": "60", "year": "2012", "x": "0.5",
                 "lab": "a", "sex": "0"}
         row = ",".join(cell[h] for h in header.split(","))
-        with pytest.raises(datasets.DataFormatError) as exc:
+        with pytest.raises(ValueError) as exc:
             datasets.load_patient_csv(io.StringIO(f"{header}\n{row}\n{row}\n"))
         assert str(exc.value) == f"header names column {name!r} more than once"
 
@@ -278,7 +278,7 @@ class TestPatientCsv:
         ],
     )
     def test_malformed_inputs(self, text, match):
-        with pytest.raises(datasets.DataFormatError, match=match):
+        with pytest.raises(ValueError, match=match):
             datasets.load_patient_csv(io.StringIO(text))
 
 

@@ -91,14 +91,15 @@ def mutate_csv(path, dest, row, column, value):
     return line + 1, header[column % len(header)]
 
 
-# the patient columns: time,status,agec,sex,age,year and the stratum sex, which
-# is left out: an unknown stratum label is refused by the fit, which names its
-# 0-based record rather than its file row
+# the patient columns: time,status,agec,sex,age,year and the stratum sex; an
+# unknown stratum label is refused by the fit, which names the cohort's file
+# and the stratum column
 @CASES
-@given(row=st.integers(0, 39), column=st.integers(0, 5), value=st.sampled_from(TEXT_MUTATIONS))
+@given(row=st.integers(0, 39), column=st.integers(0, 6), value=st.sampled_from(TEXT_MUTATIONS))
 @example(row=1, column=0, value="-2")  # a bad time via --data
 @example(row=3, column=1, value="2")
 @example(row=5, column=2, value="abc")  # a covariate column that reads as labels
+@example(row=2, column=6, value="2")  # a stratum label the life table lacks
 def test_a_mutated_patient_csv(files, tmp_path, capsys, row, column, value):
     data = tmp_path / "cohort.csv"
     line, name = mutate_csv(files["cohort"], data, row, column, value)

@@ -228,6 +228,27 @@ class TestLaplace:
         assert got[1] == form.log_laplace(b, np.array([1.0]))[0]
         assert mdl.laplace(mdl.FrailtySpec("ig", b), s) == 0.0
 
+    @pytest.mark.parametrize("family, b, s, log_l", [
+        ("gamma", 1e304, 1e5, -7.1149879373516015952e-302),
+        ("gamma", 2.0, 1e308, -354.944677911363008),
+        ("gamma", 1e5, 1e304, -0.007114987937351601163),
+        ("gamma", 2.0, 1.7976931348623157e308, -355.23793003697197102),
+        ("ig", 0.7, 1e308, -1.6903085094570332179e154),
+        ("ig", 0.5, 1.7976931348623157e308, -2.6815615859885192711e154),
+    ])
+    def test_log_laplace_where_a_product_with_s_overflows(self, family, b, s, log_l):
+        # b s (gamma) or -2 s (ig) overflows while log L is finite: log L used
+        # to be -inf; log_l is a 50-digit mpmath reference
+        form = mdl._frailty_form(family, b)
+        for out in (None, "own"):
+            cells = np.array([s, 1.0, np.inf])
+            got = form.log_laplace(b, cells, out=None if out is None else cells)
+            assert got[0] == pytest.approx(log_l, rel=1e-12)
+            assert got[1] == form.log_laplace(b, np.array([1.0]))[0]
+            assert got[2] == -np.inf
+        assert float(mdl.laplace(mdl.FrailtySpec(family, b), s)) == pytest.approx(
+            math.exp(log_l), rel=1e-12)
+
     @pytest.mark.parametrize("family", ["none", "gamma", "ig"])
     def test_log_laplace_out_is_bit_identical(self, family):
         # out= writes the allocating call's bits into a new array, into its
