@@ -169,7 +169,7 @@ def _column_values(data, name: str) -> np.ndarray:
         return data.columns[name]
     if name in data.stratum_names:
         return data.strata[:, data.stratum_names.index(name)]
-    raise ValueError(f"unknown subgroup column {name!r}")
+    raise ValueError(f"--by: unknown subgroup column {name!r}")
 
 
 def _number_label(val) -> str:
@@ -183,7 +183,7 @@ def _subgroups(data, by) -> list:
     """The population group and, with ``--by``, one ``(label, mask)`` group per
     value of the column; two labels that share a curve file name are refused."""
     groups = [("population", None)]
-    if by:
+    if by is not None:  # an empty --by names no column, so it is refused
         values = _column_values(data, by)
         if values.dtype.kind in "OU":
             as_str = np.array([str(v) for v in values])
@@ -246,7 +246,7 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
         print(f"warning: {args.fit_path} was fitted on data with fingerprint "
               f"{res.data_fingerprint}, but {args.data} has fingerprint "
               f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
-    grid = _parse_grid(args.grid) if args.grid else ns.default_grid()
+    grid = _parse_grid(args.grid) if args.grid is not None else ns.default_grid()
     groups = _subgroups(data, args.by)
     try:
         curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
@@ -416,6 +416,11 @@ def main(argv=None) -> int:
     try:
         if "level" in args and not 0.0 < args.level < 1.0:  # before any file is read
             raise ValueError(f"--level {args.level!r} must be in (0, 1)")
+        if args.command == "netsurv":
+            if args.draws > 10**5:  # refused before the bands allocate them
+                raise ValueError(f"--draws {args.draws} is above the cap of 100000 draws")
+            if args.seed is not None and args.seed < 0:
+                raise ValueError(f"--seed {args.seed} must be non-negative")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # includes FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)

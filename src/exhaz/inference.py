@@ -47,6 +47,16 @@ def _require_each(name: str, ok: np.ndarray, values: np.ndarray, rule: str, wher
         raise ValueError(f"{where(i)}: {name} must be {rule}, got {values.tolist()[i]!r}")
 
 
+def _row_mask(mask, n: int, error) -> np.ndarray:
+    """``mask`` as a row mask, the one form of one: a boolean array of shape
+    (n,).  Anything else, row indices included, raises ``error(mask)`` with
+    ``mask`` as an array."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise error(mask)
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Column-oriented cohort data.
@@ -136,11 +146,9 @@ class Dataset:
 
     def subset(self, mask) -> "Dataset":
         """Row subset for a boolean mask of shape (n,) (used for subgroup analyses)."""
-        mask = np.asarray(mask)
-        if mask.dtype != bool or mask.shape != (self.n,):
-            raise ValueError(f"subset mask must be a boolean array of shape ({self.n},), "
-                             f"got {mask.dtype} of shape {mask.shape}")
-        idx = np.nonzero(mask)[0]
+        idx = np.nonzero(_row_mask(mask, self.n, lambda m: ValueError(
+            f"subset mask must be a boolean array of shape ({self.n},), "
+            f"got {m.dtype} of shape {m.shape}")))[0]
         return replace(
             self, time=self.time[idx], status=self.status[idx],
             columns={name: col[idx] for name, col in self.columns.items()},

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import family_of_params, get_family
-from .inference import Dataset, FitResult, _unpack
+from .inference import Dataset, FitResult, _row_mask, _unpack
 from .model import FrailtySpec, GHParams, _effects, _frailty_form
 
 __all__ = [
@@ -128,10 +128,10 @@ def _group_rows(data: Dataset, groups):
     labels, rows = [], []
     for label, mask in groups:
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (data.n,):
-                raise ValueError(f"group {label!r}: mask has shape {mask.shape}, "
-                                 f"but the dataset has {data.n} rows")
+            mask = _row_mask(mask, data.n, lambda m: ValueError(
+                f"group {label!r}: mask has shape {m.shape}, but the dataset has {data.n} rows"
+                if m.shape != (data.n,) else
+                f"group {label!r}: mask must be booleans, one a row, got {m.dtype}"))
             if not mask.any():
                 raise ValueError(f"group {label!r} picks no rows")
         labels.append(label)
@@ -223,8 +223,8 @@ def net_survival_mc_ci(data: Dataset, fit: FitResult, grid=None, groups=None,
     """Net-survival curves for groups of rows, optionally with Monte-Carlo bands.
 
     ``groups`` is a sequence of ``(label, mask)`` pairs, one curve each, in
-    order; a mask is a boolean array of length n (e.g. ``data.columns["stage"]
-    == "I"``) and ``None`` picks every row.  ``groups=None`` means
+    order; a mask is a boolean array of shape (n,) (e.g. ``data.columns["stage"]
+    == "I"``; row indices are refused) and ``None`` picks every row.  ``groups=None`` means
     ``[("population", None)]``.
 
     ``draws=0`` gives point curves.  ``draws >= 100`` adds pointwise bands:

@@ -587,7 +587,7 @@ class TestNetsurv:
                          "--fit", str(inputs["fits"]["frailty"] / "fit.json"),
                          "--grid", "0:5:6", "--by", "region", "--out", str(tmp_path / "o")])
         assert code == 3
-        assert capsys.readouterr().err == "error: unknown subgroup column 'region'\n"
+        assert capsys.readouterr().err == "error: --by: unknown subgroup column 'region'\n"
         assert not (tmp_path / "o").exists()
 
     def test_too_many_rejected_draws_exit_4(self, inputs, tmp_path, capsys, monkeypatch):

@@ -235,3 +235,49 @@ def test_a_saved_fit_must_agree_with_what_it_describes(files, tmp_path, capsys, 
 def test_a_written_fit_loads_and_writes_back_the_same_fields(files):
     payload = json.loads(files["fit"].read_text())
     assert cli.FitResult.from_json_dict(payload).to_json_dict() == payload
+
+
+# each flag's value on an otherwise valid command line; --grid also mutates
+# one of its start:stop:count parts
+FLAGS = {"--grid": "0:1:3", "--draws": "100", "--level": "0.9", "--seed": "1", "--by": "sex",
+         "--replicate": "1"}
+# an informational line that a run with bands may print
+REJECTED_DRAWS = re.compile(r"rejected \d+ of \d+ parameter draws\n$")
+
+
+@settings(CASES, max_examples=120)
+@given(flag=st.sampled_from(sorted(FLAGS)), value=st.sampled_from(TEXT_MUTATIONS),
+       part=st.sampled_from([None, 0, 1, 2]))
+@example(flag="--by", value="nope", part=None)  # a column the cohort lacks
+@example(flag="--by", value="", part=None)  # an empty --by used to mean no --by
+@example(flag="--grid", value="", part=None)  # an empty --grid used to mean the default grid
+@example(flag="--by", value="agec", part=None)  # one curve per numeric value
+@example(flag="--seed", value="-1", part=None)  # numpy refused it without naming the flag
+@example(flag="--draws", value="99999999999999999999", part=None)  # past numpy's array size
+@example(flag="--draws", value="0", part=None)  # no bands, so the seed goes unused
+@example(flag="--grid", value="99999999999999999999", part=2)  # a count above the cap
+@example(flag="--grid", value="1e308", part=1)  # a stop beyond the follow-up
+def test_a_mutated_flag(files, tmp_path, capsys, flag, value, part):
+    if part is not None and flag == "--grid":
+        parts = FLAGS[flag].split(":")
+        parts[part] = value
+        value = ":".join(parts)
+    if flag == "--replicate":
+        argv = ["simulate", "--scenario", files["scenario"]]
+    else:
+        argv = ["netsurv", "--data", files["cohort"], "--fit", files["fit"]]
+    for name, default in FLAGS.items():
+        if name != "--replicate" and argv[0] == "netsurv" or name == flag:
+            argv += [name, value if name == flag else default]
+    try:
+        code, out, err = run(capsys, argv + ["--out", tmp_path / "o"])
+    except SystemExit as exc:  # argparse's usage error
+        code, (out, err) = exc.code, capsys.readouterr()
+    if code == 0:
+        assert err == "" or REJECTED_DRAWS.match(err), err
+    elif code == 2:  # argparse's usage error names the flag
+        assert f"argument {flag}: " in err or "--seed is required" in err, err
+    else:
+        # exit 3, naming the flag: dashed, or bare at the start of the message
+        assert code == 3 and err.count("\n") == 1, (code, err)
+        assert flag in err or err.startswith(f"error: {flag[2:]}"), err

@@ -139,6 +139,10 @@ class TestPointCurves:
                                              r"but the dataset has 600 rows"):
             ns.net_survival_mc_ci(cohort, fit_classical, groups=[
                 ("population", None), ("short", np.ones(cohort.n - 1, dtype=bool))])
+        # row indices used to be cast to a mask of every row but row 0
+        with pytest.raises(ValueError, match="group 'g': mask must be booleans, one a row, "
+                                             "got int64"):
+            one_curve(cohort, fit_classical, mask=np.arange(cohort.n), label="g")
         with pytest.raises(ValueError, match="beyond"):
             ns.net_survival_mc_ci(cohort, fit_classical, np.array([0.0, 80.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
