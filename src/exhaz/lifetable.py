@@ -90,7 +90,7 @@ class LifeTable:
         if len(cells) < n:
             i = np.setdiff1d(np.arange(n), first)[0]  # the first entry repeating a cell
             raise ValueError(f"row {rows[i]}: duplicate cell "
-                                 f"{(int(ages[i]), int(years[i]), tuple(strata[i].tolist()))}")
+                             f"{(int(ages[i]), int(years[i]), tuple(strata[i].tolist()))}")
         (a0, a1), (y0, y1) = age_values[[0, -1]].tolist(), year_values[[0, -1]].tolist()
         table = cls((a0, a1), (y0, y1), stratum_schema, rates[first], domains)
         if n != (a1 - a0 + 1) * (y1 - y0 + 1) * n_codes:
@@ -181,18 +181,19 @@ def _label_array(strata, n: int, schema, where) -> np.ndarray:
     except ValueError:  # ragged rows
         for i, row in enumerate(strata):
             if len(row) != len(schema):
-                raise ValueError(f"{where(i)}: stratum {tuple(map(str, row))!r} does not match "
-                            f"schema {schema}") from None
+                raise ValueError(f"{where(i)}: stratum {tuple(map(str, row))!r} does not "
+                                 f"match schema {schema}") from None
         raise
     labels = labels.reshape(0, len(schema)) if labels.shape == (0,) else labels
     if labels.shape != (n, len(schema)):
-        raise ValueError(f"strata must be an (n, k) = ({n}, {len(schema)}) array of labels, one "
-                    f"per column of schema {schema}, got shape {labels.shape}")
+        raise ValueError(f"strata must be an (n, k) = ({n}, {len(schema)}) array of labels, "
+                         f"one per column of schema {schema}, got shape {labels.shape}")
     if not (isinstance(strata, np.ndarray) and strata.dtype.kind == "U"):
         for i, row in enumerate(strata):
             for name, label in zip(schema, row):
                 if "\x00" in str(label):
-                    raise ValueError(f"{where(i)}: {name} label {str(label)!r} has a NUL character")
+                    raise ValueError(
+                        f"{where(i)}: {name} label {str(label)!r} has a NUL character")
     return labels
 
 
@@ -219,7 +220,8 @@ def _read_csv(source):
     width = np.fromiter(map(str.count, body, itertools.repeat(",")), np.intp, len(body)) + 1
     bad = np.flatnonzero(width != len(header))
     if bad.size:
-        raise ValueError(f"row {lines[bad[0]]}: expected {len(header)} fields, got {width[bad[0]]}")
+        raise ValueError(
+            f"row {lines[bad[0]]}: expected {len(header)} fields, got {width[bad[0]]}")
     joined = ",".join(body)
     if "\x00" in joined:
         i = next(i for i, row in zip(lines, body) if "\x00" in row)

@@ -72,9 +72,9 @@ class _GammaFrailty:
         # where b s overflows but s is finite, log1p(b s) is log b + log s; the
         # cells where it can are read first, since out may be s
         s = np.asarray(s)
-        near = s > 0.5 * float(np.finfo(float).max) / b  # a float: inf at b < 0.5, unwarned
-        big = s[near] if near.any() else None
         with np.errstate(over="ignore"):
+            near = s > 0.5 * np.finfo(float).max / b  # inf at b < 0.5: no cell
+            big = s[near] if near.any() else None
             out = np.divide(np.negative(np.log1p(np.multiply(b, s, out=out), out=out),
                                         out=out), b, out=out)
             if big is not None:

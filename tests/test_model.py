@@ -249,6 +249,15 @@ class TestLaplace:
         assert float(mdl.laplace(mdl.FrailtySpec(family, b), s)) == pytest.approx(
             math.exp(log_l), rel=1e-12)
 
+    @pytest.mark.parametrize("family", ["gamma", "ig"])
+    def test_a_numpy_scalar_variance_gives_the_same_bits(self, family):
+        # below b = 0.5 the gamma law's overflow threshold is inf, which a
+        # numpy scalar b must reach without a RuntimeWarning
+        s = np.array([0.0, 1e-300, 0.7, 1e300, 1.7976931348623157e308, np.inf])
+        expected = mdl.laplace(mdl.FrailtySpec(family, 0.3), s)
+        got = mdl.laplace(mdl.FrailtySpec(family, np.float64(0.3)), s)
+        np.testing.assert_array_equal(got, expected)
+
     @pytest.mark.parametrize("family", ["none", "gamma", "ig"])
     def test_log_laplace_out_is_bit_identical(self, family):
         # out= writes the allocating call's bits into a new array, into its
