@@ -46,6 +46,15 @@ def _require_positive(**named):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _domain(values, message: str, zero: bool = True) -> np.ndarray:
+    """``values`` as a float array; a negative value, or a zero one unless
+    ``zero``, raises ``ValueError(message)``.  NaN passes."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values < 0.0 if zero else values <= 0.0):
+        raise ValueError(message)
+    return values
+
+
 @dataclass(frozen=True)
 class PGWParams:
     """Power Generalised Weibull parameters (scale ``sigma``, shapes ``nu``, ``gamma``)."""
@@ -83,17 +92,13 @@ def pgw_hazard(t, p: PGWParams):
 
     h0(t) = (nu / (gamma * sigma^nu)) * t^(nu-1) * (1 + (t/sigma)^nu)^(1/gamma - 1)
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("hazard requires t > 0")
+    t = _domain(t, "hazard requires t > 0", zero=False)
     return _pgw_hazard_terms(t, p.sigma, p.nu, p.gamma)[2]
 
 
 def pgw_cum_hazard(t, p: PGWParams):
     """Cumulative baseline hazard H0(t) = (1 + (t/sigma)^nu)^(1/gamma) - 1 for ``t >= 0``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("cumulative hazard requires t >= 0")
+    t = _domain(t, "cumulative hazard requires t >= 0")
     return _pgw_cum_from_z((t / p.sigma) ** p.nu, p.gamma)
 
 
@@ -109,9 +114,7 @@ def pgw_quantile(q, p: PGWParams):
 
     Closed form: t = sigma * ((1+q)^gamma - 1)^(1/nu).
     """
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise ValueError("quantile requires q >= 0")
+    q = _domain(q, "quantile requires q >= 0")
     return p.sigma * np.expm1(p.gamma * np.log1p(q)) ** (1.0 / p.nu)
 
 
@@ -135,27 +138,21 @@ def _mills_ratio(zeta, H0):
 
 def lognormal_cum_hazard(t, p: LogNormalParams):
     """Cumulative hazard -log S(t) of the Log-Normal family for ``t >= 0``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("cumulative hazard requires t >= 0")
+    t = _domain(t, "cumulative hazard requires t >= 0")
     with np.errstate(divide="ignore"):  # log(0) -> -inf gives H(0) = 0
         return _lognormal_terms(t, p.mu, p.sd)[1]
 
 
 def lognormal_hazard(t, p: LogNormalParams):
     """Hazard of the Log-Normal family at ``t > 0``: pdf(t) / survival(t)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("hazard requires t > 0")
+    t = _domain(t, "hazard requires t > 0", zero=False)
     return _mills_ratio(*_lognormal_terms(t, p.mu, p.sd)) / (p.sd * t)
 
 
 def lognormal_quantile(q, p: LogNormalParams):
     """Inverse of ``lognormal_cum_hazard``: t = exp(mu + sd * Phi^{-1}(1 - e^{-q}))."""
     from scipy import special
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise ValueError("quantile requires q >= 0")
+    q = _domain(q, "quantile requires q >= 0")
     # beyond the median 1 - e^{-q} nears 1, so invert the survival e^{-q} instead
     with np.errstate(divide="ignore"):  # ndtri(0) = -inf gives t = 0 at q = 0
         z = np.where(q >= math.log(2.0), -special.ndtri(np.exp(-q)),
@@ -165,11 +162,8 @@ def lognormal_quantile(q, p: LogNormalParams):
 
 def _log_grid(grid):
     """log of a 1-d array of times >= 0, with log 0 = -inf (where H0 is 0)."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0.0):
-        raise ValueError("cumulative hazard requires t >= 0")
     with np.errstate(divide="ignore"):
-        return np.log(grid)
+        return np.log(_domain(grid, "cumulative hazard requires t >= 0"))
 
 
 class _Family:

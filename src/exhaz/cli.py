@@ -195,8 +195,8 @@ def _subgroups(data, by) -> list:
     for label, _ in groups:
         name = f"curve_{_slug(label)}.csv"
         if name in files:
-            raise ValueError(
-                f"subgroups {files[name]!r} and {label!r} would both be written to {name}")
+            raise ValueError(f"--by: subgroups {files[name]!r} and {label!r} would both be "
+                             f"written to {name}")
         files[name] = label
     return groups
 
@@ -239,6 +239,7 @@ def _curve_fit(path, draws: int) -> FitResult:
 
 
 def cmd_netsurv(args: argparse.Namespace) -> int:
+    """A saved fit's curves over a cohort on ``args.grid``, which ``main`` parsed."""
     res = _read(args.fit_path, lambda p: _curve_fit(p, args.draws))
     data = _read_cohort(args.data, res.x_names, res.w_names)
     if res.data_fingerprint != data.fingerprint():
@@ -246,8 +247,7 @@ def cmd_netsurv(args: argparse.Namespace) -> int:
         print(f"warning: {args.fit_path} was fitted on data with fingerprint "
               f"{res.data_fingerprint}, but {args.data} has fingerprint "
               f"{data.fingerprint()}; applying the saved fit anyway", file=sys.stderr)
-    grid = _parse_grid(args.grid) if args.grid is not None else ns.default_grid()
-    groups = _subgroups(data, args.by)
+    grid, groups = args.grid, _subgroups(data, args.by)
     try:
         curves = ns.net_survival_mc_ci(data, res, grid, groups, level=args.level,
                                        draws=args.draws, seed=args.seed)
@@ -419,8 +419,12 @@ def main(argv=None) -> int:
         if args.command == "netsurv":
             if args.draws > 10**5:  # refused before the bands allocate them
                 raise ValueError(f"--draws {args.draws} is above the cap of 100000 draws")
+            if args.draws != 0 and args.draws < 100:
+                raise ValueError(
+                    f"--draws must be 0 (no bands) or at least 100, got {args.draws}")
             if args.seed is not None and args.seed < 0:
                 raise ValueError(f"--seed {args.seed} must be non-negative")
+            args.grid = ns.default_grid() if args.grid is None else _parse_grid(args.grid)
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # includes FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)

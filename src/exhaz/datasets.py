@@ -192,7 +192,7 @@ def write_patient_csv(path, data: Dataset) -> None:
 
 
 def load_patient_csv(source) -> Dataset:
-    """Parse a patient CSV; the layout is self-describing.
+    """Parse a patient CSV (a path or a text stream); the layout is self-describing.
 
     The header must start ``time,status`` and contain adjacent ``age,year``
     columns; anything between is a covariate, anything after is a life-table

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .baseline import _domain
+
 _BLOCK = 1024  # subjects per sampling block; bounds the knot matrices' memory
 
 
@@ -198,7 +200,7 @@ def _label_array(strata, n: int, schema, where) -> np.ndarray:
 
 
 def _read_csv(source):
-    """Read a CSV (path, file object, or iterable of lines) into columns.
+    """Read a CSV (a path, or a text stream such as an open file) into columns.
 
     Skips blank lines and lines whose first non-space character is ``#``.
     Returns the stripped header names (empty without a header), its file
@@ -207,10 +209,8 @@ def _read_csv(source):
     character, which numpy's str arrays would drop from the end of a label."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8").splitlines()
-    elif hasattr(source, "read"):
-        text = source.read().splitlines()
     else:
-        text = [str(line).rstrip("\n") for line in source]
+        text = source.read().splitlines()
     kept = [i for i, line in enumerate(text, start=1)
             if (stripped := line.lstrip()) and stripped[0] != "#"]
     if not kept:
@@ -252,7 +252,7 @@ def _stripped_labels(columns, n: int) -> np.ndarray:
 
 
 def load_life_table(source) -> LifeTable:
-    """Parse a life-table CSV (path, file object, or iterable of lines).
+    """Parse a life-table CSV (a path, or a text stream such as an open file).
 
     Errors (malformed row, negative rate, duplicate cell) name the file
     line; a grid hole names the first missing cell.
@@ -278,18 +278,14 @@ def load_life_table(source) -> LifeTable:
 
 def pop_hazard(table: LifeTable, key: LifeTableKey, t):
     """Population hazard at follow-up time ``t >= 0`` (vectorised in ``t``)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("pop_hazard requires t >= 0")
+    t = _domain(t, "pop_hazard requires t >= 0")
     code = table.stratum_codes([key.stratum])[0]
     return table.rates_at(key.age + t, key.year + t, code)
 
 
 def pop_cum_hazard(table: LifeTable, key: LifeTableKey, t):
     """Integral of :func:`pop_hazard` over ``[0, t]`` (exact, piecewise linear)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("pop_cum_hazard requires t >= 0")
+    t = _domain(t, "pop_cum_hazard requires t >= 0")
     code = table.stratum_codes([key.stratum])[0]
     knots, cum, _, count = table._segment_rows(np.array([key.age]), key.year, code, np.inf)
     knots, cum = knots[0, :count[0]], cum[0, :count[0]]
@@ -328,7 +324,8 @@ def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u,
     # r_max the largest rate of any year and stratum in the age bands floor(age)
     # to floor(age + stop) + 1 (the extra band absorbs the rounding of the
     # knots); a target above that, with a margin for rounding, is reached later
-    horizon = np.minimum(table.age_range[1] + 1 - ages, table.year_range[1] + 1 - year)
+    horizon = np.maximum(
+        np.minimum(table.age_range[1] + 1 - ages, table.year_range[1] + 1 - year), 0.0)
     before = np.asarray(np.inf if before is None else before, dtype=float)
     stop = np.maximum(np.where(np.isfinite(before), np.minimum(before, horizon), horizon), 0.0)
     a0, n_bands = table.age_range[0], table._grid.shape[0]
@@ -345,14 +342,14 @@ def sample_other_cause_time(table: LifeTable, ages, year: float, strata, u,
     out = np.full(len(u), np.inf)
     for lo in range(0, len(rows), _BLOCK):
         b = rows[lo:lo + _BLOCK]
-        out[b] = _invert_rows(table, ages[b], year, codes[b], target[lo:lo + _BLOCK])
+        out[b] = _invert_rows(table, ages[b], year, codes[b], target[lo:lo + _BLOCK],
+                              horizon[b])
     return out
 
 
-def _invert_rows(table, ages, year, codes, target) -> np.ndarray:
-    """Solve each row's cumulative hazard for ``target`` within the table's coverage."""
-    horizon = np.maximum(
-        np.minimum(table.age_range[1] + 1 - ages, table.year_range[1] + 1 - year), 0.0)
+def _invert_rows(table, ages, year, codes, target, horizon) -> np.ndarray:
+    """Solve each row's cumulative hazard for ``target`` within the table's
+    coverage, which ends ``horizon`` after each row's start."""
     knots, cum, rates, count = table._segment_rows(ages, year, codes, horizon)
     rows = np.arange(len(ages))
     # cumulative hazard at the horizon, by np.interp's arithmetic

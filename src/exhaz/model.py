@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lifetable as lt
-from .baseline import family_of_params
+from .baseline import _domain, family_of_params
 
 #: below this variance the frailty is treated as the exact no-frailty limit
 B_ZERO_THRESHOLD = 1e-8
@@ -89,7 +89,14 @@ class _GammaFrailty:
 
     @staticmethod
     def weight_derivs(b, s, log_lap, weight):
-        return -b * weight**2, -b * s * weight**2, -log_lap - s * weight
+        dw_dlogb, s_weight = -b * s * weight**2, s * weight
+        # where b s overflows but s is finite, weight is 0: the limits of
+        # -b s weight^2 and s weight are -1/(b s) and 1/b, not inf * 0
+        far = np.isinf(b * s) & np.isfinite(s)
+        if far.any():
+            dw_dlogb = np.where(far, -1.0 / b / s, dw_dlogb)
+            s_weight = np.where(far, 1.0 / b, s_weight)
+        return -b * weight**2, dw_dlogb, -log_lap - s_weight
 
     @staticmethod
     def sample(b, rng, n):
@@ -206,9 +213,7 @@ def _effects(g: GHParams, x, w):
 
 def excess_hazard(t, x, w, g: GHParams):
     """GH excess hazard h0(t e^{w'alpha}) e^{x'beta} at ``t > 0``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("excess_hazard requires t > 0")
+    t = _domain(t, "excess_hazard requires t > 0", zero=False)
     eta_w, eta_x = _effects(g, x, w)
     fam = family_of_params(g.theta)
     return fam.hazard(t * np.exp(eta_w), g.theta) * np.exp(eta_x)
@@ -216,9 +221,7 @@ def excess_hazard(t, x, w, g: GHParams):
 
 def excess_cum_hazard(t, x, w, g: GHParams):
     """GH cumulative excess hazard H0(t e^{w'alpha}) e^{x'beta - w'alpha} at ``t >= 0``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("excess_cum_hazard requires t >= 0")
+    t = _domain(t, "excess_cum_hazard requires t >= 0")
     eta_w, eta_x = _effects(g, x, w)
     fam = family_of_params(g.theta)
     return fam.cum_hazard(t * np.exp(eta_w), g.theta) * np.exp(eta_x - eta_w)
@@ -229,9 +232,7 @@ def laplace(f: FrailtySpec, s):
     from the family's closed form; variances below ``B_ZERO_THRESHOLD`` use
     the exact no-frailty limit exp(-s).
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("laplace requires s >= 0")
+    s = _domain(s, "laplace requires s >= 0")
     if f.family == "none":
         raise ValueError("laplace requires a frailty family (gamma or ig)")
     return np.exp(_frailty_form(f.family, f.b).log_laplace(f.b, s))
@@ -243,9 +244,7 @@ def laplace_log_deriv(f: FrailtySpec, s):
     Equals 1 at s = 0 (unit mean) and is nonincreasing in s (survivor
     selection); 1 throughout without frailty.
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("laplace_log_deriv requires s >= 0")
+    s = _domain(s, "laplace_log_deriv requires s >= 0")
     return _frailty_form(f.family, f.b).weight(f.b, s)
 
 

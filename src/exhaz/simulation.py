@@ -458,10 +458,10 @@ def _truth_curves(s: Scenario, grid):
     return per_group, sum(w * c for w, c in zip(s.group_weights, per_group))
 
 
-def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False) -> NetSurvivalCurve:
-    """Scenario truth: covariate-averaged marginal net survival, or the
-    reference curve at all-zero covariates (group 0) when ``reference`` is set."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+def true_net_survival_curve(s: Scenario, reference: bool = False) -> NetSurvivalCurve:
+    """Scenario truth on :func:`default_grid`: covariate-averaged marginal net survival,
+    or the reference curve at all-zero covariates (group 0) when ``reference`` is set."""
+    grid = default_grid()
     if reference:
         zero = np.zeros((1, len(s.covariate_names)))
         values = _curve_values(zero, zero, grid, s.group_params(0), s.true_frailty())
@@ -472,9 +472,9 @@ def true_net_survival_curve(s: Scenario, grid=None, reference: bool = False) -> 
                             model="truth")
 
 
-def two_group_true_curves(s: Scenario, grid=None) -> dict:
-    """Truth curves (population and per group) for a two-group scenario."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+def two_group_true_curves(s: Scenario) -> dict:
+    """Truth curves (population and per group) of a two-group scenario on :func:`default_grid`."""
+    grid = default_grid()
     per_group, population = _truth_curves(s, grid)
     curves = dict(zip(s.group_labels, per_group), population=population)
     return {
@@ -568,14 +568,9 @@ class Aim1Result:
     table: PerformanceTable
     estimates: np.ndarray  # (analysed, k) natural scale
     std_errors: np.ndarray  # (analysed, k) natural scale
-    reference_curves: np.ndarray  # (analysed, len(reference_grid))
+    reference_curves: np.ndarray  # (analysed, len(default_grid()))
     aic_frailty: np.ndarray | None = None
     aic_classical: np.ndarray | None = None
-
-    @property
-    def reference_grid(self) -> np.ndarray:
-        """Time grid of ``reference_curves``: :func:`default_grid`."""
-        return default_grid()
 
 
 def _true_vectors(s: Scenario):
@@ -666,10 +661,9 @@ def run_aim1(s: Scenario, table: lt.LifeTable, *, fit_both: bool = False) -> Aim
 
 @dataclass(frozen=True, eq=False)
 class Aim2Result:
-    """Pooled-versus-stratified comparison of fitted subgroup curves."""
+    """Pooled-versus-stratified comparison of subgroup curves on :func:`default_grid`."""
 
     scenario: Scenario
-    grid: np.ndarray
     truth: dict  # label -> np.ndarray
     mean_curves: dict  # (analysis, model, group) -> np.ndarray
     mean_sup_dev: dict  # (analysis, model, group) -> float
@@ -690,7 +684,7 @@ class Aim2Result:
 
     def write_curves_csv(self, path) -> None:
         rows = [(*key, t, tv, fv) for key in sorted(self.mean_curves)
-                for t, tv, fv in zip(self.grid.tolist(), self.truth[key[2]].tolist(),
+                for t, tv, fv in zip(default_grid().tolist(), self.truth[key[2]].tolist(),
                                      self.mean_curves[key].tolist())]
         write_csv(path, ("analysis", "model", "group", "time", "truth", "mean_fitted"),
                   list(zip(*rows)))
@@ -723,7 +717,7 @@ def run_aim2(s: Scenario, table: lt.LifeTable) -> Aim2Result:
         raise ValueError("the two-group study needs a scenario with two truth groups")
     s = resolve_dropout(s, table)
     grid = default_grid()
-    truth = {label: curve.estimate for label, curve in two_group_true_curves(s, grid).items()}
+    truth = {label: curve.estimate for label, curve in two_group_true_curves(s).items()}
     specs = {"classical": ModelSpec("pgw", "none"), "frailty": ModelSpec("pgw", "gamma")}
 
     def designs(data):
@@ -756,7 +750,6 @@ def run_aim2(s: Scenario, table: lt.LifeTable) -> Aim2Result:
     n = len(rows)
     return Aim2Result(
         scenario=s,
-        grid=grid,
         truth=truth,
         mean_curves={key: sum(r[key] for r in rows) / n for key in rows[0]},
         mean_sup_dev={

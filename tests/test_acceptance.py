@@ -30,6 +30,7 @@ from exhaz.model import (
     marginal_net_survival,
     simulate_event_time,
 )
+from exhaz.netsurvival import default_grid
 
 from conftest import build_table, random_dataset
 
@@ -279,7 +280,7 @@ class TestRecoveryStudies:
         )
 
     def test_7_reference_curve_recovered_on_average(self, sc1_n500):
-        grid = np.asarray(sc1_n500.reference_grid)
+        grid = default_grid()
         avg = np.asarray(sc1_n500.reference_curves).mean(axis=0)
         theta = PGWParams(*sc1_n500.scenario.groups[0].theta)
         b = sc1_n500.scenario.frailty_b

@@ -123,6 +123,18 @@ class TestLogNormal:
         with pytest.raises(ValueError):
             bl.LogNormalParams(float("inf"), 1.0)
 
+    @pytest.mark.parametrize("point, bad, message", [
+        (bl.lognormal_cum_hazard, -1e-300, "cumulative hazard requires t >= 0"),
+        (bl.lognormal_hazard, 0.0, "hazard requires t > 0"),
+        (bl.lognormal_quantile, -0.5, "quantile requires q >= 0"),
+    ], ids=["cum_hazard", "hazard", "quantile"])
+    def test_domain_errors(self, point, bad, message):
+        with pytest.raises(ValueError) as info:
+            point(np.array([1.0, bad]), LN_ORACLE)
+        assert str(info.value) == message
+        # NaN is not refused: it comes back as NaN
+        assert np.isnan(point(np.nan, LN_ORACLE))
+
 
 class TestFamilyInterface:
     @pytest.mark.parametrize("name", ["pgw", "lognormal"])
@@ -248,3 +260,8 @@ class TestFamilyInterface:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             bl.get_family("weibull")
+
+    def test_unknown_parameter_block(self):
+        with pytest.raises(TypeError) as info:
+            bl.family_of_params((0.75, 1.75, 8.0))
+        assert str(info.value) == "unsupported baseline parameter block: tuple"

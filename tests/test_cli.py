@@ -531,8 +531,8 @@ class TestNetsurv:
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert ("subgroups 'stage=I I' and 'stage=I-I' would both be written to "
-                "curve_stage-I-I.csv") in err
+        assert err == ("error: --by: subgroups 'stage=I I' and 'stage=I-I' would both be "
+                       "written to curve_stage-I-I.csv\n")
         assert not (tmp_path / "o").exists()
 
     def test_numeric_values_equal_to_six_digits_get_distinct_labels(self, inputs, tmp_path):

@@ -78,6 +78,14 @@ class TestLoglikOracles:
             -2.0, rel=1e-15
         )
 
+    def test_effect_lengths_must_match_the_dataset(self, flat_table):
+        d = one_record_dataset(1.0, 0)
+        for alpha, beta in (([0.1], []), ([], [0.1])):
+            g = mdl.GHParams(PGWParams(1.0, 1.0, 1.0), alpha=alpha, beta=beta)
+            with pytest.raises(ValueError) as info:
+                inf.loglik_frailty(d, flat_table, g, CLASSICAL)
+            assert str(info.value) == "alpha/beta lengths must match the dataset's w/x columns"
+
     def test_censored_gamma_frailty_frozen(self, zero_table):
         d = one_record_dataset(1.0, 0)
         val = inf.loglik_frailty(
@@ -606,6 +614,13 @@ class TestDatasetUtilities:
             data.subset(mask)
         assert str(info.value) == ("subset mask must be a boolean array of shape (3,), "
                                    + message)
+
+    @pytest.mark.parametrize("name", ["status", "age", "year"])
+    def test_status_age_and_year_need_one_entry_a_record(self, name):
+        data = random_dataset(5, p=1, p_t=0, seed=25)
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(data, **{name: getattr(data, name)[:4]})
+        assert str(info.value) == f"{name} must have n = 5 rows, got shape (4,)"
 
     def test_with_covariates_reselects_from_pool(self):
         data = random_dataset(30, p=3, p_t=2, seed=26)

@@ -255,6 +255,8 @@ REJECTED_DRAWS = re.compile(r"rejected \d+ of \d+ parameter draws\n$")
 @example(flag="--seed", value="-1", part=None)  # numpy refused it without naming the flag
 @example(flag="--draws", value="99999999999999999999", part=None)  # past numpy's array size
 @example(flag="--draws", value="0", part=None)  # no bands, so the seed goes unused
+@example(flag="--draws", value="-1", part=None)  # the library's message named no flag
+@example(flag="--draws", value="50", part=None)
 @example(flag="--grid", value="99999999999999999999", part=2)  # a count above the cap
 @example(flag="--grid", value="1e308", part=1)  # a stop beyond the follow-up
 def test_a_mutated_flag(files, tmp_path, capsys, flag, value, part):
@@ -281,3 +283,22 @@ def test_a_mutated_flag(files, tmp_path, capsys, flag, value, part):
         # exit 3, naming the flag: dashed, or bare at the start of the message
         assert code == 3 and err.count("\n") == 1, (code, err)
         assert flag in err or err.startswith(f"error: {flag[2:]}"), err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--draws", "-1", "--draws must be 0 (no bands) or at least 100, got -1"),
+    ("--draws", "50", "--draws must be 0 (no bands) or at least 100, got 50"),
+    ("--draws", "100001", "--draws 100001 is above the cap of 100000 draws"),
+    ("--grid", "0:5:1", "grid '0:5:1' must satisfy 0 <= start < stop, count >= 2"),
+    ("--grid", "0:5", "grid must be 'start:stop:count', got '0:5'"),
+    ("--seed", "-1", "--seed -1 must be non-negative"),
+    ("--level", "1", "--level 1.0 must be in (0, 1)"),
+], ids=["draws-negative", "draws-below-100", "draws-above-cap", "grid-one-point",
+        "grid-two-parts", "seed-negative", "level-one"])
+def test_a_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, flag, value, message):
+    # --draws and --grid were checked only after the fit and the cohort were
+    # read, so a missing file hid them
+    argv = ["netsurv", "--data", tmp_path / "missing.csv", "--fit", tmp_path / "missing.json",
+            "--seed", "1", flag, value, "--out", tmp_path / "o"]
+    assert run(capsys, argv) == (3, "", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()

@@ -139,7 +139,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("cell", EDGE_INTS)
     def test_edge_cells_load_as_int_and_float_give_them(self, cell):
-        table = lt.load_life_table(["age,year,rate\n", f"{cell},{cell},{cell}\n"])
+        table = lt.load_life_table(io.StringIO(f"age,year,rate\n{cell},{cell},{cell}\n"))
         assert table.age_range == table.year_range == (int(cell), int(cell))
         assert table._grid.tobytes() == np.float64(float(cell)).tobytes()
 
@@ -301,6 +301,13 @@ class TestPopHazard:
     def test_unknown_stratum(self, sex_table):
         with pytest.raises(ValueError, match="stratum"):
             lt.pop_hazard(sex_table, lt.LifeTableKey(60.0, 2010.0, ("2",)), 1.0)
+
+    @pytest.mark.parametrize("lookup", [lt.pop_hazard, lt.pop_cum_hazard])
+    def test_negative_time_is_refused(self, flat_table, lookup):
+        key = lt.LifeTableKey(40.0, 2005.0)
+        with pytest.raises(ValueError) as info:
+            lookup(flat_table, key, np.array([0.0, -1e-300]))
+        assert str(info.value) == f"{lookup.__name__} requires t >= 0"
 
 
 class TestPopCumHazard:

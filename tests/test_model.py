@@ -166,6 +166,9 @@ class TestGHStructure:
             mdl.excess_cum_hazard(-1.0, X0, W0, g)
         with pytest.raises(ValueError, match="entries"):
             mdl.excess_hazard(1.0, np.ones(2), W0, g)
+        with pytest.raises(ValueError) as info:
+            mdl.excess_cum_hazard(1.0, X0, np.ones(3), g)
+        assert str(info.value) == "w has 3 entries but alpha has 2"
 
 
 class TestLaplace:
@@ -287,6 +290,34 @@ class TestLaplace:
             mdl.laplace(mdl.FrailtySpec("gamma", 0.5), -0.1)
         with pytest.raises(ValueError):
             mdl.laplace(mdl.FrailtySpec("none"), 1.0)
+        for family in ("none", "gamma", "ig"):
+            with pytest.raises(ValueError) as info:
+                mdl.laplace_log_deriv(mdl.FrailtySpec(family, 0.5), np.array([1.0, -0.1]))
+            assert str(info.value) == "laplace_log_deriv requires s >= 0"
+
+    @pytest.mark.parametrize("b, s, dw_dlogb_ref, dll_dlogb_ref", [
+        (2.0, 1e308, -4.9999999999999999451e-309, 354.444677911363008),
+        (2.0, 1.7976931348623157e308, -2.7813423231340020377e-309, 354.73793003697197102),
+        (1e5, 1e304, -1.0000000000000000607e-309, 0.007104987937351601163),
+        (1e10, 1e300, -9.999999999999999475e-311, 7.128013788281541621e-8),
+        (1e300, 1e304, -1.0000000000000000082e-604, 1.3897613961684035202e-297),
+    ], ids=["b2-s1e308", "b2-smax", "b1e5-s1e304", "b1e10-s1e300", "b1e300-s1e304"])
+    def test_gamma_derivatives_where_b_s_overflows(self, b, s, dw_dlogb_ref, dll_dlogb_ref):
+        # d weight/d log b was -b s weight^2 = inf * 0 = nan there, and the
+        # s weight term of d log L/d log b was 0, not about 1/b; the references
+        # are 50-digit mpmath values of -bs/(1+bs)^2 and log1p(bs)/b - s/(1+bs)
+        form = mdl._frailty_form("gamma", b)
+        cells = np.array([s, 1.0, 0.0, np.inf])
+        with np.errstate(all="ignore"):
+            log_lap = form.log_laplace(b, cells)
+            w = form.weight(b, cells)
+            dw_ds, dw_dlogb, dll_dlogb = form.weight_derivs(b, cells, log_lap, w)
+            # every other cell keeps the closed forms' bits, nan at s = inf included
+            np.testing.assert_array_equal(dw_dlogb[1:], -b * cells[1:] * w[1:]**2)
+            np.testing.assert_array_equal(dll_dlogb[1:], -log_lap[1:] - cells[1:] * w[1:])
+        assert dw_dlogb[0] == pytest.approx(dw_dlogb_ref, rel=1e-12, abs=1e-320)
+        assert dll_dlogb[0] == pytest.approx(dll_dlogb_ref, rel=1e-12)
+        assert dw_ds[0] == 0.0
 
     def test_weight_closed_forms(self):
         s = np.linspace(0.0, 12.0, 25)

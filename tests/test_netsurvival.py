@@ -147,6 +147,13 @@ class TestPointCurves:
             ns.net_survival_mc_ci(cohort, fit_classical, np.array([0.0, 80.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
             ns.net_survival_mc_ci(cohort, fit_classical, np.array([2.0, 1.0]))
+        for grid in (np.array([]), np.array([[0.0, 1.0]])):
+            with pytest.raises(ValueError) as info:
+                ns.net_survival_mc_ci(cohort, fit_classical, grid)
+            assert str(info.value) == "grid must be a non-empty 1-d array of times"
+        with pytest.raises(ValueError) as info:
+            ns.net_survival_mc_ci(cohort, fit_classical, np.array([-0.5, 1.0]))
+        assert str(info.value) == "grid times must be >= 0"
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ns.NetSurvivalCurve(np.array([0.0]), np.array([1.5]))
 

@@ -88,6 +88,17 @@ class TestScenarios:
             dataclasses.replace(two, censoring_target=("censoring", 1.0))
         with pytest.raises(ValueError):
             sim.Scenario(censoring_target=("events", 0.1))
+        with pytest.raises(ValueError) as info:
+            sim.Scenario(seed=-1)
+        assert str(info.value) == "seed must be >= 0, got -1"
+
+    def test_each_study_refuses_the_other_group_count(self, synth_table):
+        with pytest.raises(ValueError) as info:
+            sim.run_aim1(sim.two_group_scenario(2), synth_table)
+        assert str(info.value) == "the recovery study needs a scenario with one truth group"
+        with pytest.raises(ValueError) as info:
+            sim.run_aim2(sim.sc1_scenario(), synth_table)
+        assert str(info.value) == "the two-group study needs a scenario with two truth groups"
 
     def test_group_structure_validation(self):
         two = sim.two_group_scenario(2)
@@ -494,8 +505,9 @@ class TestBrentPort:
 class TestTruthCurves:
     def test_reference_curve_closed_form(self):
         s = sim.sc1_scenario()
-        grid = np.linspace(0.0, 5.0, 41)
-        curve = sim.true_net_survival_curve(s, grid, reference=True)
+        grid = default_grid()
+        curve = sim.true_net_survival_curve(s, reference=True)
+        np.testing.assert_array_equal(curve.time, grid)
         h0 = pgw_cum_hazard(grid, PGWParams(0.75, 1.75, 8.0))
         np.testing.assert_allclose(curve.estimate, (1.0 + 0.5 * h0) ** -2.0, rtol=1e-12)
         assert curve.estimate[0] == 1.0
@@ -504,8 +516,8 @@ class TestTruthCurves:
         # Large-sample empirical survival of simulated net event times agrees
         # with the covariate-averaged analytic curve.
         s = sim.sc1_scenario()
-        grid = np.linspace(0.0, 5.0, 26)
-        truth = sim.true_net_survival_curve(s, grid).estimate
+        grid = default_grid()[::4]
+        truth = sim.true_net_survival_curve(s).estimate[::4]
         theta = PGWParams(*s.groups[0].theta)
         alpha = np.asarray(s.groups[0].alpha)
         beta = np.asarray(s.groups[0].beta)
@@ -526,11 +538,11 @@ class TestTruthCurves:
 
     def test_two_group_truth_mixture(self):
         s = sim.two_group_scenario(2)
-        grid = np.linspace(0.0, 5.0, 21)
-        curves = sim.two_group_true_curves(s, grid)
+        curves = sim.two_group_true_curves(s)
         mix = 0.6 * curves["sex1"].estimate + 0.4 * curves["sex0"].estimate
         np.testing.assert_allclose(curves["population"].estimate, mix, rtol=1e-14)
         for curve in curves.values():
+            np.testing.assert_array_equal(curve.time, default_grid())
             assert curve.estimate[0] == 1.0
             assert np.all(np.diff(curve.estimate) <= 1e-12)
 
@@ -574,7 +586,6 @@ class TestRecoveryStudy:
         grid = default_grid()
         s = sim.sc1_scenario(n=300, M=2, seed=814)
         r = sim.run_aim1(s, synth_table, fit_both=True)
-        np.testing.assert_array_equal(r.reference_grid, grid)
         assert r.aic_frailty is not None and r.aic_classical is not None
         assert len(r.aic_frailty) == len(r.aic_classical) <= 2
         assert np.all(np.isfinite(r.aic_frailty))
@@ -675,7 +686,7 @@ class TestTwoGroupStudy:
         key = (first[0], first[1], first[2])
         assert float(first[3]) == small_run.mean_sup_dev[key]
         curve_lines = curves.read_text(encoding="utf-8").strip().splitlines()
-        assert len(curve_lines) == 1 + len(small_run.mean_curves) * small_run.grid.size
+        assert len(curve_lines) == 1 + len(small_run.mean_curves) * default_grid().size
 
     def test_stratified_tracks_subgroup_truth(self, synth_table):
         # Mildly different baselines: per-group fits recover each group's
